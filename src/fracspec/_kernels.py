@@ -1,154 +1,20 @@
 """Hot inner loops: truncated causal convolution, two-sided kernel
 application, and the AR recursion.
 
-Dispatch is per kernel, on measured merit (see benchmarks/bench_kernels.py):
-the three convolution kernels ride np.convolve, which beats scalar @njit
-loops 3-10x at acceptance sizes, while the inherently sequential AR
-recursion compiles with numba for a ~100x win over the Python loop.  Set
-``FRACSPEC_DISABLE_NUMBA=1`` to force the pure-numpy/Python path (also taken
-automatically when numba is not importable); ``BACKEND`` records which path
-is active.  Both paths produce bit-identical results: every kernel
-accumulates each output element in the same lag order.
+The three convolutions are direct ``np.convolve`` calls; the periodic
+boundary wrap-pads the series by the kernel half-width and keeps the
+"valid" part.  The AR recursion is inherently sequential and runs as a
+pure-Python loop over floats, which is cheaper than indexing numpy scalars.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "BACKEND",
     "causal_apply",
     "two_sided_apply_zero",
     "two_sided_apply_periodic",
     "ar_recurse",
 ]
-
-_DISABLED = os.environ.get("FRACSPEC_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# @njit loop kernels (compiled only when the numba path is active)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _causal_apply_nb(y, coeffs):
-    n = y.shape[0]
-    ncoef = coeffs.shape[0]
-    out = np.empty(n)
-    for t in range(n):
-        upper = t + 1 if t + 1 < ncoef else ncoef
-        acc = 0.0
-        for m in range(upper):
-            acc += coeffs[m] * y[t - m]
-        out[t] = acc
-    return out
-
-
-@njit(cache=True)
-def _two_sided_zero_nb(y, weights):
-    n = y.shape[0]
-    half = (weights.shape[0] - 1) // 2
-    out = np.empty(n)
-    for t in range(n):
-        acc = 0.0
-        for m in range(-half, half + 1):
-            i = t - m
-            if 0 <= i < n:
-                acc += weights[m + half] * y[i]
-        out[t] = acc
-    return out
-
-
-@njit(cache=True)
-def _two_sided_periodic_nb(y, weights):
-    # per-lag contiguous runs instead of a per-element modulo
-    n = y.shape[0]
-    half = (weights.shape[0] - 1) // 2
-    out = np.zeros(n)
-    for u in range(weights.shape[0]):
-        c = weights[u]
-        shift = (u - half) % n
-        for t in range(shift):
-            out[t] += c * y[t - shift + n]
-        for t in range(shift, n):
-            out[t] += c * y[t - shift]
-    return out
-
-
-@njit(cache=True)
-def _ar_recurse_nb(x, phi):
-    n = x.shape[0]
-    p = phi.shape[0]
-    out = np.empty(n)
-    for t in range(n):
-        acc = x[t]
-        kmax = p if p < t else t
-        for i in range(kmax):
-            acc += phi[i] * out[t - 1 - i]
-        out[t] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy / Python implementations
-# ---------------------------------------------------------------------------
-
-
-def _causal_apply_np(y, coeffs):
-    return np.convolve(y, coeffs)[: y.shape[0]]
-
-
-def _two_sided_zero_np(y, weights):
-    n = y.shape[0]
-    half = (weights.shape[0] - 1) // 2
-    return np.convolve(y, weights)[half : half + n]
-
-
-def _two_sided_periodic_np(y, weights):
-    n = y.shape[0]
-    half = (weights.shape[0] - 1) // 2
-    # tile enough copies that the window never leaves the tiled buffer
-    wraps = (half + n - 1) // n
-    conv = np.convolve(np.tile(y, 2 * wraps + 1), weights)
-    start = half + wraps * n
-    return conv[start : start + n]
-
-
-def _ar_recurse_np(x, phi):
-    # sequential recursion; no vectorized form exists
-    n = x.shape[0]
-    p = phi.shape[0]
-    out = np.empty(n)
-    for t in range(n):
-        acc = x[t]
-        for i in range(min(p, t)):
-            acc += phi[i] * out[t - 1 - i]
-        out[t] = acc
-    return out
-
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-# convolutions: np.convolve wins on every measured size, in both modes
-_causal = _causal_apply_np
-_zero = _two_sided_zero_np
-_periodic = _two_sided_periodic_np
-_ar = _ar_recurse_nb if _HAVE_NUMBA else _ar_recurse_np
 
 
 def _as_f8(a) -> np.ndarray:
@@ -157,19 +23,32 @@ def _as_f8(a) -> np.ndarray:
 
 def causal_apply(y, coeffs) -> np.ndarray:
     """z[t] = sum_{m=0}^{min(t, M)} coeffs[m] * y[t-m] (zero pre-sample)."""
-    return _causal(_as_f8(y), _as_f8(coeffs))
+    y = _as_f8(y)
+    return np.convolve(y, _as_f8(coeffs))[: y.shape[0]]
 
 
 def two_sided_apply_zero(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero."""
-    return _zero(_as_f8(y), _as_f8(weights))
+    y, weights = _as_f8(y), _as_f8(weights)
+    half = (weights.shape[0] - 1) // 2
+    return np.convolve(y, weights)[half : half + y.shape[0]]
 
 
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n]."""
-    return _periodic(_as_f8(y), _as_f8(weights))
+    y, weights = _as_f8(y), _as_f8(weights)
+    half = (weights.shape[0] - 1) // 2
+    # wrap mode repeats the series as often as needed, so half may exceed n
+    return np.convolve(np.pad(y, half, mode="wrap"), weights, "valid")
 
 
 def ar_recurse(x, phi) -> np.ndarray:
     """out[t] = x[t] + sum_i phi[i] * out[t-1-i] with zero initial history."""
-    return _ar(_as_f8(x), _as_f8(phi))
+    phi = _as_f8(phi).tolist()
+    p = len(phi)
+    out = []
+    for t, acc in enumerate(_as_f8(x).tolist()):
+        for i in range(min(p, t)):
+            acc += phi[i] * out[t - 1 - i]
+        out.append(acc)
+    return np.array(out, dtype=np.float64)

@@ -173,6 +173,8 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_response(args) -> str:
+    if args.grid < 1:
+        raise _UsageError(f"--grid must be at least 1, got {args.grid}")
     grid = np.arange(1, args.grid + 1) * (math.pi / args.grid)
     report = spectral.response_report(args.order, args.family, args.truncation, grid)
     lines = [

@@ -49,6 +49,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 def _check_order(order: float) -> float:
     order = float(order)
+    if not math.isfinite(order):
+        raise ValueError(f"kernel order must be finite, got {order}")
     if not (order > -1.0):
         raise ValueError("kernel order must exceed -1")
     return order

@@ -7,6 +7,7 @@ treated as zero, which makes differencing and integration exact formal
 inverses at matching truncation.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,6 +99,8 @@ def gl_coefficients(order: float, truncation: int) -> GLCoefficients:
     c_0 = 1, c_m = c_{m-1} * (m - 1 - order) / m.  For nonnegative integer
     order the sequence terminates in exact zeros past lag ``order``.
     """
+    if not math.isfinite(order):
+        raise ValueError(f"order must be finite, got {order}")
     truncation = _validate_truncation(truncation)
     m = np.arange(1, truncation + 1, dtype=np.float64)
     coeffs = np.empty(truncation + 1)

@@ -168,6 +168,25 @@ def test_exit_code_usage_error(capsys):
 def test_exit_code_validation_error(capsys):
     code, _, err = run_cli(["simulate", "--d", "1.5", "--n", "8"], capsys)
     assert code == 1 and "d must satisfy" in err
+    code, out, err = run_cli(
+        ["response", "--family", "gl", "--order", "0.4", "--truncation", "16", "--grid", "0"],
+        capsys,
+    )
+    assert code == 1 and out == "" and err == "fracspec: usage error: --grid must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--order", "nan", "--truncation", "3"],
+        ["kernel", "--order", "inf", "--half-width", "3"],
+        ["response", "--family", "gl", "--order", "nan", "--truncation", "16", "--grid", "4"],
+    ],
+)
+def test_exit_code_non_finite_order(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "order must be finite" in err
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

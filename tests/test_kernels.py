@@ -1,5 +1,5 @@
-"""Backend-agnostic index-convention oracles for the hot kernels, plus
-agreement between the active backend and the pure-numpy fallbacks."""
+"""Brute-force index-convention oracles for the hot kernels: each kernel is
+checked against a plain double loop written straight from its definition."""
 
 import numpy as np
 import pytest
@@ -44,14 +44,14 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.mark.parametrize("n,k", [(16, 4), (7, 12), (33, 33)])
+@pytest.mark.parametrize("n,k", [(16, 4), (7, 12), (33, 33), (1, 5), (5, 1)])
 def test_causal_apply_matches_brute_force(rng, n, k):
     y = rng.normal(size=n)
     c = rng.normal(size=k)
     assert np.allclose(_kernels.causal_apply(y, c), _brute_causal(y, c), atol=1e-13)
 
 
-@pytest.mark.parametrize("n,half", [(16, 3), (10, 12), (31, 8)])
+@pytest.mark.parametrize("n,half", [(16, 3), (10, 12), (31, 8), (5, 40), (1, 3)])
 @pytest.mark.parametrize("periodic", [False, True])
 def test_two_sided_apply_matches_brute_force(rng, n, half, periodic):
     y = rng.normal(size=n)
@@ -69,26 +69,3 @@ def test_ar_recurse_matches_brute_force(rng, p):
     phi = rng.normal(size=p) * 0.3
     assert np.allclose(_kernels.ar_recurse(x, phi), _brute_ar(x, phi), atol=1e-12)
 
-
-def test_numba_and_numpy_implementations_agree(rng):
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba path disabled")
-    y = rng.normal(size=200)
-    c = rng.normal(size=64)
-    w = rng.normal(size=41)
-    phi = np.array([0.4, -0.2])
-    pairs = [
-        (_kernels._causal_apply_nb, _kernels._causal_apply_np, (y, c)),
-        (_kernels._two_sided_zero_nb, _kernels._two_sided_zero_np, (y, w)),
-        (_kernels._two_sided_periodic_nb, _kernels._two_sided_periodic_np, (y, w)),
-        (_kernels._ar_recurse_nb, _kernels._ar_recurse_np, (y, phi)),
-    ]
-    for nb_fn, np_fn, args in pairs:
-        assert np.allclose(nb_fn(*args), np_fn(*args), atol=1e-12)
-
-
-def test_ar_recurse_bit_identical_across_backends(rng):
-    # both paths accumulate each element in the same lag order
-    x = rng.normal(size=500)
-    phi = np.array([0.7, -0.4, 0.1])
-    assert np.array_equal(_kernels.ar_recurse(x, phi), _kernels._ar_recurse_np(x, phi))
