@@ -189,6 +189,27 @@ def test_exit_code_non_finite_order(argv, capsys):
     assert err.count("\n") == 1 and "order must be finite" in err
 
 
+_OVER_CAP = str(exactops.HALF_WIDTH_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--order", "0.5", "--half-width", _OVER_CAP],
+        ["difference", "--family", "exact", "--order", "0.5", "--half-width", _OVER_CAP],
+        ["response", "--family", "exact", "--order", "0.5", "--truncation", _OVER_CAP],
+    ],
+)
+def test_exit_code_half_width_over_cap(argv, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n0,1.0\n1,2.0\n2,0.5\n")
+    if argv[0] == "difference":
+        argv = argv + ["--input", str(series)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"fracspec: half_width exceeds cap {exactops.HALF_WIDTH_CAP}\n"
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,value\n0,1.0\n1,oops\n")

@@ -70,6 +70,38 @@ def test_quadrature_matches_extended_precision_oracle():
         assert exact_kernel_quadrature(alpha, m) == pytest.approx(want, abs=1e-13)
 
 
+def test_window_matches_extended_precision_oracle_at_large_lags():
+    # frozen from 30-digit mpmath: quad over half-period subintervals, the
+    # first one, [0, pi/m], by its term-wise integrated Taylor series;
+    # values are (K(+m), K(-m)).  The asymptotic route serves these lags.
+    cases = {
+        (-0.5, 12): (0.15215079650149101001, 0.010436736612137440647),
+        (-0.5, 13): (0.16636124172175997263, -0.0096445588191512213489),
+        (-0.5, 100): (0.055147074296687281094, 0.0012678420812408619032),
+        (-0.5, 1000): (0.017714233688664747662, 0.00012696705157426646623),
+        (-0.5, 4096): (0.0087844582865043925444, 0.000031001547131884431641),
+        (0.3, 12): (0.00810554406814237526, -0.016714561804525514627),
+        (0.3, 13): (-0.024134517385585786244, 0.015447269400360337157),
+        (0.3, 100): (0.0014605262706394978707, -0.0020334246816955037609),
+        (0.3, 1000): (0.00017466637648923534925, -0.00020368566349818490271),
+        (0.3, 4096): (0.000045086251520889486101, -0.000049734989962851514296),
+        (1.5, 12): (0.10107964808722202955, -0.10854413552728506216),
+        (1.5, 13): (-0.092129582445017954256, 0.099906886311179224063),
+        (1.5, 100): (0.012477436061667039156, -0.012592887627059124349),
+        (1.5, 1000): (0.0012527290095701646008, -0.0012539124555108137195),
+        (1.5, 4096): (0.0003059496212820650195, -0.00030602056363902871782),
+        (2.7, 12): (-0.53720529650552438868, 0.49918915633537450222),
+        (2.7, 13): (0.49458537587403023492, -0.46236310515342941791),
+        (2.7, 100): (-0.062648903760562898389, 0.062102549683580446796),
+        (2.7, 1000): (-0.0062405893322684207186, 0.0062351261453299844498),
+        (2.7, 4096): (-0.001523077967477205981, 0.0015227523365857101875),
+    }
+    for (alpha, m), (want_pos, want_neg) in cases.items():
+        window = exact_kernel_window(alpha, 4096)  # cached after the first lag
+        assert window.weight(m) == pytest.approx(want_pos, abs=1e-13)
+        assert window.weight(-m) == pytest.approx(want_neg, abs=1e-13)
+
+
 def test_quadrature_domain():
     with pytest.raises(ValueError):
         exact_kernel_quadrature(-1.2, 1)
@@ -148,11 +180,60 @@ def test_window_consistency_check_fires_on_bad_series(monkeypatch):
     exactops._window_cache.clear()
 
 
+def test_window_consistency_check_fires_on_bad_asymptotic(monkeypatch):
+    asymptotic = exactops._asymptotic_integrals
+
+    def off_by_1e6(order, lags):
+        ic, isn = asymptotic(order, lags)
+        return ic + 1e-6, isn
+
+    monkeypatch.setattr(exactops, "_asymptotic_integrals", off_by_1e6)
+    exactops._window_cache.clear()
+    with pytest.raises(ConsistencyError, match="asymptotic/quadrature"):
+        exact_kernel_window(0.7, 64)
+    exactops._window_cache.clear()
+
+
+def test_window_build_quadrature_calls_are_bounded(monkeypatch):
+    # a cold build runs quadrature at lags 0..11 and at the sampled
+    # cross-check lags only; an all-quadrature build would make 4097 calls
+    calls = []
+    quadrature = exactops._oscillatory_integrals
+
+    def counting(order, m):
+        calls.append(m)
+        return quadrature(order, m)
+
+    monkeypatch.setattr(exactops, "_oscillatory_integrals", counting)
+    exactops._window_cache.clear()
+    exact_kernel_window(0.5, 4096)
+    exactops._window_cache.clear()
+    assert 4096 in calls
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 3.0, 6.3])
+def test_window_matches_quadrature_at_sampled_lags(alpha):
+    # the asymptotic route against quadrature, well inside the 1e-8 that
+    # window construction enforces at its own sample of lags.  Quadrature
+    # loses accuracy as the order grows (at 6.3 it is off by 1.2e-11 at lag
+    # 513 against mpmath), so accuracy itself is checked against the frozen
+    # extended-precision values above.
+    window = exact_kernel_window(alpha, 600)
+    lags = [*range(exactops.ASYMPTOTIC_MIN_LAG, 40), *range(40, 600, 37), 600]
+    for m in lags:
+        for lag in (m, -m):
+            want = exact_kernel_quadrature(alpha, lag)
+            assert abs(window.weight(lag) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         exact_kernel_window(0.5, 0)
     with pytest.raises(ValueError):
         exact_kernel_window(-1.0, 4)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        exact_kernel_window(0.5, exactops.HALF_WIDTH_CAP + 1)
 
 
 def test_exact_difference_identity_at_order_zero():
