@@ -214,7 +214,7 @@ def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
     total = spec.n + spec.burn_in
     values = white_noise(noise, total).values
     if spec.ma:
-        values = np.convolve(values, np.concatenate(([1.0], spec.ma)))[:total]
+        values = _kernels.causal_apply(values, np.concatenate(([1.0], spec.ma)))
     if spec.d != 0.0:
         weights = gl_coefficients(-spec.d, spec.truncation).coefficients
         values = _kernels.causal_apply(values, weights)
@@ -292,6 +292,9 @@ def theoretical_acf(
     if truncation < 10 * max_lag:
         raise ValueError("truncation must be at least 10 * max_lag")
     psi = gl_coefficients(-d, truncation + max_lag).coefficients
+    # only max_lag + 1 outputs are kept: at a few hundred lags their direct
+    # sums (max_lag + 1 dot products of length truncation + 1) cost less than
+    # the full FFT convolution that _kernels.convolve would compute
     gammas = sigma**2 * np.correlate(psi, psi[: truncation + 1], "valid")
     tail_estimate = sigma**2 * psi[truncation] ** 2
     if tail_estimate > 1e-6 * gammas[0]:

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .exactops import KernelWindow, exact_kernel_window
 from .glops import GLCoefficients, Series, gl_coefficients
 from .specfun import cospi, sinpi
@@ -255,7 +256,7 @@ def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:
     if not (0 <= max_lag < n):
         raise ValueError("max_lag must satisfy 0 <= max_lag < len(y)")
     centered = y.values - y.values.mean()
-    return np.correlate(centered, centered, "full")[n - 1 : n + max_lag] / n
+    return _kernels.convolve(centered, centered[::-1])[n - 1 : n + max_lag] / n
 
 
 def loglog_slope_fit(xs, ys) -> SlopeFit:

@@ -263,3 +263,10 @@ def test_pipeline_subprocess():
     assert est.returncode == 0, est.stderr.decode()
     lines = est.stdout.decode().splitlines()
     assert lines[0] == "d_hat,std_err,bandwidth,n,classification"
+
+
+def test_import_stays_numpy_only():
+    # scipy costs about a second to import, more than a CLI run's own work
+    code = "import sys, fracspec, fracspec.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -88,6 +88,24 @@ def test_integer_reduction_matches_direct_differences():
     assert np.abs(got - direct2).max() <= 4.0 * np.spacing(4.0 * np.abs(y).max())
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_integer_reduction_at_long_truncation(order):
+    # criterion 1's bound also holds when the truncation far exceeds both the
+    # order and the series: the exact zeros past lag ``order`` are dropped,
+    # so the sum stays direct
+    y = white_noise(NoiseSpec(seed=101), 1024).values
+    want = {
+        0: y,
+        1: np.concatenate(([y[0]], y[1:] - y[:-1])),
+        2: np.concatenate(([y[0], y[1] - 2 * y[0]], y[2:] - 2 * y[1:-1] + y[:-2])),
+    }[order]
+    got = gl_difference(Series(y), float(order), 100_000).values
+    tol = (order + 1) * np.spacing(2.0**order * np.abs(y).max())
+    assert np.abs(got - want).max() <= tol
+    if order == 0:
+        assert np.array_equal(got, y)
+
+
 def test_composition_equals_summed_order():
     y = _random_series(256, seed=5)
     M = 256

@@ -214,6 +214,15 @@ def test_sample_autocovariance_white_noise_bound():
         assert frac >= 0.95
 
 
+def test_sample_autocovariance_matches_brute_force_sum():
+    y = white_noise(NoiseSpec(seed=8), 3000)
+    acov = sample_autocovariance(y, 200)
+    c = y.values - y.values.mean()
+    want = np.array([math.fsum(c[k:] * c[: c.size - k]) / c.size for k in range(201)])
+    assert acov.shape == (201,)
+    assert np.abs(acov - want).max() <= 1e-12 * want[0]
+
+
 def test_sample_autocovariance_lag_validation():
     y = white_noise(NoiseSpec(seed=5), 32)
     with pytest.raises(ValueError):
