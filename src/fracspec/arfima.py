@@ -30,7 +30,14 @@ __all__ = [
     "estimate_memory_from_periodogram",
     "theoretical_acf",
     "default_bandwidth",
+    "SAMPLE_CAP",
+    "MAX_LAG_CAP",
 ]
+
+# simulated samples (n + burn_in) and theoretical-ACF lags; see CHANGES.md
+# for the measurements behind both caps
+SAMPLE_CAP = 3 * 10**6
+MAX_LAG_CAP = 10**4
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -96,7 +103,8 @@ class ArfimaSpec:
     |d| < 1 is enforced; the classical stationarity range is |d| < 0.5 and
     simulations outside it are flagged via :attr:`classical_stationary`.
     The AR polynomial must be stable (all roots of the reversed polynomial
-    strictly inside the unit circle, tolerance 1e-6).
+    strictly inside the unit circle, tolerance 1e-6).  ``n + burn_in`` may
+    not exceed ``SAMPLE_CAP``.
     """
 
     d: float
@@ -113,6 +121,8 @@ class ArfimaSpec:
             raise ValueError("sample count n must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
+        if self.n + self.burn_in > SAMPLE_CAP:
+            raise ValueError(f"n + burn_in exceeds cap {SAMPLE_CAP}")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
         object.__setattr__(self, "ar", tuple(float(v) for v in self.ar))
@@ -277,9 +287,10 @@ def theoretical_acf(
     of an ARFIMA(0, d, 0) process, lags 0..max_lag.
 
     psi are the MA-infinity weights of (1-L)^(-d), summed up to
-    ``truncation`` (which must be at least 10*max_lag).  The leading
-    omitted term psi_J^2 serves as the truncation-tail indicator; if it
-    exceeds 1e-6 of gamma(0) the truncation is rejected as too small.
+    ``truncation`` (which must be at least 10*max_lag); ``max_lag`` may not
+    exceed ``MAX_LAG_CAP``.  The leading omitted term psi_J^2 serves as the
+    truncation-tail indicator; if it exceeds 1e-6 of gamma(0) the truncation
+    is rejected as too small.
     """
     if not (abs(d) < 0.5):
         raise ValueError("theoretical ACF requires |d| < 0.5")
@@ -288,6 +299,8 @@ def theoretical_acf(
     max_lag = int(max_lag)
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
+    if max_lag > MAX_LAG_CAP:
+        raise ValueError(f"max_lag exceeds cap {MAX_LAG_CAP}")
     truncation = int(truncation)
     if truncation < 10 * max_lag:
         raise ValueError("truncation must be at least 10 * max_lag")

@@ -16,7 +16,10 @@ import numpy as np
 from . import arfima, exactops, glops, spectral
 from .errors import ConsistencyError, CsvParseError
 
-__all__ = ["main"]
+__all__ = ["main", "GRID_CAP"]
+
+# response grid points; see CHANGES.md for the measurement behind the cap
+GRID_CAP = 2**16
 
 
 def _fmt(x) -> str:
@@ -46,76 +49,134 @@ def _read_text(path: str | None) -> tuple[str, str]:
         raise CsvParseError(f"{path}: cannot read input: {exc.strerror}") from exc
 
 
+def _read_meta(line: str, meta: dict) -> None:
+    for part in line.lstrip("#").strip().split(","):
+        if "=" in part:
+            k, v = part.split("=", 1)
+            meta[k.strip()] = v.strip()
+
+
 def parse_series_csv(text: str, name: str) -> tuple[glops.Series, dict]:
-    """Parse a series CSV (header ``t,value``) into a Series plus metadata."""
+    """Parse a series CSV (header ``t,value``) into a Series plus metadata.
+
+    Leading ``#`` lines fill the metadata.  The data rows are converted in
+    one ``np.loadtxt`` call, which accepts a subset of what ``float`` does and
+    skips only empty lines; any row it rejects sends the whole body through
+    :func:`_parse_rows`, the only source of ``file:line:col`` errors.
+    """
     meta = {}
-    times = []
-    values = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            for part in body.split(","):
-                if "=" in part:
-                    k, v = part.split("=", 1)
-                    meta[k.strip()] = v.strip()
+            _read_meta(line, meta)
             continue
-        if not header_seen:
-            if line.replace(" ", "") != "t,value":
-                raise CsvParseError(f"{name}:{lineno}:1: expected header 't,value'")
-            header_seen = True
+        if line.replace(" ", "") != "t,value":
+            raise CsvParseError(f"{name}:{lineno}:1: expected header 't,value'")
+        break
+    else:
+        raise CsvParseError(f"{name}:1:1: missing header 't,value'")
+    rows = lines[lineno:]
+    table = None
+    if any(rows):  # loadtxt warns on a body of empty lines
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+    if table is None or table.shape[1] != 2:
+        table = _parse_rows(rows, lineno + 1, name, meta)
+    return _series_from_columns(table[:, 0], table[:, 1]), meta
+
+
+def _parse_rows(rows: list[str], first_lineno: int, name: str, meta: dict) -> np.ndarray:
+    """Line-by-line parse of the data rows into an (n, 2) table; ``#`` lines
+    among them add to ``meta``."""
+    table = []
+    for lineno, raw in enumerate(rows, start=first_lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _read_meta(line, meta)
             continue
         fields = line.split(",")
         if len(fields) != 2:
             raise CsvParseError(f"{name}:{lineno}:1: expected 2 fields, got {len(fields)}")
+        row = []
         for col, field in enumerate(fields, start=1):
             try:
-                parsed = float(field)
+                row.append(float(field))
             except ValueError:
                 raise CsvParseError(
                     f"{name}:{lineno}:{col}: not a number: {field.strip()!r}"
                 ) from None
-            (times if col == 1 else values).append(parsed)
-    if not header_seen:
-        raise CsvParseError(f"{name}:1:1: missing header 't,value'")
-    if not values:
+        table.append(row)
+    if not table:
         raise CsvParseError(f"{name}:1:1: no data rows")
-    t = np.asarray(times)
-    if t.size > 1:
-        steps = np.diff(t)
-        step = float(steps[0])
-        if step <= 0 or np.abs(steps - step).max() > 1e-9 * max(abs(step), 1.0):
-            raise ValueError("series time column must be uniformly spaced and increasing")
-    else:
-        step = 1.0
-    return glops.Series(np.asarray(values), step=step, start=float(t[0])), meta
+    return np.array(table, dtype=np.float64)
+
+
+def _series_from_columns(t: np.ndarray, values: np.ndarray) -> glops.Series:
+    """The Series of a parsed table, once its time column is checked to be
+    finite, increasing and uniformly spaced."""
+    step = 1.0
+    uniform = bool(np.isfinite(t).all())
+    if uniform and t.size > 1:
+        # finite times can differ by more than the largest float; the
+        # comparison is written so that an inf or NaN difference fails it
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(t)
+            step = float(steps[0])
+            uniform = step > 0 and np.abs(steps - step).max() <= 1e-9 * max(abs(step), 1.0)
+    if not uniform:
+        raise ValueError("series time column must be uniformly spaced and increasing")
+    return glops.Series(values, step=step, start=float(t[0]))
+
+
+def _csv(header: list[str], *columns: np.ndarray) -> str:
+    """Header lines, then one row per index of ``columns``.
+
+    Integer columns are written with ``%d`` and float columns with
+    ``%.12g``, which is ``format(float(x), ".12g")``; one ``%`` applied to
+    the interleaved cells formats every row.
+    """
+    n = columns[0].size
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
+    cells = [None] * (n * len(columns))
+    for j, c in enumerate(columns):
+        cells[j :: len(columns)] = c.tolist()
+    return "\n".join(header) + "\n" + (row * n) % tuple(cells)
+
+
+def _time_column(times: np.ndarray) -> np.ndarray:
+    """The times as integers where ``%d`` writes the bytes ``%.12g`` would:
+    integral, below 1e12 in magnitude (12 digits) and no -0.0."""
+    if (
+        np.all(np.abs(times) < 1e12)
+        and np.array_equal(times, np.trunc(times))
+        and not np.signbit(times[times == 0]).any()
+    ):
+        return times.astype(np.int64)
+    return times
 
 
 def _series_csv(series: glops.Series, meta_lines: list[str]) -> str:
-    lines = [f"# {m}" for m in meta_lines]
-    lines.append("t,value")
-    times = series.times
-    lines.extend(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, series.values))
-    return "\n".join(lines) + "\n"
+    header = [f"# {m}" for m in meta_lines] + ["t,value"]
+    return _csv(header, _time_column(series.times), series.values)
 
 
 def _cmd_kernel(args) -> str:
     window = exactops.exact_kernel_window(args.order, args.half_width)
-    lines = [f"# order={_fmt(args.order)}, half_width={args.half_width}", "m,weight"]
-    lines.extend(
-        f"{m},{_fmt(w)}" for m, w in zip(window.offsets, window.weights)
-    )
-    return "\n".join(lines) + "\n"
+    header = [f"# order={_fmt(args.order)}, half_width={args.half_width}", "m,weight"]
+    return _csv(header, window.offsets, window.weights)
 
 
 def _cmd_coeffs(args) -> str:
-    coeffs = glops.gl_coefficients(args.order, args.truncation)
-    lines = [f"# order={_fmt(args.order)}, truncation={args.truncation}", "m,coefficient"]
-    lines.extend(f"{m},{_fmt(c)}" for m, c in enumerate(coeffs.coefficients))
-    return "\n".join(lines) + "\n"
+    c = glops.gl_coefficients(args.order, args.truncation).coefficients
+    header = [f"# order={_fmt(args.order)}, truncation={args.truncation}", "m,coefficient"]
+    return _csv(header, np.arange(c.size), c)
 
 
 def _cmd_difference(args) -> str:
@@ -163,39 +224,31 @@ def _cmd_spectrum(args) -> str:
     text, name = _read_text(args.input)
     series, _ = parse_series_csv(text, name)
     omega, power = spectral.periodogram(series)
-    lines = [
+    header = [
         "# periodogram, normalization S = |dft|^2 / n_fft",
         f"# n={len(series)}, n_fft={2 * len(omega)}, step={_fmt(series.step)}",
         "omega,S",
     ]
-    lines.extend(f"{_fmt(w)},{_fmt(s)}" for w, s in zip(omega, power))
-    return "\n".join(lines) + "\n"
+    return _csv(header, omega, power)
 
 
 def _cmd_response(args) -> str:
     if args.grid < 1:
         raise _UsageError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid > GRID_CAP:
+        raise ValueError(f"grid exceeds cap {GRID_CAP}")
     grid = np.arange(1, args.grid + 1) * (math.pi / args.grid)
     report = spectral.response_report(args.order, args.family, args.truncation, grid)
-    lines = [
+    cols = np.array([(s.omega_T, s.measured, s.target, s.rel_error) for s in report.samples])
+    header = [
         f"# family={args.family}, order={_fmt(args.order)}, truncation={args.truncation}, "
         f"grid={args.grid}",
         "omega_T,measured_re,measured_im,target_re,target_im,rel_error",
     ]
-    for s in report.samples:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(s.omega_T),
-                    _fmt(s.measured.real),
-                    _fmt(s.measured.imag),
-                    _fmt(s.target.real),
-                    _fmt(s.target.imag),
-                    _fmt(s.rel_error),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        header, cols[:, 0].real, cols[:, 1].real, cols[:, 1].imag, cols[:, 2].real,
+        cols[:, 2].imag, cols[:, 3].real,
+    )
 
 
 def _cmd_estimate(args) -> str:
@@ -227,9 +280,7 @@ def _cmd_acf(args) -> str:
         series, _ = parse_series_csv(text, name)
         gammas = spectral.sample_autocovariance(series, args.max_lag)
         meta = f"# sample, n={len(series)}"
-    lines = [meta, "k,acov"]
-    lines.extend(f"{k},{_fmt(g)}" for k, g in enumerate(gammas))
-    return "\n".join(lines) + "\n"
+    return _csv([meta, "k,acov"], np.arange(gammas.size), gammas)
 
 
 def _parse_coeff_list(text: str | None) -> tuple[float, ...]:
