@@ -32,7 +32,6 @@ from .glops import (
 from .specfun import HypergeometricParams, gamma, gen_binomial, gen_binomial_gamma_form, hyp1f2
 from .spectral import (
     ResponseReport,
-    ResponseSample,
     SlopeFit,
     Spectrum,
     dft,
@@ -59,7 +58,6 @@ __all__ = [
     "MemoryEstimate",
     "NoiseSpec",
     "ResponseReport",
-    "ResponseSample",
     "Series",
     "SlopeFit",
     "Spectrum",

@@ -237,17 +237,18 @@ def _cmd_response(args) -> str:
         raise _UsageError(f"--grid must be at least 1, got {args.grid}")
     if args.grid > GRID_CAP:
         raise ValueError(f"grid exceeds cap {GRID_CAP}")
-    grid = np.arange(1, args.grid + 1) * (math.pi / args.grid)
+    # j * (pi / G) rounds above pi at j = G for some G (25, 100, 301, ...)
+    grid = np.minimum(np.arange(1, args.grid + 1) * (math.pi / args.grid), math.pi)
     report = spectral.response_report(args.order, args.family, args.truncation, grid)
-    cols = np.array([(s.omega_T, s.measured, s.target, s.rel_error) for s in report.samples])
     header = [
         f"# family={args.family}, order={_fmt(args.order)}, truncation={args.truncation}, "
         f"grid={args.grid}",
         "omega_T,measured_re,measured_im,target_re,target_im,rel_error",
     ]
+    measured, target = report.measured, report.target
     return _csv(
-        header, cols[:, 0].real, cols[:, 1].real, cols[:, 1].imag, cols[:, 2].real,
-        cols[:, 2].imag, cols[:, 3].real,
+        header, report.omega_T, measured.real, measured.imag, target.real, target.imag,
+        report.rel_error,
     )
 
 
@@ -269,7 +270,8 @@ def _cmd_acf(args) -> str:
     if args.d is not None:
         truncation = args.truncation
         if truncation is None:
-            truncation = 100 * args.max_lag
+            # theoretical_acf sums truncation + max_lag psi weights
+            truncation = min(100 * args.max_lag, glops.TRUNCATION_CAP - args.max_lag)
         gammas = arfima.theoretical_acf(args.d, args.sigma, args.max_lag, truncation)
         meta = (
             f"# theoretical, d={_fmt(args.d)}, sigma={_fmt(args.sigma)}, "
@@ -359,7 +361,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--truncation", type=int, default=None,
-                   help="psi-weight truncation (default 100 * max_lag)")
+                   help="psi-weight truncation (default 100 * max_lag, at most "
+                   "the GL truncation cap minus max_lag)")
     add_output(p)
     p.set_defaults(handler=_cmd_acf)
 

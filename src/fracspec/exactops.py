@@ -345,7 +345,10 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     with _window_lock:
         window = _window_cache.get(key)
     if window is None:
-        window = _build_window(order, half_width)
+        try:
+            window = _build_window(order, half_width)
+        except OverflowError:
+            raise ValueError(f"exact kernel of order {order:g} overflows") from None
         with _window_lock:
             window = _window_cache.setdefault(key, window)
     return window

@@ -75,6 +75,11 @@ class GLCoefficients:
         c = np.asarray(self.coefficients, dtype=np.float64)
         if c.ndim != 1 or c.size < 1 or c[0] != 1.0:
             raise ValueError("coefficient sequence must start with c_0 = 1")
+        if not np.isfinite(c).all():
+            raise ValueError(
+                f"GL coefficients of order {self.order:g} are not finite at truncation "
+                f"{c.size - 1}"
+            )
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
@@ -106,7 +111,9 @@ def gl_coefficients(order: float, truncation: int) -> GLCoefficients:
     coeffs = np.empty(truncation + 1)
     coeffs[0] = 1.0
     if truncation:
-        coeffs[1:] = np.cumprod((m - 1.0 - order) / m)
+        # an order too large overflows; GLCoefficients rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs[1:] = np.cumprod((m - 1.0 - order) / m)
     return GLCoefficients(order, coeffs)
 
 

@@ -45,7 +45,7 @@ def criterion(num, desc):
 
 
 def _measured(weights, grid):
-    return np.array([s.measured for s in operator_response(weights, grid)])
+    return operator_response(weights, grid)
 
 
 def test_criterion_1_integer_reduction():

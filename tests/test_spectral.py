@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracspec import spectral
 from fracspec import (
     NoiseSpec,
     Series,
@@ -85,8 +87,8 @@ def test_periodogram_too_short():
 
 
 def test_operator_response_first_difference_at_nyquist():
-    samples = operator_response(np.array([1.0, -1.0]), [math.pi])
-    assert samples[0].measured == pytest.approx(2.0, abs=1e-12)
+    measured = operator_response(np.array([1.0, -1.0]), [math.pi])
+    assert measured[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_operator_response_grid_validation():
@@ -101,8 +103,8 @@ def test_gl_response_converges_to_target():
     grid = np.linspace(0.1 * math.pi, math.pi, 128)
     sups = []
     for M in (256, 512, 1024, 2048):
-        samples = operator_response(gl_coefficients(0.4, M), grid)
-        errs = [abs(s.measured - gl_response_target(0.4, s.omega_T)) for s in samples]
+        measured = operator_response(gl_coefficients(0.4, M), grid)
+        errs = [abs(h - gl_response_target(0.4, x)) for x, h in zip(grid, measured)]
         sups.append(max(errs))
     for a, b in zip(sups, sups[1:]):
         assert b <= a / 2.0
@@ -112,9 +114,9 @@ def test_exact_response_approaches_i_omega():
     # alpha = 1 kernel: Fourier series of the sawtooth, response -> +i wT
     window = exact_kernel_window(1.0, 512)
     grid = np.linspace(0.1 * math.pi, 0.9 * math.pi, 33)
-    for s in operator_response(window, grid):
-        want = 1j * s.omega_T
-        assert abs(s.measured - want) / abs(want) <= 1e-2
+    for x, h in zip(grid, operator_response(window, grid)):
+        want = 1j * x
+        assert abs(h - want) / abs(want) <= 1e-2
 
 
 def test_gl_response_target_values():
@@ -154,24 +156,23 @@ def test_power_law_target_convention():
 
 def test_response_report_gl_nyquist_magnitude_gap():
     report = response_report(0.4, "gl", 2048, [math.pi])
-    s = report.samples[0]
-    gap = abs(abs(s.measured) - abs(s.target)) / abs(s.target)
+    gap = abs(abs(report.measured[0]) - abs(report.target[0])) / abs(report.target[0])
     assert gap == pytest.approx(1.0 - (2.0 / math.pi) ** 0.4, abs=2e-3)
     # closed-form GL target is matched far better than the power law at Nyquist
-    assert report.gl_samples[0].rel_error < 1e-4
-    assert s.rel_error > 0.5
+    assert report.gl_rel_error[0] < 1e-4
+    assert report.rel_error[0] > 0.5
 
 
 def test_response_report_exact_family():
     grid = np.linspace(0.2 * math.pi, 0.8 * math.pi, 31)
     report = response_report(0.4, "exact", 256, grid)
-    assert report.gl_samples is None
-    assert max(s.rel_error for s in report.samples) <= 1e-2
+    assert report.gl_target is None
+    assert max(report.rel_error) <= 1e-2
 
 
 def test_response_report_gl_agrees_with_power_law_near_zero():
     report = response_report(0.4, "gl", 2048, [0.01 * math.pi])
-    assert report.samples[0].rel_error <= 1e-2
+    assert report.rel_error[0] <= 1e-2
 
 
 def test_kernel_frequency_semigroup():
@@ -187,7 +188,7 @@ def test_kernel_frequency_semigroup():
         wb = exact_kernel_window(0.7, M)
         conv = np.convolve(wa.weights, wb.weights)
         combined = KernelWindow(1.0, 2 * M, conv)
-        measured = np.array([s.measured for s in operator_response(combined, grid)])
+        measured = operator_response(combined, grid)
         sups.append((np.abs(measured - targets) / np.abs(targets)).max())
     assert sups == sorted(sups, reverse=True)
     assert sups[-1] <= 2e-2
@@ -196,6 +197,131 @@ def test_kernel_frequency_semigroup():
 def test_response_report_validation():
     with pytest.raises(ValueError):
         response_report(0.4, "marchaud", 64, [1.0])
+
+
+def _cli_grid(g):
+    return np.minimum(np.arange(1, g + 1) * (math.pi / g), math.pi)
+
+
+def _window(family, order, size):
+    if family == "gl":
+        return gl_coefficients(order, size)
+    return exact_kernel_window(order, size)
+
+
+@pytest.mark.parametrize(
+    "family,order,size,grid,n",
+    [
+        ("gl", 0.4, 2048, _cli_grid(256), 256),  # M >> G
+        ("gl", 0.4, 16, _cli_grid(1000), 1000),  # G > M
+        ("gl", 0.0, 64, _cli_grid(7), 7),  # order 0, odd G
+        ("gl", -0.3, 5000, [0.01 * math.pi], 100),
+        ("exact", 0.5, 1024, _cli_grid(255), 255),  # negative offsets, odd G
+        ("exact", 0.5, 64, _cli_grid(301), 301),  # G > M
+        ("exact", 0.0, 64, _cli_grid(5), 5),
+        ("exact", 1.5, 4096, np.linspace(0.2 * math.pi, 0.8 * math.pi, 61), 100),
+    ],
+)
+def test_folded_response_matches_direct_sum(family, order, size, grid, n):
+    window = _window(family, order, size)
+    offsets, w = spectral._window_arrays(window)
+    grid = np.asarray(grid)
+    fold = spectral._fold_grid(grid, grid.size * w.size)
+    assert fold is not None and fold[0] == n
+    got = operator_response(window, grid)
+    want = spectral._direct_response(offsets, w, grid)
+    # the direct sum's phase error is about |wT m| eps at lag m
+    tol = 16 * np.finfo(np.float64).eps * np.sum((1 + np.abs(offsets)) * np.abs(w))
+    assert np.abs(got - want).max() <= tol
+
+
+def test_folded_response_matches_extended_precision_oracle():
+    # frozen from 30-digit mpmath sums of the same float weights at the exact
+    # frequency k pi / n; keys are (family, order, size, k, n)
+    cases = {
+        ("gl", 0.4, 2048, 1, 256): complex(0.13943443574512928279, 0.10026157109457598584),
+        ("gl", 0.4, 2048, 37, 256): complex(0.62421563197426584869, 0.37204944712259814475),
+        ("gl", 0.4, 2048, 241, 256): complex(1.3163753870084849199, 0.04848480416034994902),
+        ("gl", 0.4, 2048, 256, 256): complex(1.3195048052967321474, 0.0),
+        ("exact", 0.5, 1024, 1, 256): complex(0.07840755951856487721, 0.077643515062403910516),
+        ("exact", 0.5, 1024, 100, 256): complex(0.78331710136967132813, 0.78304084252014466964),
+        ("exact", 0.5, 1024, 256, 256): complex(1.2531858855707855178, 0.0),
+        ("gl", 0.4, 100000, 1, 100): complex(0.20360100557583612931, 0.14597826046785690575),
+        ("exact", 0.5, 100000, 1, 3): complex(0.72360126347904624664, 0.72360586112374122455),
+    }
+    for (family, order, size, k, n), want in cases.items():
+        window = _window(family, order, size)
+        grid = np.array([k * math.pi / n])
+        assert spectral._fold_grid(grid, spectral._window_arrays(window)[1].size) is not None
+        got = operator_response(window, grid)[0]
+        assert abs(got - want) <= 1e-14 * abs(want), (family, size, k, n)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.geomspace(0.01 * math.pi, math.pi, 64),  # criterion 7a's grid
+        np.array([1.0]),
+        np.array([0.5, 1.0, 2.0]),
+        np.array([math.pi / 4, math.pi / 3 + 1e-9]),
+    ],
+)
+def test_other_grids_take_the_direct_sum(grid):
+    window = gl_coefficients(0.4, 2048)
+    offsets, w = spectral._window_arrays(window)
+    assert spectral._fold_grid(grid, grid.size * w.size) is None
+    want = spectral._direct_response(offsets, w, grid)
+    assert np.array_equal(operator_response(window, grid), want)
+
+
+def test_fold_length_is_bounded_by_cost_and_block():
+    grid = np.array([math.pi / 1000, math.pi / 8])
+    assert spectral._fold_grid(grid, 2000)[0] == 1000
+    assert spectral._fold_grid(grid, 1999) is None
+    grid = np.array([math.pi / 1000, math.pi / 999])  # N = 999000
+    assert spectral._fold_grid(grid, 2 * 999_000)[0] == 999_000
+    assert spectral._fold_grid(grid, 2 * 999_000 - 1) is None
+    half_block = spectral._BLOCK // 2
+    assert spectral._fold_grid(np.array([math.pi / half_block]), 10**12)[0] == half_block
+    assert spectral._fold_grid(np.array([math.pi / (half_block + 1)]), 10**12) is None
+
+
+def test_cli_grid_response_builds_no_grid_by_lag_matrix():
+    tracemalloc.start()
+    try:
+        response_report(0.4, "gl", 10**6, _cli_grid(256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the GL coefficients themselves take a few 8 MB arrays; a 256 x 1e6
+    # complex matrix would be 4 GB, one block of the direct sum 64 MB
+    assert peak <= 6 * 8 * (10**6 + 1)
+
+
+def test_criterion_7a_tolerance_is_first_met_at_89416_lags():
+    # criterion 7a's worst grid point is its lowest, wT = 0.01 pi, where the
+    # truncation tail |c_M| / |1 - e^{-i wT}| is largest
+    def err(truncation):
+        return response_report(0.4, "gl", truncation, [0.01 * math.pi]).gl_abs_error[0]
+
+    assert err(2048) > 1e-4
+    assert err(89_415) > 1e-6 >= err(89_416)
+
+
+def test_response_report_columns():
+    grid = _cli_grid(8)
+    report = response_report(0.4, "gl", 64, grid)
+    assert np.array_equal(report.omega_T, grid)
+    for j, x in enumerate(grid):
+        # vectorised columns against scalar arithmetic, which can round
+        # differently in the last bit; the GL target against its cartesian form
+        target, gl_target = report.target[j], report.gl_target[j]
+        assert target == pytest.approx(power_law_target(0.4, x), rel=1e-15)
+        assert gl_target == pytest.approx((1 - cmath.exp(-1j * x)) ** 0.4, rel=1e-14)
+        assert report.abs_error[j] == pytest.approx(abs(report.measured[j] - target), rel=1e-15)
+        assert report.rel_error[j] == pytest.approx(report.abs_error[j] / abs(target), rel=1e-15)
+        gl_rel = report.gl_abs_error[j] / abs(gl_target)
+        assert report.gl_rel_error[j] == pytest.approx(gl_rel, rel=1e-15)
 
 
 def test_sample_autocovariance_lag_zero_is_variance():
