@@ -9,10 +9,14 @@ at a shorter side of 320-448 samples for series of 2k-50k samples, and above
 512 for series of up to 1k samples or of 1e5.  The direct path keeps
 ``np.convolve``'s rounding bit for bit.  The FFT path is within
 1e-13 * sum|w| * max|y| of the exact sum; measured against the direct sum it
-is within ~1.2e-16 times that scale up to n = M = 1e5.  The periodic boundary
-wrap-pads the series by the kernel half-width and keeps the part the padding
-fully covers.  The AR recursion is inherently sequential and runs as a
-pure-Python loop over floats, which is cheaper than indexing numpy scalars.
+is within ~1.2e-16 times that scale up to n = M = 1e5.  An operand that is a
+window (an object with ``weights`` and a memoised ``spectrum(size)``, such as
+``exactops.KernelWindow``) supplies its weight spectrum to the FFT path
+instead of having it recomputed; the values are the same, so the output is
+bit-identical.  The periodic boundary wrap-pads the series by the kernel
+half-width and keeps the part the padding fully covers.  The AR recursion
+is inherently sequential and runs as a pure-Python loop over floats, which
+is cheaper than indexing numpy scalars.
 """
 
 import numpy as np
@@ -48,13 +52,19 @@ def _fft_length(target: int) -> int:
 
 
 def convolve(y, w) -> np.ndarray:
-    """Full linear convolution, length len(y) + len(w) - 1."""
-    y, w = _as_f8(y), _as_f8(w)
+    """Full linear convolution, length len(y) + len(w) - 1.
+
+    ``w`` is an array of weights or a window whose memoised spectrum the
+    FFT path reuses.
+    """
+    window = w if hasattr(w, "spectrum") else None
+    y, w = _as_f8(y), _as_f8(w if window is None else window.weights)
     if min(y.shape[0], w.shape[0]) < FFT_MIN_SIZE:
         return np.convolve(y, w)
     full = y.shape[0] + w.shape[0] - 1
     size = _fft_length(full)
-    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[:full]
+    w_hat = np.fft.rfft(w, size) if window is None else window.spectrum(size)
+    return np.fft.irfft(np.fft.rfft(y, size) * w_hat, size)[:full]
 
 
 def causal_apply(y, coeffs) -> np.ndarray:
@@ -68,18 +78,29 @@ def causal_apply(y, coeffs) -> np.ndarray:
 
 
 def two_sided_apply_zero(y, weights) -> np.ndarray:
-    """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero."""
+    """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero.
+
+    ``weights`` is an array or a window, as for :func:`convolve`.
+    """
     y = _as_f8(y)
     half = (len(weights) - 1) // 2
     return convolve(y, weights)[half : half + y.shape[0]]
 
 
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
-    """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n]."""
+    """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n].
+
+    ``weights`` is an array or a window, as for :func:`convolve`.
+    """
     y = _as_f8(y)
+    n = y.shape[0]
     half = (len(weights) - 1) // 2
-    # wrap mode repeats the series as often as needed, so half may exceed n
-    return convolve(np.pad(y, half, mode="wrap"), weights)[2 * half : 2 * half + y.shape[0]]
+    if half <= n:
+        padded = np.concatenate((y[n - half :], y, y[:half]))
+    else:
+        # the padding repeats the series more than once
+        padded = y[np.arange(-half, n + half) % n]
+    return convolve(padded, weights)[2 * half : 2 * half + n]
 
 
 def ar_recurse(x, phi) -> np.ndarray:

@@ -178,28 +178,36 @@ def _splitmix64(seed: int, n: int) -> np.ndarray:
     return z
 
 
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """((coeffs[0] x + coeffs[1]) x + ...) x + coeffs[-1], in one buffer."""
+    acc = coeffs[0] * x
+    for k in coeffs[1:-1]:
+        acc += k
+        acc *= x
+    acc += coeffs[-1]
+    return acc
+
+
 def _norm_ppf(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    x = np.empty_like(p)
-    lower = p < _PPF_SPLIT
-    upper = p > 1.0 - _PPF_SPLIT
-    central = ~(lower | upper)
+    """Acklam's inverse normal CDF.
 
-    q = p[central] - 0.5
+    The central rational is evaluated on the whole array; only the tail
+    points (p below the split or above 1 - split, about 5% of uniforms) are
+    gathered for the tail rational and written back.  Each point goes
+    through the same floating-point operations as under a three-way split.
+    """
+    q = p - 0.5
     r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    x[central] = num * q / den
+    x = _horner(_PPF_A, r)
+    x *= q
+    x /= _horner(_PPF_B + (1.0,), r)
 
-    q = np.sqrt(-2.0 * np.log(p[lower]))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    x[lower] = num / den
-
-    q = np.sqrt(-2.0 * np.log(1.0 - p[upper]))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    x[upper] = -num / den
+    tails = np.flatnonzero((p < _PPF_SPLIT) | (p > 1.0 - _PPF_SPLIT))
+    pt = p[tails]
+    upper = pt > 0.5
+    q = np.sqrt(-2.0 * np.log(np.where(upper, 1.0 - pt, pt)))
+    xt = _horner(_PPF_C, q) / _horner(_PPF_D + (1.0,), q)
+    x[tails] = np.where(upper, -xt, xt)
     return x
 
 
@@ -305,11 +313,15 @@ def theoretical_acf(
     if truncation < 10 * max_lag:
         raise ValueError("truncation must be at least 10 * max_lag")
     psi = gl_coefficients(-d, truncation + max_lag).coefficients
+    variance = float(sigma) * float(sigma)  # inf, not OverflowError, when too large
     # only max_lag + 1 outputs are kept: at a few hundred lags their direct
     # sums (max_lag + 1 dot products of length truncation + 1) cost less than
     # the full FFT convolution that _kernels.convolve would compute
-    gammas = sigma**2 * np.correlate(psi, psi[: truncation + 1], "valid")
-    tail_estimate = sigma**2 * psi[truncation] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        gammas = variance * np.correlate(psi, psi[: truncation + 1], "valid")
+    if not np.isfinite(gammas).all():
+        raise ValueError(f"theoretical ACF overflows at sigma={sigma:g}")
+    tail_estimate = variance * psi[truncation] ** 2
     if tail_estimate > 1e-6 * gammas[0]:
         raise ValueError(
             f"truncation {truncation} too small for d={d:g}: tail estimate "

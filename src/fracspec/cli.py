@@ -4,7 +4,9 @@ Subcommands: kernel, coeffs, difference, simulate, spectrum, response,
 estimate, acf.  Every run writes exactly one CSV artifact (file or stdout),
 numbers at 12 significant digits, metadata as '#'-prefixed header lines.
 Errors go to stderr as a single line; exit codes: 0 success, 1
-usage/validation, 2 input parse, 3 numeric-consistency failure.
+usage/validation, 2 input parse, 3 numeric-consistency failure.  A result
+that is not finite (finite inputs whose output leaves the double-precision
+range) is a validation error, never a CSV cell.
 """
 
 import argparse
@@ -135,13 +137,20 @@ def _series_from_columns(t: np.ndarray, values: np.ndarray) -> glops.Series:
     return glops.Series(values, step=step, start=float(t[0]))
 
 
+def _check_finite(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("result is not finite: values exceed the double-precision range")
+
+
 def _csv(header: list[str], *columns: np.ndarray) -> str:
     """Header lines, then one row per index of ``columns``.
 
     Integer columns are written with ``%d`` and float columns with
     ``%.12g``, which is ``format(float(x), ".12g")``; one ``%`` applied to
-    the interleaved cells formats every row.
+    the interleaved cells formats every row.  Raises ValueError if any cell
+    is not finite.
     """
+    _check_finite(*columns)
     n = columns[0].size
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
     cells = [None] * (n * len(columns))
@@ -256,6 +265,7 @@ def _cmd_estimate(args) -> str:
     text, name = _read_text(args.input)
     series, _ = parse_series_csv(text, name)
     estimate = arfima.estimate_memory(series, args.bandwidth)
+    _check_finite(estimate.d_hat, estimate.std_err)
     lines = [
         "d_hat,std_err,bandwidth,n,classification",
         f"{_fmt(estimate.d_hat)},{_fmt(estimate.std_err)},{estimate.bandwidth},"
@@ -373,7 +383,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.handler(args)
+        # non-finite intermediates surface as one error line, not as warnings
+        with np.errstate(all="ignore"):
+            text = args.handler(args)
     except _UsageError as exc:
         print(f"fracspec: usage error: {exc}", file=sys.stderr)
         return 1

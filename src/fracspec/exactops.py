@@ -64,6 +64,10 @@ HALF_WIDTH_CAP = 10**5
 # precision in fewer terms.
 _ASYMPTOTIC_TERMS = 40
 
+# FFT lengths whose weight spectra one window keeps; asking for another
+# drops the oldest.  A series of fixed length needs one or two.
+_SPECTRA_PER_WINDOW = 8
+
 # 16-point Gauss-Legendre rule: one panel per half-period of the oscillation.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -83,12 +87,15 @@ class KernelWindow:
 
     Weights depend only on the order and the lag; the sampling step enters
     the operator through the frequency axis, never through the weights.
+    ``len(window)`` is the number of weights, 2 * half_width + 1.
     """
 
     order: float
     half_width: int
     weights: np.ndarray
     offsets: np.ndarray = field(init=False)
+    _spectra: dict = field(init=False, repr=False, default_factory=dict)
+    _spectra_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -109,6 +116,26 @@ class KernelWindow:
         if abs(m) > self.half_width:
             raise ValueError(f"lag {m} outside window half-width {self.half_width}")
         return float(self.weights[m + self.half_width])
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """``np.fft.rfft(weights, size)``, read-only.
+
+        The spectra of the last ``_SPECTRA_PER_WINDOW`` lengths asked for
+        are kept on the window, so they go when the window does.
+        """
+        with self._spectra_lock:
+            spectrum = self._spectra.get(size)
+        if spectrum is None:
+            spectrum = np.fft.rfft(self.weights, size)
+            spectrum.flags.writeable = False
+            with self._spectra_lock:
+                spectrum = self._spectra.setdefault(size, spectrum)
+                while len(self._spectra) > _SPECTRA_PER_WINDOW:
+                    del self._spectra[next(iter(self._spectra))]
+        return spectrum
 
 
 def _series_parts(order: float, m: int) -> tuple[float, float]:
@@ -333,7 +360,8 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     signs) are recomputed by quadrature and must agree within 1e-8, or
     construction raises :class:`ConsistencyError`.  ``half_width`` may not
     exceed ``HALF_WIDTH_CAP``.  Windows are cached by (order rounded to
-    1e-12, half_width) and immutable.
+    1e-12, half_width) and immutable; each memoises its weight spectra
+    (:meth:`KernelWindow.spectrum`), so clearing the cache drops them too.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -363,9 +391,9 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     the frequency axis of the response target.
     """
     if boundary == "zero":
-        values = _kernels.two_sided_apply_zero(y.values, window.weights)
+        values = _kernels.two_sided_apply_zero(y.values, window)
     elif boundary == "periodic":
-        values = _kernels.two_sided_apply_periodic(y.values, window.weights)
+        values = _kernels.two_sided_apply_periodic(y.values, window)
     else:
         raise ValueError(f"boundary must be 'zero' or 'periodic', got {boundary!r}")
     return y.with_values(values)

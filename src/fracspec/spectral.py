@@ -92,8 +92,10 @@ class ResponseReport:
     gl_rel_error: np.ndarray | None = None
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
+def _fft_size(n: int) -> int:
+    """Transform length of an n-sample series: n up to 64, else the next
+    power of two."""
+    return n if n <= _DIRECT_LIMIT else 1 << (n - 1).bit_length()
 
 
 def dft(y: Series) -> Spectrum:
@@ -103,7 +105,7 @@ def dft(y: Series) -> Spectrum:
     grids use the padded length.
     """
     n = len(y)
-    n_fft = n if n <= _DIRECT_LIMIT else _next_pow2(n)
+    n_fft = _fft_size(n)
     values = np.fft.fft(y.values, n_fft)
     freqs = 2.0 * math.pi * np.arange(n_fft) / (n_fft * y.step)
     return Spectrum(freqs, values, n_fft, y.step, y.start, n)
@@ -119,17 +121,19 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     """Raw periodogram (omega_j, S_j), S_j = |yhat_j|^2 / n, j = 1..n//2.
 
     The series mean is removed before transforming so a level offset cannot
-    contaminate the low-frequency bins; zero frequency is excluded.
+    contaminate the low-frequency bins; zero frequency is excluded.  The
+    transform is a real FFT at the padding of :func:`dft`, whose
+    frequencies omega_j = 2 pi j / (n * step) it reproduces bit for bit.
     Normalization is 1/n (transform length), which shifts log-log intercepts
     only, never slopes.
     """
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")
-    centered = y.with_values(y.values - y.values.mean())
-    spectrum = dft(centered)
-    half = spectrum.n // 2
-    omega = spectrum.frequencies[1 : half + 1]
-    power = np.abs(spectrum.values[1 : half + 1]) ** 2 / spectrum.n
+    n_fft = _fft_size(len(y))
+    half = n_fft // 2
+    values = np.fft.rfft(y.values - y.values.mean(), n_fft)[1 : half + 1]
+    omega = 2.0 * math.pi * np.arange(1, half + 1) / (n_fft * y.step)
+    power = np.abs(values) ** 2 / n_fft
     return omega, power
 
 

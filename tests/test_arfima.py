@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fracspec import (
     theoretical_acf,
     white_noise,
 )
+from fracspec.arfima import _PPF_SPLIT, _norm_ppf
 
 
 def test_noise_spec_validation():
@@ -47,6 +49,37 @@ def test_white_noise_scale_is_exact():
     base = white_noise(NoiseSpec(sigma=1.0, seed=3), 64).values
     doubled = white_noise(NoiseSpec(sigma=2.0, seed=3), 64).values
     assert np.array_equal(doubled, 2.0 * base)
+
+
+# sha256 of white_noise(NoiseSpec(seed=s), 50_000).values.tobytes(), frozen
+# when the inverse CDF still split its input three ways by boolean masks
+_NOISE_SHA256 = {
+    0: "1f3fc1cb21c0a21c2cbbce348471b5454a45696e1bd5ec2be819ff9b3e5c2b40",
+    12345: "c3357b47d27485036d4e64af2b4a25b73e4d02f9106fb1468ac72d582ebe2442",
+    2**64 - 1: "ebf4abb530972185d9000b5c9d8847482efecfe3690409dd48bf7ef9460c293b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_NOISE_SHA256))
+def test_white_noise_bits_are_pinned(seed):
+    values = white_noise(NoiseSpec(seed=seed), 50_000).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == _NOISE_SHA256[seed]
+
+
+def test_norm_ppf_at_the_tail_split():
+    # p at, just inside and just outside each split point (frozen bits); at
+    # the split itself the central rational applies
+    split = _PPF_SPLIT
+    cases = [
+        (split, "-0x1.f913f9ae19f39p+0"),
+        (np.nextafter(split, 1.0), "-0x1.f913f9ae19f39p+0"),
+        (np.nextafter(split, 0.0), "-0x1.f913f9c1327aep+0"),
+        (1.0 - split, "0x1.f913f9ae19f39p+0"),
+        (np.nextafter(1.0 - split, 0.0), "0x1.f913f9ae1a21ep+0"),
+        (np.nextafter(1.0 - split, 1.0), "0x1.f913f9c1327b9p+0"),
+    ]
+    got = _norm_ppf(np.array([p for p, _ in cases]))
+    assert [float(x).hex() for x in got] == [float.fromhex(h).hex() for _, h in cases]
 
 
 def test_arfima_spec_validation():

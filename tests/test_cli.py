@@ -211,6 +211,37 @@ def test_exit_code_overflowing_order(argv, message, capsys):
     assert (code, out, err) == (1, "", f"fracspec: {message}\n")
 
 
+# an 8-row series of +-1e308: every value finite, its spectrum and
+# autocovariance not
+_HUGE_SIGNS = (1, -1, 1, -1, 1, -1, -1, 1)
+_NOT_FINITE = "result is not finite: values exceed the double-precision range"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--input", "HUGE"], _NOT_FINITE),
+        (["estimate", "--input", "HUGE", "--bandwidth", "3"], _NOT_FINITE),
+        (["acf", "--input", "HUGE", "--max-lag", "3"], _NOT_FINITE),
+        (["simulate", "--d", "0.3", "--n", "8", "--sigma", "1e308"],
+         "series values must all be finite"),
+        # sigma^2 overflows, then gamma(0) = 1.31 sigma^2 does
+        (["acf", "--d", "0.3", "--max-lag", "5", "--sigma", "1e200"],
+         "theoretical ACF overflows at sigma=1e+200"),
+        (["acf", "--d", "0.3", "--max-lag", "5", "--sigma", "1.2e154", "--truncation", "100000"],
+         "theoretical ACF overflows at sigma=1.2e+154"),
+    ],
+)
+def test_finite_input_with_non_finite_result_is_one_line(argv, message, tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("t,value\n" + "".join(f"{t},{s * 1e308}\n" for t, s in enumerate(_HUGE_SIGNS)))
+    argv = [str(path) if a == "HUGE" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"fracspec: {message}\n")
+
+
 @pytest.mark.parametrize(
     "max_lag,want", [(200, 20_000), (9900, 990_000), (9950, 990_050), (10_000, 990_000)]
 )

@@ -81,6 +81,21 @@ def test_periodogram_pure_cosine_concentrates():
     assert peak >= 1e3 * max(rest, 1e-300)
 
 
+@pytest.mark.parametrize("n", [5, 64, 65, 1000, 4096, 4097])
+def test_periodogram_matches_full_dft_of_centered_series(n):
+    # the real-FFT periodogram against |dft|^2 / n_fft of the mean-removed
+    # series: frequencies bit for bit, power to a few roundings of its scale
+    y = white_noise(NoiseSpec(seed=n), n)
+    y = Series(y.values + 3.0, step=0.25, start=1.0)
+    omega, power = periodogram(y)
+    spec = dft(y.with_values(y.values - y.values.mean()))
+    half = spec.n // 2
+    assert omega.size == power.size == half
+    assert np.array_equal(omega, spec.frequencies[1 : half + 1])
+    want = np.abs(spec.values[1 : half + 1]) ** 2 / spec.n
+    assert np.abs(power - want).max() <= 1e-13 * want.max()
+
+
 def test_periodogram_too_short():
     with pytest.raises(ValueError):
         periodogram(Series(np.array([1.0, 2.0, 3.0])))

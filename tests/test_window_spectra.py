@@ -1,0 +1,139 @@
+"""The weight spectra a kernel window memoises for ``_kernels.convolve``: the
+outputs they give are bit-identical to transforming the weights on every
+call, the memo is read-only and bounded, it goes with the window cache, and
+one window can be shared between threads."""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fracspec import NoiseSpec, exact_difference, exact_kernel_window, white_noise
+from fracspec import _kernels, exactops
+
+
+def _recomputed_convolve(y, w):
+    """Reference ``convolve`` that transforms the weights on every FFT-path
+    call."""
+    if min(y.size, w.size) < _kernels.FFT_MIN_SIZE:
+        return np.convolve(y, w)
+    full = y.size + w.size - 1
+    size = _kernels._fft_length(full)
+    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[:full]
+
+
+def _recomputed(y, w, boundary):
+    half = (w.size - 1) // 2
+    if boundary == "zero":
+        return _recomputed_convolve(y, w)[half : half + y.size]
+    padded = np.pad(y, half, mode="wrap")
+    return _recomputed_convolve(padded, w)[2 * half : 2 * half + y.size]
+
+
+def _fresh_window(order, half_width):
+    exactops._window_cache.clear()
+    return exact_kernel_window(order, half_width)
+
+
+# (n, half): direct sums (window below FFT_MIN_SIZE), FFT products, and a
+# half-width beyond the series length on both paths
+@pytest.mark.parametrize(
+    "n,half", [(1000, 100), (1000, 191), (1000, 192), (4096, 256), (150, 400), (20, 30)]
+)
+@pytest.mark.parametrize("boundary", ["zero", "periodic"])
+def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
+    window = _fresh_window(0.5, half)
+    y = white_noise(NoiseSpec(seed=n + half), n)
+    want = _recomputed(y.values, window.weights, boundary)
+    first = exact_difference(y, window, boundary).values
+    memo = dict(window._spectra)
+    second = exact_difference(y, window, boundary).values  # memo hit on the FFT path
+    assert np.array_equal(first, want)
+    assert np.array_equal(second, want)
+    assert window._spectra.keys() == memo.keys()
+    assert all(window._spectra[k] is memo[k] for k in memo)
+    operand = n if boundary == "zero" else n + 2 * half
+    assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.FFT_MIN_SIZE)
+
+
+def test_memoised_spectra_are_read_only():
+    window = _fresh_window(0.3, 300)
+    spectrum = window.spectrum(2048)
+    assert np.array_equal(spectrum, np.fft.rfft(window.weights, 2048))
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+    assert window.spectrum(2048) is spectrum
+
+
+def test_memo_is_bounded_over_many_lengths():
+    window = _fresh_window(0.7, 256)
+    lengths = [400 + 97 * i for i in range(50)]
+    sizes = [_kernels._fft_length(n + 2 * 256) for n in lengths]
+    assert len(set(sizes)) > 2 * exactops._SPECTRA_PER_WINDOW
+    # the stated bound: a full memo of the largest spectra, plus 64 KiB
+    largest = (max(sizes) // 2 + 1) * 16
+    bound = exactops._SPECTRA_PER_WINDOW * largest + 64 * 1024
+    y = white_noise(NoiseSpec(seed=5), max(lengths)).values
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in lengths:
+            _kernels.two_sided_apply_zero(y[:n], window)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the memo keeps the most recent lengths, dropping the oldest
+    assert list(window._spectra) == list(dict.fromkeys(sizes))[-exactops._SPECTRA_PER_WINDOW :]
+    # unbounded, the 50 spectra would hold about 1 MB
+    assert grown <= bound
+
+
+def test_cleared_window_cache_builds_cold():
+    window = _fresh_window(0.5, 256)
+    y = white_noise(NoiseSpec(seed=1), 4096)
+    exact_difference(y, window, "zero")
+    assert window._spectra
+    exactops._window_cache.clear()
+    again = exact_kernel_window(0.5, 256)
+    assert again is not window
+    assert not again._spectra
+    assert np.array_equal(exact_difference(y, again, "zero").values,
+                          exact_difference(y, window, "zero").values)
+
+
+def test_threads_sharing_a_window_agree():
+    # more threads than cores and more lengths than the memo keeps, with a
+    # short switch interval, so lookups, inserts and evictions interleave
+    window = _fresh_window(0.5, 300)
+    lengths = [700 + 200 * i for i in range(exactops._SPECTRA_PER_WINDOW + 4)]
+    y = white_noise(NoiseSpec(seed=9), max(lengths)).values
+    want = {n: _recomputed(y[:n], window.weights, "periodic") for n in lengths}
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait()
+        order = (lengths[slot:] + lengths[:slot]) * 3
+        results[slot] = [(n, _kernels.two_sided_apply_periodic(y[:n], window)) for n in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 3 * len(lengths)
+        assert all(np.array_equal(out, want[n]) for n, out in got)
+    assert len(window._spectra) == exactops._SPECTRA_PER_WINDOW
+    for size, spectrum in window._spectra.items():
+        assert np.array_equal(spectrum, np.fft.rfft(window.weights, size))
