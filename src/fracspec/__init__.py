@@ -29,7 +29,7 @@ from .glops import (
     gl_derivative_approx,
     gl_difference,
 )
-from .specfun import HypergeometricParams, gamma, gen_binomial, gen_binomial_gamma_form, hyp1f2
+from .specfun import HypergeometricParams, gen_binomial_gamma_form, hyp1f2
 from .spectral import (
     ResponseReport,
     SlopeFit,
@@ -71,8 +71,6 @@ __all__ = [
     "exact_kernel_series",
     "exact_kernel_window",
     "fractional_integrate",
-    "gamma",
-    "gen_binomial",
     "gen_binomial_gamma_form",
     "gl_coefficients",
     "gl_derivative_approx",

@@ -85,15 +85,12 @@ class NoiseSpec:
 
     sigma: float = 1.0
     seed: int = 0
-    distribution: str = "normal"
 
     def __post_init__(self):
         if not (self.sigma > 0.0):
             raise ValueError("sigma must be positive")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.distribution != "normal":
-            raise ValueError("only the normal distribution is supported")
 
 
 @dataclass(frozen=True)
@@ -213,13 +210,19 @@ def _norm_ppf(p: np.ndarray) -> np.ndarray:
 
 def white_noise(spec: NoiseSpec, n: int) -> Series:
     """n pseudo-random N(0, sigma^2) deviates; identical spec gives
-    bit-identical output on every platform."""
+    bit-identical output on every platform.  A sigma so large that a draw
+    overflows raises ValueError naming it."""
     if n < 1:
         raise ValueError("n must be positive")
     bits = _splitmix64(spec.seed, n)
     # 53 high bits, offset to the open interval (0, 1)
     u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return Series(_norm_ppf(u) * spec.sigma, step=1.0, start=0.0)
+    try:
+        return Series(_norm_ppf(u) * spec.sigma, step=1.0, start=0.0)
+    except ValueError:
+        # the draws are finite, so only their product with sigma can fail
+        # Series' finiteness check
+        raise ValueError(f"noise overflows at sigma={spec.sigma:g}") from None
 
 
 def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:

@@ -1,30 +1,27 @@
 """Exact fractional differences: two-sided kernels whose frequency response
 is an exact power law on the principal band.
 
-The kernel of order alpha at integer lag m is
-
-    K_alpha(m) = cos(pi*alpha/2) * Kp(m) + sin(pi*alpha/2) * Km(m)
-
-where Kp and Km are 1F2 hypergeometric values at z = -(pi*m/2)^2.
-Equivalently, K_alpha is the inverse discrete-time Fourier transform of
-(i*x)^alpha on x in [-pi, pi]:
+The kernel of order alpha at integer lag m is the inverse discrete-time
+Fourier transform of (i*x)^alpha on x in [-pi, pi]:
 
     K_alpha(m) = cos(pi*alpha/2)/pi * I_cos(m) - sin(pi*alpha/2)/pi * I_sin(m),
 
     I_cos(m) = int_0^pi x^alpha cos(m x) dx,   I_sin(m) = int_0^pi x^alpha sin(m x) dx.
 
-Windows take each lag from one of three routes:
+Windows take each lag from one of two routes:
 
-- |m| <= 4: the 1F2 series (its argument grows like m^2 and the alternating
-  sum cancels catastrophically beyond |z| ~ 40);
-- 5 <= |m| < 12: oscillation-aware Gauss-Legendre quadrature, O(m) per lag;
+- |m| < 12: oscillation-aware Gauss-Legendre quadrature, O(m) per lag;
 - |m| >= 12: the large-lag asymptotic expansion of the Fourier integral
   about its endpoints, one vectorised pass over all lags.
 
-A window therefore costs O(M).  Construction checks the other routes
-against quadrature, at every series lag and at a fixed sample of
-asymptotic lags (12-16 plus eight log-spaced lags up to M, both signs),
-and fails loudly if they disagree.
+A window therefore costs O(M).  The integrals also have a closed form in
+1F2 hypergeometric values at z = -(pi*m/2)^2, summed as a series; its
+argument grows like m^2 and the alternating sum cancels catastrophically
+beyond |z| ~ 40, so it serves |m| <= 4 only, as an oracle.  Construction
+checks quadrature against the series at every lag up to 4, and the
+asymptotic expansion against quadrature at a fixed sample of lags (12-16
+plus eight log-spaced lags up to M), both signs, and fails loudly if they
+disagree.
 """
 
 import math
@@ -138,25 +135,35 @@ class KernelWindow:
         return spectrum
 
 
+def _kernel_pair(order: float, ic, isn):
+    """(K(+m), K(-m)) from I_cos(m) and I_sin(m); scalars or arrays."""
+    cos_half = cospi(order / 2.0)
+    sin_half = sinpi(order / 2.0)
+    pos = (cos_half * ic - sin_half * isn) / math.pi
+    neg = (cos_half * ic + sin_half * isn) / math.pi
+    return pos, neg
+
+
 def _series_parts(order: float, m: int) -> tuple[float, float]:
-    """(Kp, Km) from the 1F2 series; m may be signed, |m| <= SERIES_MAX_LAG."""
+    """(I_cos(m), I_sin(m)) from the 1F2 series; 0 <= m <= SERIES_MAX_LAG."""
     z = -(math.pi * math.pi) * (m * m) / 4.0
-    kp = math.pi**order / (order + 1.0) * hyp1f2(
+    ic = math.pi ** (order + 1.0) / (order + 1.0) * hyp1f2(
         HypergeometricParams((order + 1.0) / 2.0, 0.5, (order + 3.0) / 2.0), z
     )
-    km = (
-        -(math.pi ** (order + 1.0))
+    isn = (
+        math.pi ** (order + 2.0)
         * m
         / (order + 2.0)
         * hyp1f2(HypergeometricParams((order + 2.0) / 2.0, 1.5, (order + 4.0) / 2.0), z)
     )
-    return kp, km
+    return ic, isn
 
 
 def exact_kernel_series(order: float, m: int) -> float:
-    """Kernel weight K_order(m) via the hypergeometric series route.
+    """Kernel weight K_order(m) via the hypergeometric series.
 
-    Only valid for |m| <= 4; beyond that the series argument leaves the
+    Only valid for |m| <= 4, where it is the oracle that window construction
+    checks quadrature against; beyond that the series argument leaves the
     accurate domain and callers must use :func:`exact_kernel_quadrature`.
     """
     order = _check_order(order)
@@ -166,8 +173,8 @@ def exact_kernel_series(order: float, m: int) -> float:
             f"|m|={abs(m)} outside series domain |m| <= {SERIES_MAX_LAG}; "
             "use exact_kernel_quadrature"
         )
-    kp, km = _series_parts(order, m)
-    return cospi(order / 2.0) * kp + sinpi(order / 2.0) * km
+    pos, neg = _kernel_pair(order, *_series_parts(order, abs(m)))
+    return neg if m < 0 else pos
 
 
 def _stub_integrals(order: float, eps: float, m: int) -> tuple[float, float]:
@@ -251,14 +258,13 @@ def exact_kernel_quadrature(order: float, m: int) -> float:
 
     Gauss-Legendre panels aligned to half-periods of the oscillation, with
     an analytic stub absorbing the x^order singularity at zero.  Valid for
-    any lag; serves as the independent oracle for the series route.
+    any lag; windows take lags below 12 from it, and it is the oracle for
+    the asymptotic route.
     """
     order = _check_order(order)
     m = int(m)
-    ic, isn = _oscillatory_integrals(order, abs(m))
-    if m < 0:
-        isn = -isn
-    return (cospi(order / 2.0) * ic - sinpi(order / 2.0) * isn) / math.pi
+    pos, neg = _kernel_pair(order, *_oscillatory_integrals(order, abs(m)))
+    return neg if m < 0 else pos
 
 
 def _asymptotic_integrals(
@@ -314,52 +320,42 @@ _window_lock = threading.Lock()
 def _build_window(order: float, half_width: int) -> KernelWindow:
     mmax = half_width
     weights = np.empty(2 * mmax + 1)
-    cos_half = cospi(order / 2.0)
-    sin_half = sinpi(order / 2.0)
-
-    def plus_minus(ic, isn):
-        # (K(+m), K(-m)) from the cos and sin integrals at lag m
-        pos = (cos_half * ic - sin_half * isn) / math.pi
-        neg = (cos_half * ic + sin_half * isn) / math.pi
-        return pos, neg
 
     def store(m, ic, isn):
-        weights[mmax + m], weights[mmax - m] = plus_minus(ic, isn)
+        weights[mmax + m], weights[mmax - m] = _kernel_pair(order, ic, isn)
 
-    def check_against_quadrature(route: str, m: int):
-        quad_pos, quad_neg = plus_minus(*_oscillatory_integrals(order, m))
-        err = max(abs(weights[mmax + m] - quad_pos), abs(weights[mmax - m] - quad_neg))
+    def check(route: str, m: int, ic, isn):
+        # the stored K(+m), K(-m) against the oracle's integrals at lag m
+        want_pos, want_neg = _kernel_pair(order, ic, isn)
+        err = max(abs(weights[mmax + m] - want_pos), abs(weights[mmax - m] - want_neg))
         if err > CROSS_CHECK_TOL:
             raise ConsistencyError(
-                f"{route}/quadrature kernel mismatch at order={order:g}, "
+                f"{route} kernel mismatch at order={order:g}, "
                 f"m={m}: |diff|={err:.3e} > {CROSS_CHECK_TOL:g}"
             )
 
-    for m in range(0, min(mmax, SERIES_MAX_LAG) + 1):
-        kp, km = _series_parts(order, m)
-        weights[mmax + m] = cos_half * kp + sin_half * km
-        weights[mmax - m] = cos_half * kp - sin_half * km
-        check_against_quadrature("series", m)
-    for m in range(SERIES_MAX_LAG + 1, min(mmax, ASYMPTOTIC_MIN_LAG - 1) + 1):
+    for m in range(0, min(mmax, ASYMPTOTIC_MIN_LAG - 1) + 1):
         store(m, *_oscillatory_integrals(order, m))
+    for m in range(0, min(mmax, SERIES_MAX_LAG) + 1):
+        check("quadrature/series", m, *_series_parts(order, m))
     if mmax >= ASYMPTOTIC_MIN_LAG:
         lags = np.arange(ASYMPTOTIC_MIN_LAG, mmax + 1)
         store(lags, *_asymptotic_integrals(order, lags))
         for m in _cross_check_lags(mmax):
-            check_against_quadrature("asymptotic", m)
+            check("asymptotic/quadrature", m, *_oscillatory_integrals(order, m))
     return KernelWindow(order, half_width, weights)
 
 
 def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     """Kernel window of the given order, truncated to |m| <= half_width.
 
-    Lags |m| <= 4 come from the hypergeometric series, 5 <= |m| < 12 from
-    quadrature and |m| >= 12 from the large-lag asymptotic expansion, so a
-    cold build costs O(half_width).  Every series lag and a fixed sample of
-    asymptotic lags (12-16 plus eight log-spaced up to half_width, both
-    signs) are recomputed by quadrature and must agree within 1e-8, or
-    construction raises :class:`ConsistencyError`.  ``half_width`` may not
-    exceed ``HALF_WIDTH_CAP``.  Windows are cached by (order rounded to
+    Lags |m| < 12 come from quadrature and |m| >= 12 from the large-lag
+    asymptotic expansion, so a cold build costs O(half_width).  Two oracles
+    check the routes within 1e-8, or construction raises
+    :class:`ConsistencyError`: the hypergeometric series at every lag
+    |m| <= 4, and quadrature at a fixed sample of asymptotic lags (12-16
+    plus eight log-spaced up to half_width), both signs.  ``half_width``
+    may not exceed ``HALF_WIDTH_CAP``.  Windows are cached by (order rounded to
     1e-12, half_width) and immutable; each memoises its weight spectra
     (:meth:`KernelWindow.spectrum`), so clearing the cache drops them too.
     """

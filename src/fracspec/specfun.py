@@ -1,8 +1,9 @@
 """Real-argument special functions used by the coefficient and kernel formulas.
 
-Everything here is scalar and pure: the Euler gamma function, generalized
-binomial coefficients (recurrence and gamma-quotient forms), and the
-generalized hypergeometric series 1F2.
+Everything here is scalar and pure: exactly reduced sinpi and cospi, the
+gamma-quotient form of generalized binomial coefficients (the oracle for
+``glops.gl_coefficients``), and the generalized hypergeometric series 1F2.
+The gamma function itself is ``math.gamma``.
 """
 
 import math
@@ -11,32 +12,12 @@ from dataclasses import dataclass
 from .errors import ConvergenceError
 
 __all__ = [
-    "gamma",
-    "gen_binomial",
     "gen_binomial_gamma_form",
     "HypergeometricParams",
     "hyp1f2",
     "sinpi",
     "cospi",
 ]
-
-# Lanczos approximation, g = 7, 9 terms.  Relative error below 1e-13 on the
-# right half line, which the reflection formula preserves away from poles.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Largest x with Gamma(x) representable in double precision.
-_GAMMA_OVERFLOW_X = 171.624
 
 
 def sinpi(x: float) -> float:
@@ -59,61 +40,12 @@ def cospi(x: float) -> float:
     return -c if n % 2 else c
 
 
-def _lanczos_gamma(x: float) -> float:
-    # valid for x >= 0.5
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def gamma(x: float) -> float:
-    """Euler gamma function for real x.
-
-    Accurate to at least 12 significant digits for |x| <= 50.  Raises
-    ValueError at the poles (zero and negative integers) and OverflowError
-    once the result exceeds the double-precision range.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x={x:g}")
-    if x > _GAMMA_OVERFLOW_X:
-        raise OverflowError(f"gamma({x:g}) exceeds double precision range")
-    if x >= 0.5:
-        return _lanczos_gamma(x)
-    # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-    s = sinpi(x)
-    if 1.0 - x > _GAMMA_OVERFLOW_X:
-        # Gamma(1-x) overflows, so the true value underflows to zero.
-        return math.copysign(0.0, s)
-    return math.pi / (s * _lanczos_gamma(1.0 - x))
-
-
-def gen_binomial(d: float, m: int) -> float:
-    """Generalized binomial coefficient C(d, m) for real d, integer m >= 0.
-
-    Computed by the pole-free multiplicative recurrence
-    C(d, 0) = 1, C(d, m) = C(d, m-1) * (d - m + 1) / m, so integer d with
-    m > d yields exact zeros.
-    """
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    c = 1.0
-    for k in range(1, m + 1):
-        # multiply before dividing: for integer d every intermediate is an
-        # exact integer (Pascal's recurrence divides evenly at each step)
-        c = c * (d - k + 1) / k
-    return c
-
-
 def gen_binomial_gamma_form(d: float, m: int) -> float:
     """C(d, m) as the gamma quotient (-1)^(m-1) * d * G(m-d) / (G(1-d) G(m+1)).
 
-    Cross-check oracle for :func:`gen_binomial`.  Requires d not a
-    nonnegative integer when m >= 1 (otherwise G(1-d) or G(m-d) sits on a
-    pole); m = 0 returns 1 by convention.
+    Oracle for ``glops.gl_coefficients``, whose c_m is (-1)^m C(d, m).
+    Requires d not a nonnegative integer when m >= 1 (otherwise G(1-d) or
+    G(m-d) sits on a pole); m = 0 returns 1 by convention.
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
@@ -122,7 +54,7 @@ def gen_binomial_gamma_form(d: float, m: int) -> float:
     if d >= 0.0 and d == math.floor(d):
         raise ValueError(f"gamma form undefined for nonnegative integer d={d:g}")
     sign = -1.0 if (m - 1) % 2 else 1.0
-    return sign * d * gamma(m - d) / (gamma(1.0 - d) * gamma(m + 1.0))
+    return sign * d * math.gamma(m - d) / (math.gamma(1.0 - d) * math.gamma(m + 1.0))
 
 
 def _check_lower_param(name: str, value: float) -> None:

@@ -262,21 +262,16 @@ def gl_response_target(order: float, omega_T) -> complex | np.ndarray:
     return _polar((2.0 * np.sin(x / 2.0)) ** order, np.cos(phase), np.sin(phase))
 
 
-def power_law_target(order: float, omega_T, conjugate: bool = False) -> complex | np.ndarray:
+def power_law_target(order: float, omega_T) -> complex | np.ndarray:
     """(i wT)^order on the principal branch: magnitude (wT)^order, phase
     +pi*order/2 under the adopted negative-exponent convention.
 
-    ``conjugate=True`` returns the opposite-convention value with phase
-    -pi*order/2.  ``omega_T`` may be a number (complex result) or an array
-    (complex array).
+    ``omega_T`` may be a number (complex result) or an array (complex array).
     """
     x = np.asarray(omega_T, dtype=np.float64)
     if not (x > 0.0).all():
         raise ValueError("omega_T must be positive")
-    phase_sin = sinpi(order / 2.0)
-    if conjugate:
-        phase_sin = -phase_sin
-    return _polar(x**order, cospi(order / 2.0), phase_sin)
+    return _polar(x**order, cospi(order / 2.0), sinpi(order / 2.0))
 
 
 def _error_columns(measured: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:

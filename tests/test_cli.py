@@ -224,7 +224,7 @@ _NOT_FINITE = "result is not finite: values exceed the double-precision range"
         (["estimate", "--input", "HUGE", "--bandwidth", "3"], _NOT_FINITE),
         (["acf", "--input", "HUGE", "--max-lag", "3"], _NOT_FINITE),
         (["simulate", "--d", "0.3", "--n", "8", "--sigma", "1e308"],
-         "series values must all be finite"),
+         "noise overflows at sigma=1e+308"),
         # sigma^2 overflows, then gamma(0) = 1.31 sigma^2 does
         (["acf", "--d", "0.3", "--max-lag", "5", "--sigma", "1e200"],
          "theoretical ACF overflows at sigma=1e+200"),

@@ -70,6 +70,130 @@ def test_quadrature_matches_extended_precision_oracle():
         assert exact_kernel_quadrature(alpha, m) == pytest.approx(want, abs=1e-13)
 
 
+# K(-11)..K(11) from the closed form
+#   int_0^pi x^a e^{imx} dx = pi^(a+1) 1F1(a+1; a+2; i pi m) / (a+1),
+# frozen from mpmath 1.3.0 at 40 digits (stable to 1e-40 at 60 digits).  The
+# window takes these lags from quadrature; the 1F2 series it is checked
+# against is off by up to 2.2e-12 here (order 1.5, lag -4), quadrature by at
+# most 4.3e-15.
+_SMALL_LAG_ORACLE = {
+    -0.99: (
+        -0.0092965238499762881028, 0.01022224766406410544, -0.011352244783757694053,
+        0.012762298041254123771, -0.014570816209795169037, 0.016973554629890486842,
+        -0.020318649527595196014, 0.025289174616503449749, -0.033426802929872282736,
+        0.049057724653380462617, -0.090289492092829960427, 0.5057357368084655035,
+        1.0851910767814930805, 0.93801128416224044796, 1.0168332837976474765,
+        0.95512493204399338563, 0.99864826740645731016, 0.95950664680462667616,
+        0.98959507923751714131, 0.96092472889903335805, 0.98392123297036719376,
+        0.96130006891715674729, 0.97991174207508013971,
+    ),
+    -0.9: (
+        -0.010144635336522702791, 0.011151232790558175689, -0.012379143101442040318,
+        0.013910166291294825492, -0.015871939772697642883, 0.01847513366460734211,
+        -0.022093671803774648575, 0.02745945244784961408, -0.036219419459493163432,
+        0.052978681856471447352, -0.096949773106555096314, 0.55833847487020873709,
+        1.0402937565992688777, 0.81784676280452427941, 0.87571044362292482487,
+        0.78656682885784654134, 0.81915828668418418969, 0.76351864071648386522,
+        0.78638361557025193933, 0.74602058321308399565, 0.76369248273965130312,
+        0.7320629558639860116, 0.74649296999829791813,
+    ),
+    -0.5: (
+        -0.011370587002783525428, 0.012487810371880063336, -0.01384823447705447,
+        0.015540852143846164097, -0.017704029041355119327, 0.020565180476223870704,
+        -0.024525928652656515893, 0.030367703340652199996, -0.039836770775096546982,
+        0.057781893381444443306, -0.1044205573059848824, 0.79788456080286535588,
+        0.7012108148814303824, 0.33178796108548188608, 0.36989855855565459114,
+        0.24925576772601117103, 0.27843284420168550592, 0.20865280901470211599,
+        0.23176637025338277277, 0.18330236608784423809, 0.20240816079999090304,
+        0.16552190035490928951, 0.18181317175062481662,
+    ),
+    -0.1: (
+        -0.0039631616044654579036, 0.0043513302579173086837, -0.0048237500980820009136,
+        0.0054111723747393664815, -0.006161375541590121441, 0.0071528337769930957282,
+        -0.0085240579409040527377, 0.010544506492846153451, -0.013816950862177092581,
+        0.020022748563456440367, -0.036306280661981013296, 0.97872894047340965036,
+        0.15692062557128151511, 0.032052371632733541672, 0.054861003437422152167,
+        0.018541062204343301832, 0.033925385761597636111, 0.013311168103647233182,
+        0.024765904593144114232, 0.010487191857100214957, 0.019592757371307043719,
+        0.0087036144304827296569, 0.016255633483297373699,
+    ),
+    0.0: (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0,
+    ),
+    0.3: (
+        0.018208359867899998295, -0.01999534469086129706, 0.022171217666596682821,
+        -0.024878414996313396548, 0.028338603039449806763, -0.032916669227353625007,
+        0.039258695032445992213, -0.048627582153755759695, 0.063870798638468004254,
+        -0.093051278755110019107, 0.17175301482015912654, 0.96623439630074068855,
+        -0.47352651433460639397, 0.017800428848668882686, -0.12765971937577120151,
+        0.015246466312768398856, -0.070820136752867793356, 0.012528384535552501383,
+        -0.048309476276211740503, 0.010587927984111902445, -0.036396080356448635246,
+        0.0091748666524215506083, -0.029072170790527003659,
+    ),
+    0.5: (
+        0.035750635172730992293, -0.039269837521549264627, 0.043557573684767271438,
+        -0.048896481791188699486, 0.055727180840107874039, -0.064776615027220123765,
+        0.077335863215020883999, -0.095939607182776644486, 0.12634129833796146815,
+        -0.18502566685535522814, 0.34673200174844023674, 0.83554275821033350081,
+        -0.74954768784214786914, 0.11652414992934586745, -0.19463051989308665784,
+        0.068578599134606773107, -0.10763174050045508618, 0.049102645982346936658,
+        -0.073546495075446294903, 0.038411387169688819862, -0.055571817866825347718,
+        0.031618133022397803319, -0.044531715116067735114,
+    ),
+    1.0: (
+        0.090909090909090909091, -0.1, 0.11111111111111111111, -0.125, 0.14285714285714285714,
+        -0.16666666666666666667, 0.2, -0.25, 0.33333333333333333333, -0.5, 1.0, 0.0, -1.0, 0.5,
+        -0.33333333333333333333, 0.25, -0.2, 0.16666666666666666667, -0.14285714285714285714,
+        0.125, -0.11111111111111111111, 0.1, -0.090909090909090909091,
+    ),
+    1.5: (
+        0.11881273546132697633, -0.13122188935978241481, 0.14651672198251679537,
+        -0.16583235750028541255, 0.19098641551080886604, -0.22507984330938840614,
+        0.27386358642760631544, -0.34930588702241630448, 0.48094202827414748448,
+        -0.76542631879926654671, 1.7734121399381606063, -1.5749609945722419744,
+        -0.1289926055522784475, 0.53926395621074072502, -0.32045611915862342148,
+        0.28761155965339752289, -0.21837330531296352439, 0.19661002805699664104,
+        -0.16328491352890440126, 0.14946213207012087768, -0.12999515672391802551,
+        0.12058869377819035462, -0.10786514224012714987,
+    ),
+    2.0: (
+        0.016528925619834710744, -0.02, 0.024691358024691358025, -0.03125, 0.040816326530612244898,
+        -0.055555555555555555556, 0.08, -0.125, 0.22222222222222222222, -0.5, 2.0,
+        -3.2898681336964528729, 2.0, -0.5, 0.22222222222222222222, -0.125, 0.08,
+        -0.055555555555555555556, 0.040816326530612244898, -0.03125, 0.024691358024691358025,
+        -0.02, 0.016528925619834710744,
+    ),
+    2.5: (
+        -0.33094278616157159048, 0.3609347763031148899, -0.39679007571936810529,
+        0.44035269908498642559, -0.494276635379083253, 0.56245047969285565345,
+        -0.65054870407231782949, 0.76603444221864104372, -0.91168247191507874163,
+        1.0119183447162192846, 0.49612786341479657972, -3.5342042073133068643,
+        4.2598840003113010548, -2.6427811884787283743, 1.5795142614423878299,
+        -1.1641078463910246858, 0.89666714994260274941, -0.73815459276218275644,
+        0.6208021100361237056, -0.53888222707573839128, 0.47359893091559999998,
+        -0.42388742208760808226, 0.38246048563917480098,
+    ),
+    3.0: (
+        -0.89272887492998677151, 0.98096044010893586188, -1.0883922585572538383,
+        1.2219818001361698274, -1.3924507744996459834, 1.6171562890704486587,
+        -1.9259208802178717238, 2.3736511002723396547, -3.0676459114742306507,
+        4.1848022005446793094, -3.8696044010893586188, 0.0, 3.8696044010893586188,
+        -4.1848022005446793094, 3.0676459114742306507, -2.3736511002723396547,
+        1.9259208802178717238, -1.6171562890704486587, 1.3924507744996459834,
+        -1.2219818001361698274, 1.0883922585572538383, -0.98096044010893586188,
+        0.89272887492998677151,
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_SMALL_LAG_ORACLE))
+def test_window_matches_closed_form_oracle_at_small_lags(alpha):
+    window = exact_kernel_window(alpha, 11)
+    for m, want in zip(range(-11, 12), _SMALL_LAG_ORACLE[alpha]):
+        assert abs(window.weight(m) - want) <= 1e-14 * max(1.0, abs(want)), m
+
+
 def test_window_matches_extended_precision_oracle_at_large_lags():
     # frozen from 30-digit mpmath: quad over half-period subintervals, the
     # first one, [0, pi/m], by its term-wise integrated Taylor series;

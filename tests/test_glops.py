@@ -51,6 +51,40 @@ def test_coefficients_structure():
     assert c.truncation == 64
 
 
+# c_m = Gamma(m - d) / (Gamma(-d) Gamma(m + 1)) at the lags of _GL_ORACLE_LAGS,
+# frozen from mpmath 1.3.0 at 40 digits for the exact double of each order d.
+_GL_ORACLE_LAGS = (1, 10, 10**3, 10**5, 10**6)
+_GL_ORACLE = {
+    -0.45: (0.4500000000000000111, 0.14143720994800420328, 0.011373419589608800728,
+            0.00090353351976767226975, 0.00025465062861088182783),
+    -0.3: (0.2999999999999999889, 0.065995166020265620761, 0.0026549440522692213957,
+           0.00010570621479201539891, 0.000021091182614424195597),
+    0.1: (-0.10000000000000000555, -0.0074749787569843752906, -0.000046902614930988942447,
+          -2.9591937715631000318e-7, -2.3505700012378075862e-8),
+    0.3: (-0.2999999999999999889, -0.011817569512546875014, -0.000029101324728067148192,
+          -7.3085108479521553019e-8, -3.6629259053605891405e-9),
+    0.4: (-0.4000000000000000222, -0.011006414847999999695, -0.000016952387196680142604,
+          -2.6860274106570760628e-8, -1.0693240777768612567e-9),
+    0.7: (-0.69999999999999995559, -0.0049673780875468759374, -1.8597626704577763764e-6,
+          -7.3994868318489065644e-10, -1.4763838164783665523e-11),
+    1.5: (-1.5, 0.001636505126953125, 1.3406060425696814905e-8, 1.33811817676244122e-13,
+          4.2314298105369181356e-16),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_GL_ORACLE))
+def test_coefficients_against_frozen_mpmath(order):
+    # c_m is a running product of m rounded ratios (m - 1 - d) / m: each
+    # step rounds the subtraction, the division and the product, so the
+    # relative error can grow by at most about 1.5 eps per lag, 3.3e-16 * m.
+    # The bound 2e-15 * m leaves a margin over that; measured: at most
+    # 3.4e-17 * m (1.7e-11 to 2.5e-11 at m = 1e6), since roundings mostly
+    # cancel.
+    c = gl_coefficients(order, _GL_ORACLE_LAGS[-1]).coefficients
+    for m, want in zip(_GL_ORACLE_LAGS, _GL_ORACLE[order]):
+        assert abs(c[m] - want) <= 2e-15 * m * abs(want), m
+
+
 @pytest.mark.parametrize("pair", [(0.3, 0.7), (-0.5, 1.2), (0.3, -0.5), (1.2, 0.7)])
 def test_coefficient_semigroup(pair):
     a, b = pair

@@ -2,9 +2,12 @@
 
 Each case runs one command in process and compares its output file with a
 golden file under ``tests/data/golden/``.  The golden files were written by
-the line-by-line CSV layer that the array-native one replaced, so a failure
-here means a command's bytes changed.  Inputs are golden files of earlier
-cases (``y.csv``) or small hand-written series.
+the line-by-line CSV layer that the array-native one replaced, except the
+four exact-kernel files (``kernel_half``, ``exact_zero``, ``exact_periodic``,
+``response_exact``), rewritten when the window's lags 0-4 moved from the 1F2
+series to quadrature.  A failure here means a command's bytes changed.
+Inputs are golden files of earlier cases (``y.csv``) or small hand-written
+series.
 """
 
 from pathlib import Path
