@@ -188,7 +188,16 @@ def _cmd_coeffs(args) -> str:
     return _csv(header, np.arange(c.size), c)
 
 
+# the difference flags each family does not read
+_FOREIGN_FLAGS = {"gl": ("half_width", "boundary"), "exact": ("truncation",)}
+
+
 def _cmd_difference(args) -> str:
+    for flag in _FOREIGN_FLAGS[args.family]:
+        if getattr(args, flag) is not None:
+            raise _UsageError(
+                f"--{flag.replace('_', '-')} does not apply to --family {args.family}"
+            )
     text, name = _read_text(args.input)
     series, _ = parse_series_csv(text, name)
     if args.family == "gl":
@@ -201,11 +210,12 @@ def _cmd_difference(args) -> str:
         half_width = args.half_width
         if half_width is None:
             half_width = min(len(series), 4096)
+        boundary = args.boundary or "zero"
         window = exactops.exact_kernel_window(args.order, half_width)
-        out = exactops.exact_difference(series, window, boundary=args.boundary)
+        out = exactops.exact_difference(series, window, boundary=boundary)
         meta = [
             f"family=exact, order={_fmt(args.order)}, half_width={half_width}, "
-            f"boundary={args.boundary}"
+            f"boundary={boundary}"
         ]
     return _series_csv(out, meta)
 
@@ -327,9 +337,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", default=None, help="series CSV (default stdin)")
     p.add_argument("--order", type=float, required=True)
     p.add_argument("--family", choices=("gl", "exact"), default="gl")
-    p.add_argument("--truncation", type=int, default=None, help="GL lag cap (default min(n, 4096))")
-    p.add_argument("--half-width", type=int, default=None, help="exact-kernel half width")
-    p.add_argument("--boundary", choices=("zero", "periodic"), default="zero")
+    p.add_argument("--truncation", type=int, default=None,
+                   help="GL lag cap (default min(n, 4096)); gl family only")
+    p.add_argument("--half-width", type=int, default=None,
+                   help="exact-kernel half width (default min(n, 4096)); exact family only")
+    p.add_argument("--boundary", choices=("zero", "periodic"), default=None,
+                   help="exact family only (default zero)")
     add_output(p)
     p.set_defaults(handler=_cmd_difference)
 

@@ -4,10 +4,11 @@
 class ConsistencyError(ArithmeticError):
     """Two independent numerical routes disagreed beyond tolerance.
 
-    Raised by kernel-window construction when the hypergeometric-series
-    evaluation and the quadrature evaluation of the same weight differ by
-    more than the cross-check tolerance.  Indicates a special-function bug,
-    not bad user input.
+    Raised by kernel-window construction when a weight from one route
+    differs from its oracle by more than the cross-check tolerance: the
+    quadrature route against the hypergeometric series, or the asymptotic
+    route against quadrature.  Indicates a special-function bug, not bad
+    user input.
     """
 
 

@@ -2,26 +2,27 @@
 is an exact power law on the principal band.
 
 The kernel of order alpha at integer lag m is the inverse discrete-time
-Fourier transform of (i*x)^alpha on x in [-pi, pi]:
+Fourier transform of (i*x)^alpha on x in [-pi, pi].  Every weight comes from
+one complex integral:
 
-    K_alpha(m) = cos(pi*alpha/2)/pi * I_cos(m) - sin(pi*alpha/2)/pi * I_sin(m),
+    E(m) = int_0^pi x^alpha e^{imx} dx,   m >= 0,
+    K_alpha(+-m) = (cos(pi*alpha/2) Re E(m) -+ sin(pi*alpha/2) Im E(m)) / pi.
 
-    I_cos(m) = int_0^pi x^alpha cos(m x) dx,   I_sin(m) = int_0^pi x^alpha sin(m x) dx.
-
-Windows take each lag from one of two routes:
+Windows take E from one of two routes:
 
 - |m| < 12: oscillation-aware Gauss-Legendre quadrature, O(m) per lag;
-- |m| >= 12: the large-lag asymptotic expansion of the Fourier integral
-  about its endpoints, one vectorised pass over all lags.
+- |m| >= 12: the large-lag asymptotic expansion of E about its endpoints,
+  one vectorised pass over all lags.
 
-A window therefore costs O(M).  The integrals also have a closed form in
-1F2 hypergeometric values at z = -(pi*m/2)^2, summed as a series; its
-argument grows like m^2 and the alternating sum cancels catastrophically
-beyond |z| ~ 40, so it serves |m| <= 4 only, as an oracle.  Construction
-checks quadrature against the series at every lag up to 4, and the
-asymptotic expansion against quadrature at a fixed sample of lags (12-16
-plus eight log-spaced lags up to M), both signs, and fails loudly if they
-disagree.
+A window therefore costs O(M).  E also has a closed form in 1F2
+hypergeometric values at z = -(pi*m/2)^2, summed as a series; its argument
+grows like m^2 and the alternating sum cancels catastrophically beyond
+|z| ~ 40, so it serves |m| <= 4 only, as an oracle.  Construction checks
+quadrature against the series at every lag up to 4, and the asymptotic
+expansion against quadrature at a fixed sample of lags (12-16 plus eight
+log-spaced lags up to M), both signs, and fails loudly if a weight is off
+by more than CROSS_CHECK_TOL * max(1, |K|).  The tolerance is relative
+because weights grow like pi^alpha.
 """
 
 import math
@@ -50,9 +51,8 @@ __all__ = [
 SERIES_MAX_LAG = 4
 ASYMPTOTIC_MIN_LAG = 12
 CROSS_CHECK_TOL = 1e-8
-# The cross-check quadrature at lag half_width evaluates 16 * (half_width + 3)
-# nodes at once.  On a 2-vCPU Xeon VM a cold half-width-1e5 build took 0.17 s
-# at 112 MB peak RSS; 1e6 took 2.0 s at 813 MB.
+# A cold half-width-1e5 build, with 1.6e6 quadrature nodes at its largest
+# checked lag, takes about 0.2 s at 77 MB peak RSS (fresh process, 2-vCPU VM).
 HALF_WIDTH_CAP = 10**5
 
 # Terms of the asymptotic expansion.  Term k+1 is term k times
@@ -67,6 +67,10 @@ _SPECTRA_PER_WINDOW = 8
 
 # 16-point Gauss-Legendre rule: one panel per half-period of the oscillation.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# (i pi/16)^j / j!, the Taylor coefficients of e^{imx} at m*x = pi/16; the
+# last is below 1e-22 of the first.
+_STUB_TAYLOR = np.cumprod(np.r_[1.0, 1j * math.pi / 16.0 / np.arange(1, 16)])
 
 
 def _check_order(order: float) -> float:
@@ -135,28 +139,24 @@ class KernelWindow:
         return spectrum
 
 
-def _kernel_pair(order: float, ic, isn):
-    """(K(+m), K(-m)) from I_cos(m) and I_sin(m); scalars or arrays."""
-    cos_half = cospi(order / 2.0)
-    sin_half = sinpi(order / 2.0)
-    pos = (cos_half * ic - sin_half * isn) / math.pi
-    neg = (cos_half * ic + sin_half * isn) / math.pi
+def _kernel_pairs(order: float, e):
+    """(K(+m), K(-m)) from E(m); scalars or arrays."""
+    cos_half, sin_half = cospi(order / 2.0), sinpi(order / 2.0)
+    pos = (cos_half * e.real - sin_half * e.imag) / math.pi
+    neg = (cos_half * e.real + sin_half * e.imag) / math.pi
     return pos, neg
 
 
-def _series_parts(order: float, m: int) -> tuple[float, float]:
-    """(I_cos(m), I_sin(m)) from the 1F2 series; 0 <= m <= SERIES_MAX_LAG."""
+def _series_integrals(order: float, m: int) -> complex:
+    """E(m) from the 1F2 series; 0 <= m <= SERIES_MAX_LAG."""
     z = -(math.pi * math.pi) * (m * m) / 4.0
-    ic = math.pi ** (order + 1.0) / (order + 1.0) * hyp1f2(
+    re = math.pi ** (order + 1.0) / (order + 1.0) * hyp1f2(
         HypergeometricParams((order + 1.0) / 2.0, 0.5, (order + 3.0) / 2.0), z
     )
-    isn = (
-        math.pi ** (order + 2.0)
-        * m
-        / (order + 2.0)
-        * hyp1f2(HypergeometricParams((order + 2.0) / 2.0, 1.5, (order + 4.0) / 2.0), z)
+    im = math.pi ** (order + 2.0) * m / (order + 2.0) * hyp1f2(
+        HypergeometricParams((order + 2.0) / 2.0, 1.5, (order + 4.0) / 2.0), z
     )
-    return ic, isn
+    return complex(re, im)
 
 
 def exact_kernel_series(order: float, m: int) -> float:
@@ -173,84 +173,42 @@ def exact_kernel_series(order: float, m: int) -> float:
             f"|m|={abs(m)} outside series domain |m| <= {SERIES_MAX_LAG}; "
             "use exact_kernel_quadrature"
         )
-    pos, neg = _kernel_pair(order, *_series_parts(order, abs(m)))
+    pos, neg = _kernel_pairs(order, _series_integrals(order, abs(m)))
     return neg if m < 0 else pos
 
 
-def _stub_integrals(order: float, eps: float, m: int) -> tuple[float, float]:
-    """Analytic integrals of x^order cos(mx), x^order sin(mx) on [0, eps].
+def _quadrature_integrals(order: float, lags) -> np.ndarray:
+    """E(m) at each lag m >= 0 by panel quadrature, O(m) work per lag.
 
-    Taylor expansion of the trig factor; requires m*eps small (callers keep
-    it below ~0.2 so a dozen terms reach machine precision).
+    On [0, eps] the Taylor series of e^{imx} is integrated term by term:
+    sum_j (i m eps)^j / (j! (j + order + 1)) times eps^(order+1).  With
+    eps = pi/(16m), m*eps = pi/16 at every lag m >= 1, so the sum is one
+    constant; at m = 0 only its first term is left.  [eps, pi] is cut into
+    panels doubling out of the singularity up to the first half-period pi/m,
+    then one panel per half-period (at m = 0 the panels double up to pi),
+    each integrated by the 16-point Gauss-Legendre rule.
     """
-    me = m * eps
-    me2 = me * me
-    # cos: sum_k (-1)^k (m eps)^(2k) eps^(order+1) / ((2k)! (2k+order+1))
-    ic = 0.0
-    term = 1.0
-    k = 0
-    while True:
-        contrib = term / (2 * k + order + 1.0)
-        ic += contrib
-        if abs(contrib) < 1e-18 * abs(ic):
-            break
-        term *= -me2 / ((2 * k + 1.0) * (2 * k + 2.0))
-        k += 1
-        if k > 60:
-            break
-    ic *= eps ** (order + 1.0)
-    # sin: sum_k (-1)^k m^(2k+1) eps^(2k+order+2) / ((2k+1)! (2k+order+2))
-    isn = 0.0
-    term = me
-    k = 0
-    while m != 0:
-        contrib = term / (2 * k + order + 2.0)
-        isn += contrib
-        if abs(contrib) < 1e-18 * abs(isn):
-            break
-        term *= -me2 / ((2 * k + 2.0) * (2 * k + 3.0))
-        k += 1
-        if k > 60:
-            break
-    isn *= eps ** (order + 1.0)
-    return ic, isn
-
-
-def _panel_edges(eps: float, m: int) -> np.ndarray:
-    """Panel breakpoints on [eps, pi]: geometric doubling out of the
-    singularity, then half-period-aligned panels."""
-    if m == 0:
-        edges = [eps]
-        while edges[-1] < math.pi:
-            edges.append(min(edges[-1] * 2.0, math.pi))
-        return np.array(edges)
-    h = math.pi / m
-    # eps = h/16, so doubling lands exactly on the first half-period edge
-    edges = [eps, 2 * eps, 4 * eps, 8 * eps]
-    edges.extend(h * k for k in range(1, m + 1))
-    return np.array(edges)
-
-
-def _oscillatory_integrals(order: float, m: int) -> tuple[float, float]:
-    """(int_0^pi x^order cos(mx) dx, int_0^pi x^order sin(mx) dx), m >= 0."""
-    if m == 0:
-        eps = math.pi * 2.0**-52
-    else:
-        eps = math.pi / (16.0 * m)
-    ic, isn = _stub_integrals(order, eps, m)
-    edges = _panel_edges(eps, m)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    # nodes: (panels, 16)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w = half[:, None] * _GL_WEIGHTS[None, :]
-    xa = x**order
-    ic += float(np.sum(w * xa * np.cos(m * x)))
-    if m != 0:
-        isn += float(np.sum(w * xa * np.sin(m * x)))
-    return ic, isn
+    taylor = np.sum(_STUB_TAYLOR / (np.arange(_STUB_TAYLOR.size) + order + 1.0))
+    out = np.empty(len(lags), dtype=complex)
+    for i, m in enumerate(map(int, lags)):
+        if m == 0:
+            eps = math.pi * 2.0**-52
+            stub = 1.0 / (order + 1.0)
+            edges = eps * 2.0 ** np.arange(53)
+        else:
+            eps = math.pi / (16.0 * m)
+            stub = taylor
+            # 16 eps = pi/m exactly, so the doubling lands on the first half-period
+            edges = np.concatenate((eps * 2.0 ** np.arange(4), math.pi / m * np.arange(1, m + 1)))
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        # nodes: (panels, 16); the sums run on real arrays
+        x = mid[:, None] + half[:, None] * _GL_NODES
+        wxa = half[:, None] * _GL_WEIGHTS * x**order
+        x *= m
+        panels = complex(np.sum(wxa * np.cos(x)), np.sum(wxa * np.sin(x)))
+        out[i] = stub * eps ** (order + 1.0) + panels
+    return out
 
 
 def exact_kernel_quadrature(order: float, m: int) -> float:
@@ -263,17 +221,15 @@ def exact_kernel_quadrature(order: float, m: int) -> float:
     """
     order = _check_order(order)
     m = int(m)
-    pos, neg = _kernel_pair(order, *_oscillatory_integrals(order, abs(m)))
-    return neg if m < 0 else pos
+    pos, neg = _kernel_pairs(order, _quadrature_integrals(order, [abs(m)])[0])
+    return float(neg if m < 0 else pos)
 
 
-def _asymptotic_integrals(
-    order: float, lags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(I_cos(m), I_sin(m)) at every lag m >= ASYMPTOTIC_MIN_LAG, vectorised.
+def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
+    """E(m) at every lag m >= ASYMPTOTIC_MIN_LAG, vectorised.
 
-    E(m) = int_0^pi x^a e^{imx} dx is the integral over [0, inf), taken in
-    closed form, minus the tail beyond pi, integrated by parts:
+    E(m) is the integral over [0, inf), taken in closed form, minus the tail
+    beyond pi, integrated by parts:
 
         E(m) = Gamma(a+1) e^{i pi (a+1)/2} m^-(a+1)
                + (-1)^m sum_k c_k pi^(a-k) (i m)^-(k+1),
@@ -297,20 +253,32 @@ def _asymptotic_integrals(
         # a zero ratio ends a lag's sum for good where its terms would grow
         term = term * np.where(step < mpi, step / mpi, 0.0) / 1j
         tail = tail + term
-    e = head + np.where(lags % 2 == 1, -tail, tail)
-    return e.real, e.imag
+    return head + np.where(lags % 2 == 1, -tail, tail)
 
 
-def _cross_check_lags(half_width: int) -> list[int]:
+def _cross_check_lags(half_width: int) -> np.ndarray:
     """Asymptotic-route lags compared with quadrature: the first five, where
     the expansion is least accurate, and eight log-spaced up to half_width.
     Their quadrature costs O(half_width) in total."""
     lo = ASYMPTOTIC_MIN_LAG
-    first = range(lo, min(half_width, lo + 4) + 1)
-    spread = []
+    lags = set(range(lo, min(half_width, lo + 4) + 1))
     if half_width > lo + 4:
-        spread = np.geomspace(lo + 5, half_width, 8).round().astype(int).tolist()
-    return sorted(set(first).union(spread))
+        lags.update(np.geomspace(lo + 5, half_width, 8).round().astype(int).tolist())
+    return np.array(sorted(lags))
+
+
+def _check(route: str, order: float, weights: np.ndarray, lags: np.ndarray, e) -> None:
+    """Raise ConsistencyError unless the window's K(+m) and K(-m) at ``lags``
+    match the kernel of the oracle's E(m) within CROSS_CHECK_TOL * max(1, |K|)."""
+    signed = np.concatenate((lags, -lags))
+    want = np.concatenate(_kernel_pairs(order, e))
+    err = np.abs(weights[weights.size // 2 + signed] - want) / np.maximum(1.0, np.abs(want))
+    worst = int(np.argmax(err))
+    if not err[worst] <= CROSS_CHECK_TOL:
+        raise ConsistencyError(
+            f"{route} kernel mismatch at order={order:g}, m={signed[worst]}: "
+            f"|diff|/max(1, |K|)={err[worst]:.3e} > {CROSS_CHECK_TOL:g}"
+        )
 
 
 _window_cache: dict[tuple[float, int], KernelWindow] = {}
@@ -318,44 +286,36 @@ _window_lock = threading.Lock()
 
 
 def _build_window(order: float, half_width: int) -> KernelWindow:
-    mmax = half_width
-    weights = np.empty(2 * mmax + 1)
-
-    def store(m, ic, isn):
-        weights[mmax + m], weights[mmax - m] = _kernel_pair(order, ic, isn)
-
-    def check(route: str, m: int, ic, isn):
-        # the stored K(+m), K(-m) against the oracle's integrals at lag m
-        want_pos, want_neg = _kernel_pair(order, ic, isn)
-        err = max(abs(weights[mmax + m] - want_pos), abs(weights[mmax - m] - want_neg))
-        if err > CROSS_CHECK_TOL:
-            raise ConsistencyError(
-                f"{route} kernel mismatch at order={order:g}, "
-                f"m={m}: |diff|={err:.3e} > {CROSS_CHECK_TOL:g}"
-            )
-
-    for m in range(0, min(mmax, ASYMPTOTIC_MIN_LAG - 1) + 1):
-        store(m, *_oscillatory_integrals(order, m))
-    for m in range(0, min(mmax, SERIES_MAX_LAG) + 1):
-        check("quadrature/series", m, *_series_parts(order, m))
-    if mmax >= ASYMPTOTIC_MIN_LAG:
-        lags = np.arange(ASYMPTOTIC_MIN_LAG, mmax + 1)
-        store(lags, *_asymptotic_integrals(order, lags))
-        for m in _cross_check_lags(mmax):
-            check("asymptotic/quadrature", m, *_oscillatory_integrals(order, m))
+    weights = np.empty(2 * half_width + 1)
+    small = np.arange(min(half_width, ASYMPTOTIC_MIN_LAG - 1) + 1)
+    weights[half_width + small], weights[half_width - small] = _kernel_pairs(
+        order, _quadrature_integrals(order, small)
+    )
+    series = small[: SERIES_MAX_LAG + 1]
+    e = np.array([_series_integrals(order, m) for m in range(series.size)])
+    _check("quadrature/series", order, weights, series, e)
+    if half_width >= ASYMPTOTIC_MIN_LAG:
+        large = np.arange(ASYMPTOTIC_MIN_LAG, half_width + 1)
+        weights[half_width + large], weights[half_width - large] = _kernel_pairs(
+            order, _asymptotic_integrals(order, large)
+        )
+        sampled = _cross_check_lags(half_width)
+        e = _quadrature_integrals(order, sampled)
+        _check("asymptotic/quadrature", order, weights, sampled, e)
     return KernelWindow(order, half_width, weights)
 
 
 def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     """Kernel window of the given order, truncated to |m| <= half_width.
 
-    Lags |m| < 12 come from quadrature and |m| >= 12 from the large-lag
-    asymptotic expansion, so a cold build costs O(half_width).  Two oracles
-    check the routes within 1e-8, or construction raises
+    K(m) and K(-m) both come from E(m) = int_0^pi x^order e^{imx} dx, taken
+    by quadrature at |m| < 12 and by the large-lag asymptotic expansion at
+    |m| >= 12, so a cold build costs O(half_width).  Two oracles check the
+    routes within 1e-8 * max(1, |K|), or construction raises
     :class:`ConsistencyError`: the hypergeometric series at every lag
     |m| <= 4, and quadrature at a fixed sample of asymptotic lags (12-16
-    plus eight log-spaced up to half_width), both signs.  ``half_width``
-    may not exceed ``HALF_WIDTH_CAP``.  Windows are cached by (order rounded to
+    plus eight log-spaced up to half_width), both signs.  ``half_width`` may
+    not exceed ``HALF_WIDTH_CAP``.  Windows are cached by (order rounded to
     1e-12, half_width) and immutable; each memoises its weight spectra
     (:meth:`KernelWindow.spectrum`), so clearing the cache drops them too.
     """

@@ -315,6 +315,34 @@ def test_exit_code_half_width_over_cap(argv, tmp_path, capsys):
     assert err == f"fracspec: half_width exceeds cap {exactops.HALF_WIDTH_CAP}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--half-width", "8"], "--half-width"),
+        (["--boundary", "periodic"], "--boundary"),
+        (["--boundary", "zero"], "--boundary"),
+        (["--family", "exact", "--truncation", "8"], "--truncation"),
+    ],
+    ids=["gl-half-width", "gl-boundary-periodic", "gl-boundary-zero", "exact-truncation"],
+)
+def test_difference_rejects_flags_its_family_does_not_read(argv, flag, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n0,1.0\n1,2.0\n2,0.5\n")
+    family = "exact" if "exact" in argv else "gl"
+    code, out, err = run_cli(
+        ["difference", "--input", str(series), "--order", "0.5", *argv], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"fracspec: usage error: {flag} does not apply to --family {family}\n"
+
+
+def test_kernel_high_order_builds(capsys):
+    # |K(0)| = pi^20 / 21 = 4.2e8: an absolute cross-check tolerance rejected it
+    code, out, err = run_cli(["kernel", "--order", "20", "--half-width", "4"], capsys)
+    assert (code, err) == (0, "")
+    assert parse_rows(out)[4, 1] == pytest.approx(math.pi**20 / 21.0, rel=1e-11)  # 12 digits
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,value\n0,1.0\n1,oops\n")

@@ -257,11 +257,10 @@ def test_window_parity_identity(alpha):
     window = exact_kernel_window(alpha, 24)
     M = window.half_width
     kplus_term = 2.0 * cospi(alpha / 2.0)
-    for m in range(1, M + 1):
-        lhs = window.weights[M + m] + window.weights[M - m]
-        ic, _ = exactops._oscillatory_integrals(alpha, m)
-        want = kplus_term * ic / math.pi
-        assert lhs == pytest.approx(want, abs=1e-10)
+    m = np.arange(1, M + 1)
+    lhs = window.weights[M + m] + window.weights[M - m]
+    want = kplus_term * exactops._quadrature_integrals(alpha, m).real / math.pi
+    assert lhs == pytest.approx(want, abs=1e-10)
 
 
 def test_window_alpha_one_center_zero():
@@ -295,11 +294,11 @@ def test_window_cache_returns_same_object():
 
 def test_window_consistency_check_fires_on_bad_series(monkeypatch):
     def junk(order, m):
-        return (math.pi**order / (order + 1.0)) + 1.0, 0.0
+        return complex(math.pi**order / (order + 1.0) + 1.0, 0.0)
 
-    monkeypatch.setattr(exactops, "_series_parts", junk)
+    monkeypatch.setattr(exactops, "_series_integrals", junk)
     exactops._window_cache.clear()
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="quadrature/series"):
         exact_kernel_window(0.7, 4)
     exactops._window_cache.clear()
 
@@ -308,8 +307,7 @@ def test_window_consistency_check_fires_on_bad_asymptotic(monkeypatch):
     asymptotic = exactops._asymptotic_integrals
 
     def off_by_1e6(order, lags):
-        ic, isn = asymptotic(order, lags)
-        return ic + 1e-6, isn
+        return asymptotic(order, lags) + 1e-6
 
     monkeypatch.setattr(exactops, "_asymptotic_integrals", off_by_1e6)
     exactops._window_cache.clear()
@@ -318,17 +316,38 @@ def test_window_consistency_check_fires_on_bad_asymptotic(monkeypatch):
     exactops._window_cache.clear()
 
 
+def test_window_consistency_check_covers_negative_lags(monkeypatch):
+    # this shift of E(m) moves K(-m) by 2 cos sin 1e-6 / pi and leaves K(+m)
+    asymptotic = exactops._asymptotic_integrals
+    shift = 1e-6 * complex(math.sin(0.35 * math.pi), math.cos(0.35 * math.pi))
+    monkeypatch.setattr(
+        exactops, "_asymptotic_integrals", lambda order, lags: asymptotic(order, lags) + shift
+    )
+    exactops._window_cache.clear()
+    with pytest.raises(ConsistencyError, match="asymptotic/quadrature .* order=0.7, m=-"):
+        exact_kernel_window(0.7, 64)
+    exactops._window_cache.clear()
+
+
+def test_window_consistency_check_fails_on_non_finite_oracle(monkeypatch):
+    monkeypatch.setattr(exactops, "_series_integrals", lambda order, m: complex(math.nan, 0.0))
+    exactops._window_cache.clear()
+    with pytest.raises(ConsistencyError, match="quadrature/series"):
+        exact_kernel_window(0.7, 4)
+    exactops._window_cache.clear()
+
+
 def test_window_build_quadrature_calls_are_bounded(monkeypatch):
     # a cold build runs quadrature at lags 0..11 and at the sampled
     # cross-check lags only; an all-quadrature build would make 4097 calls
     calls = []
-    quadrature = exactops._oscillatory_integrals
+    quadrature = exactops._quadrature_integrals
 
-    def counting(order, m):
-        calls.append(m)
-        return quadrature(order, m)
+    def counting(order, lags):
+        calls.extend(int(m) for m in lags)
+        return quadrature(order, lags)
 
-    monkeypatch.setattr(exactops, "_oscillatory_integrals", counting)
+    monkeypatch.setattr(exactops, "_quadrature_integrals", counting)
     exactops._window_cache.clear()
     exact_kernel_window(0.5, 4096)
     exactops._window_cache.clear()
@@ -336,13 +355,40 @@ def test_window_build_quadrature_calls_are_bounded(monkeypatch):
     assert len(calls) <= 40
 
 
+@pytest.mark.parametrize("alpha", [15.0, 20.0, 30.0])
+def test_high_order_window_builds_and_matches_quadrature(alpha):
+    # weights grow like pi^alpha (|K(0)| = 2.6e13 at order 30), so the
+    # cross-check tolerance is relative to max(1, |K|)
+    exactops._window_cache.clear()
+    window = exact_kernel_window(alpha, 64)
+    for m in exactops._cross_check_lags(64):
+        for lag in (m, -m):
+            want = exact_kernel_quadrature(alpha, lag)
+            assert abs(window.weight(lag) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "name,route", [("_series_integrals", "quadrature/series"),
+                   ("_asymptotic_integrals", "asymptotic/quadrature")]
+)
+def test_window_consistency_check_is_relative_at_high_order(monkeypatch, name, route):
+    # at order 20 every checked weight exceeds 1 in magnitude, so scaling a
+    # route's E(m) by 1 + 1e-6 is an error of 1e-6 * max(1, |K|)
+    integrals = getattr(exactops, name)
+    monkeypatch.setattr(exactops, name, lambda order, m: integrals(order, m) * (1.0 + 1e-6))
+    exactops._window_cache.clear()
+    with pytest.raises(ConsistencyError, match=f"{route} kernel mismatch at order=20"):
+        exact_kernel_window(20.0, 64)
+    exactops._window_cache.clear()
+
+
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 3.0, 6.3])
 def test_window_matches_quadrature_at_sampled_lags(alpha):
-    # the asymptotic route against quadrature, well inside the 1e-8 that
-    # window construction enforces at its own sample of lags.  Quadrature
-    # loses accuracy as the order grows (at 6.3 it is off by 1.2e-11 at lag
-    # 513 against mpmath), so accuracy itself is checked against the frozen
-    # extended-precision values above.
+    # the asymptotic route against quadrature, well inside the
+    # 1e-8 * max(1, |K|) that window construction enforces at its own
+    # sample of lags.  Quadrature loses accuracy as the order grows (at 6.3
+    # it is off by 1.2e-11 at lag 513 against mpmath), so accuracy itself is
+    # checked against the frozen extended-precision values above.
     window = exact_kernel_window(alpha, 600)
     lags = [*range(exactops.ASYMPTOTIC_MIN_LAG, 40), *range(40, 600, 37), 600]
     for m in lags:
