@@ -23,20 +23,16 @@ from .exactops import (
 from .glops import (
     GLCoefficients,
     Series,
-    arfima_residuals,
     fractional_integrate,
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
 )
-from .specfun import HypergeometricParams, gen_binomial_gamma_form, hyp1f2
+from .specfun import hyp1f2
 from .spectral import (
     ResponseReport,
     SlopeFit,
-    Spectrum,
-    dft,
     gl_response_target,
-    inverse_dft,
     loglog_slope_fit,
     operator_response,
     periodogram,
@@ -53,17 +49,13 @@ __all__ = [
     "ConvergenceError",
     "CsvParseError",
     "GLCoefficients",
-    "HypergeometricParams",
     "KernelWindow",
     "MemoryEstimate",
     "NoiseSpec",
     "ResponseReport",
     "Series",
     "SlopeFit",
-    "Spectrum",
-    "arfima_residuals",
     "default_bandwidth",
-    "dft",
     "estimate_memory",
     "estimate_memory_from_periodogram",
     "exact_difference",
@@ -71,13 +63,11 @@ __all__ = [
     "exact_kernel_series",
     "exact_kernel_window",
     "fractional_integrate",
-    "gen_binomial_gamma_form",
     "gl_coefficients",
     "gl_derivative_approx",
     "gl_difference",
     "gl_response_target",
     "hyp1f2",
-    "inverse_dft",
     "loglog_slope_fit",
     "operator_response",
     "periodogram",

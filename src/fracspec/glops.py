@@ -21,7 +21,6 @@ __all__ = [
     "gl_coefficients",
     "gl_difference",
     "fractional_integrate",
-    "arfima_residuals",
     "gl_derivative_approx",
     "TRUNCATION_CAP",
 ]
@@ -137,11 +136,6 @@ def fractional_integrate(y: Series, order: float, truncation: int) -> Series:
     if not (order > 0.0):
         raise ValueError("integration order must be positive")
     return gl_difference(y, -order, truncation)
-
-
-def arfima_residuals(y: Series, d: float, truncation: int) -> Series:
-    """Recover the driving noise of an ARFIMA(0, d, 0) series: (1-L)^d y."""
-    return gl_difference(y, d, truncation)
 
 
 def gl_derivative_approx(

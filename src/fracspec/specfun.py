@@ -1,19 +1,15 @@
-"""Real-argument special functions used by the coefficient and kernel formulas.
+"""Real-argument special functions used by the kernel formulas and response targets.
 
-Everything here is scalar and pure: exactly reduced sinpi and cospi, the
-gamma-quotient form of generalized binomial coefficients (the oracle for
-``glops.gl_coefficients``), and the generalized hypergeometric series 1F2.
-The gamma function itself is ``math.gamma``.
+Everything here is scalar and pure: exactly reduced sinpi and cospi, and
+the generalized hypergeometric series 1F2.  The gamma function itself is
+``math.gamma``.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError
 
 __all__ = [
-    "gen_binomial_gamma_form",
-    "HypergeometricParams",
     "hyp1f2",
     "sinpi",
     "cospi",
@@ -40,45 +36,11 @@ def cospi(x: float) -> float:
     return -c if n % 2 else c
 
 
-def gen_binomial_gamma_form(d: float, m: int) -> float:
-    """C(d, m) as the gamma quotient (-1)^(m-1) * d * G(m-d) / (G(1-d) G(m+1)).
-
-    Oracle for ``glops.gl_coefficients``, whose c_m is (-1)^m C(d, m).
-    Requires d not a nonnegative integer when m >= 1 (otherwise G(1-d) or
-    G(m-d) sits on a pole); m = 0 returns 1 by convention.
-    """
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if m == 0:
-        return 1.0
-    if d >= 0.0 and d == math.floor(d):
-        raise ValueError(f"gamma form undefined for nonnegative integer d={d:g}")
-    sign = -1.0 if (m - 1) % 2 else 1.0
-    return sign * d * math.gamma(m - d) / (math.gamma(1.0 - d) * math.gamma(m + 1.0))
-
-
 def _check_lower_param(name: str, value: float) -> None:
     if value <= 0.0 and value == math.floor(value):
         raise ValueError(
             f"hypergeometric lower parameter {name}={value:g} is a nonpositive integer"
         )
-
-
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Parameter triple (a; b, c) of the 1F2 series.
-
-    b and c must not be zero or negative integers, where the series is
-    undefined.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        _check_lower_param("b", self.b)
-        _check_lower_param("c", self.c)
 
 
 # Beyond |z| ~ 40 the alternating series loses more than 6 digits to
@@ -90,17 +52,20 @@ _EPS_REL = 1e-16
 _MAX_TERMS = 10_000
 
 
-def hyp1f2(params: HypergeometricParams, z: float) -> float:
+def hyp1f2(a: float, b: float, c: float, z: float) -> float:
     """Generalized hypergeometric series 1F2(a; b, c; z) for real z, |z| <= 40.
 
     Terms follow the recurrence t_{k+1} = t_k * (a+k) z / ((b+k)(c+k)(k+1))
     and are accumulated with compensated (Kahan) summation.  Summation stops
-    once |t_k| < 1e-16 * |sum| for two consecutive k with k >= 8.
+    once |t_k| < 1e-16 * |sum| for two consecutive k with k >= 8.  Raises
+    ValueError when b or c is zero or a negative integer, where the series
+    is undefined.
     """
+    _check_lower_param("b", b)
+    _check_lower_param("c", c)
     z = float(z)
     if abs(z) > Z_MAX:
         raise ValueError(f"|z|={abs(z):g} exceeds series domain |z| <= {Z_MAX:g}")
-    a, b, c = params.a, params.b, params.c
     term = 1.0
     total = 0.0
     comp = 0.0  # Kahan compensation

@@ -1,6 +1,5 @@
-"""Discrete Fourier machinery: spectra, periodograms, operator frequency
-responses, analytic power-law targets, autocovariance, and log-log slope
-fits.
+"""Discrete Fourier machinery: periodograms, operator frequency responses,
+analytic power-law targets, autocovariance, and log-log slope fits.
 
 Transform convention is fixed to negative exponent throughout:
 yhat(w) = sum_t y_t exp(-i w t T).  Under it the measured response of a lag
@@ -23,11 +22,8 @@ from .glops import GLCoefficients, Series, gl_coefficients
 from .specfun import cospi, sinpi
 
 __all__ = [
-    "Spectrum",
     "ResponseReport",
     "SlopeFit",
-    "dft",
-    "inverse_dft",
     "periodogram",
     "operator_response",
     "gl_response_target",
@@ -40,25 +36,8 @@ __all__ = [
 
 REL_ERROR_FLOOR = 1e-15
 
-# direct exact-length transform below this size; zero-pad to a power of two above
+# exact-length transform up to this size; zero-pad to a power of two above
 _DIRECT_LIMIT = 64
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """DFT of a series under the fixed convention yhat_j = sum_t y_t e^{-2 pi i j t / n}.
-
-    ``n`` is the transform length (padded when the input exceeded the direct
-    limit); ``data_length`` is the original sample count.  frequencies[j] =
-    2 pi j / (n * step) in radians per time unit.
-    """
-
-    frequencies: np.ndarray
-    values: np.ndarray
-    n: int
-    step: float
-    start: float
-    data_length: int
 
 
 class SlopeFit(NamedTuple):
@@ -98,34 +77,15 @@ def _fft_size(n: int) -> int:
     return n if n <= _DIRECT_LIMIT else 1 << (n - 1).bit_length()
 
 
-def dft(y: Series) -> Spectrum:
-    """Transform a series; lengths beyond 64 are zero-padded to a power of two.
-
-    Padding is recorded in the returned Spectrum so downstream frequency
-    grids use the padded length.
-    """
-    n = len(y)
-    n_fft = _fft_size(n)
-    values = np.fft.fft(y.values, n_fft)
-    freqs = 2.0 * math.pi * np.arange(n_fft) / (n_fft * y.step)
-    return Spectrum(freqs, values, n_fft, y.step, y.start, n)
-
-
-def inverse_dft(spectrum: Spectrum) -> Series:
-    """Invert :func:`dft`, dropping padding and the negligible imaginary part."""
-    values = np.fft.ifft(spectrum.values).real[: spectrum.data_length]
-    return Series(values, spectrum.step, spectrum.start)
-
-
 def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
-    """Raw periodogram (omega_j, S_j), S_j = |yhat_j|^2 / n, j = 1..n//2.
+    """Raw periodogram (omega_j, S_j), S_j = |yhat_j|^2 / n_fft, j = 1..n_fft//2.
 
     The series mean is removed before transforming so a level offset cannot
     contaminate the low-frequency bins; zero frequency is excluded.  The
-    transform is a real FFT at the padding of :func:`dft`, whose
-    frequencies omega_j = 2 pi j / (n * step) it reproduces bit for bit.
-    Normalization is 1/n (transform length), which shifts log-log intercepts
-    only, never slopes.
+    transform is a real FFT of length n_fft: the sample count n up to 64,
+    zero-padded to the next power of two above, with omega_j =
+    2 pi j / (n_fft * step).  Normalization is 1/n_fft, which shifts log-log
+    intercepts only, never slopes.
     """
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")

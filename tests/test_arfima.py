@@ -8,10 +8,10 @@ from fracspec import (
     ArfimaSpec,
     MemoryEstimate,
     NoiseSpec,
-    arfima_residuals,
     default_bandwidth,
     estimate_memory,
     estimate_memory_from_periodogram,
+    gl_difference,
     loglog_slope_fit,
     simulate_arfima,
     theoretical_acf,
@@ -111,7 +111,7 @@ def test_simulate_round_trip_recovers_noise():
     spec = ArfimaSpec(d=0.3, n=n, burn_in=0, truncation=n)
     noise = NoiseSpec(sigma=1.0, seed=5)
     y = simulate_arfima(spec, noise)
-    eps = arfima_residuals(y, 0.3, n)
+    eps = gl_difference(y, 0.3, n)
     want = white_noise(noise, n)
     assert np.abs(eps.values - want.values).max() <= 1e-10
 

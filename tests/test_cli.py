@@ -201,7 +201,14 @@ def test_exit_code_non_finite_order(argv, capsys):
         (["response", "--family", "gl", "--order", "1100", "--truncation", "2048",
           "--grid", "4"], "GL coefficients of order 1100 are not finite at truncation 2048"),
         (["response", "--family", "exact", "--order", "1e300", "--truncation", "8"],
-         "exact kernel of order 1e+300 overflows"),
+         "kernel order must not exceed 40, got 1e+300"),
+        # orders above exactops.ORDER_MAX at which the kernel routes disagree
+        # beyond the cross-check tolerance, on windows with and without
+        # asymptotic lags
+        (["kernel", "--order", "47.5", "--half-width", "64"],
+         "kernel order must not exceed 40, got 47.5"),
+        (["kernel", "--order", "100", "--half-width", "11"],
+         "kernel order must not exceed 40, got 100"),
     ],
 )
 def test_exit_code_overflowing_order(argv, message, capsys):

@@ -402,6 +402,9 @@ def test_window_validation():
         exact_kernel_window(0.5, 0)
     with pytest.raises(ValueError):
         exact_kernel_window(-1.0, 4)
+    with pytest.raises(ValueError, match="must not exceed 40"):
+        exact_kernel_window(exactops.ORDER_MAX + 1e-9, 4)
+    exact_kernel_window(exactops.ORDER_MAX, 4)
     with pytest.raises(ValueError, match="exceeds cap"):
         exact_kernel_window(0.5, exactops.HALF_WIDTH_CAP + 1)
 

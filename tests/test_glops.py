@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fracspec import (
     NoiseSpec,
     Series,
-    arfima_residuals,
     fractional_integrate,
     gl_coefficients,
     gl_derivative_approx,
@@ -188,9 +187,10 @@ def test_inversion_identity(d):
 
 def test_arfima_residuals_basics():
     y = _random_series(128, seed=4)
-    assert np.array_equal(arfima_residuals(y, 0.0, 16).values, y.values)
+    # the driving noise of an ARFIMA(0, d, 0) series is (1-L)^d y
+    assert np.array_equal(gl_difference(y, 0.0, 16).values, y.values)
     const = Series(np.ones(16))
-    eps = arfima_residuals(const, 1.0, 16)
+    eps = gl_difference(const, 1.0, 16)
     assert eps.values[0] == 1.0
     assert np.abs(eps.values[1:]).max() == 0.0
 

@@ -9,11 +9,9 @@ from fracspec import spectral
 from fracspec import (
     NoiseSpec,
     Series,
-    dft,
     exact_kernel_window,
     gl_coefficients,
     gl_response_target,
-    inverse_dft,
     loglog_slope_fit,
     operator_response,
     periodogram,
@@ -22,45 +20,6 @@ from fracspec import (
     sample_autocovariance,
     white_noise,
 )
-
-
-def test_dft_impulse_and_constant():
-    impulse = Series(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    spec = dft(impulse)
-    assert np.abs(spec.values - 1.0).max() <= 1e-12
-    const = Series(np.ones(8))
-    spec = dft(const)
-    assert spec.values[0] == pytest.approx(8.0, abs=1e-12)
-    assert np.abs(spec.values[1:]).max() <= 1e-12
-
-
-def test_dft_round_trip():
-    y = white_noise(NoiseSpec(seed=8), 64)
-    back = inverse_dft(dft(y))
-    assert np.abs(back.values - y.values).max() <= 1e-12
-    # padded round trip restores the original length
-    y2 = white_noise(NoiseSpec(seed=9), 100)
-    back2 = inverse_dft(dft(y2))
-    assert len(back2) == 100
-    assert np.abs(back2.values - y2.values).max() <= 1e-12
-
-
-def test_dft_padding_policy():
-    assert dft(white_noise(NoiseSpec(seed=1), 64)).n == 64
-    assert dft(white_noise(NoiseSpec(seed=1), 37)).n == 37
-    assert dft(white_noise(NoiseSpec(seed=1), 100)).n == 128
-    assert dft(white_noise(NoiseSpec(seed=1), 128)).n == 128
-
-
-def test_dft_invariants_parseval_and_symmetry():
-    for n in (48, 100):
-        y = white_noise(NoiseSpec(seed=n), n)
-        spec = dft(y)
-        lhs = np.sum(y.values**2)
-        rhs = np.sum(np.abs(spec.values) ** 2) / spec.n
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-        conj = np.conj(spec.values[1:][::-1])
-        assert np.abs(spec.values[1:] - conj).max() <= 1e-10 * np.abs(spec.values).max()
 
 
 def test_periodogram_white_noise_level():
@@ -81,18 +40,25 @@ def test_periodogram_pure_cosine_concentrates():
     assert peak >= 1e3 * max(rest, 1e-300)
 
 
-@pytest.mark.parametrize("n", [5, 64, 65, 1000, 4096, 4097])
+# series length -> periodogram transform length: exact up to 64 samples,
+# zero-padded to the next power of two above
+_N_FFT = {5: 5, 37: 37, 64: 64, 65: 128, 100: 128, 128: 128, 1000: 1024, 4096: 4096, 4097: 8192}
+
+
+@pytest.mark.parametrize("n", list(_N_FFT))
 def test_periodogram_matches_full_dft_of_centered_series(n):
-    # the real-FFT periodogram against |dft|^2 / n_fft of the mean-removed
+    # the real-FFT periodogram against |fft|^2 / n_fft of the mean-removed
     # series: frequencies bit for bit, power to a few roundings of its scale
+    n_fft = _N_FFT[n]
     y = white_noise(NoiseSpec(seed=n), n)
     y = Series(y.values + 3.0, step=0.25, start=1.0)
     omega, power = periodogram(y)
-    spec = dft(y.with_values(y.values - y.values.mean()))
-    half = spec.n // 2
+    half = n_fft // 2
     assert omega.size == power.size == half
-    assert np.array_equal(omega, spec.frequencies[1 : half + 1])
-    want = np.abs(spec.values[1 : half + 1]) ** 2 / spec.n
+    freqs = 2.0 * math.pi * np.arange(n_fft) / (n_fft * y.step)
+    assert np.array_equal(omega, freqs[1 : half + 1])
+    values = np.fft.fft(y.values - y.values.mean(), n_fft)
+    want = np.abs(values[1 : half + 1]) ** 2 / n_fft
     assert np.abs(power - want).max() <= 1e-13 * want.max()
 
 
