@@ -21,7 +21,6 @@ from .exactops import (
     exact_kernel_window,
 )
 from .glops import (
-    GLCoefficients,
     Series,
     fractional_integrate,
     gl_coefficients,
@@ -48,7 +47,6 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceError",
     "CsvParseError",
-    "GLCoefficients",
     "KernelWindow",
     "MemoryEstimate",
     "NoiseSpec",

@@ -237,7 +237,7 @@ def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
     if spec.ma:
         values = _kernels.causal_apply(values, np.concatenate(([1.0], spec.ma)))
     if spec.d != 0.0:
-        weights = gl_coefficients(-spec.d, spec.truncation).coefficients
+        weights = gl_coefficients(-spec.d, spec.truncation)
         values = _kernels.causal_apply(values, weights)
     if spec.ar:
         values = _kernels.ar_recurse(values, np.asarray(spec.ar))
@@ -315,7 +315,7 @@ def theoretical_acf(
     truncation = int(truncation)
     if truncation < 10 * max_lag:
         raise ValueError("truncation must be at least 10 * max_lag")
-    psi = gl_coefficients(-d, truncation + max_lag).coefficients
+    psi = gl_coefficients(-d, truncation + max_lag)
     variance = float(sigma) * float(sigma)  # inf, not OverflowError, when too large
     # only max_lag + 1 outputs are kept: at a few hundred lags their direct
     # sums (max_lag + 1 dot products of length truncation + 1) cost less than

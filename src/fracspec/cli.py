@@ -183,7 +183,7 @@ def _cmd_kernel(args) -> str:
 
 
 def _cmd_coeffs(args) -> str:
-    c = glops.gl_coefficients(args.order, args.truncation).coefficients
+    c = glops.gl_coefficients(args.order, args.truncation)
     header = [f"# order={_fmt(args.order)}, truncation={args.truncation}", "m,coefficient"]
     return _csv(header, np.arange(c.size), c)
 
@@ -245,7 +245,8 @@ def _cmd_spectrum(args) -> str:
     omega, power = spectral.periodogram(series)
     header = [
         "# periodogram, normalization S = |dft|^2 / n_fft",
-        f"# n={len(series)}, n_fft={2 * len(omega)}, step={_fmt(series.step)}",
+        f"# n={len(series)}, n_fft={spectral._fft_size(len(series))}, "
+        f"step={_fmt(series.step)}",
         "omega,S",
     ]
     return _csv(header, omega, power)
@@ -290,14 +291,19 @@ def _cmd_acf(args) -> str:
     if args.d is not None:
         truncation = args.truncation
         if truncation is None:
-            # theoretical_acf sums truncation + max_lag psi weights
-            truncation = min(100 * args.max_lag, glops.TRUNCATION_CAP - args.max_lag)
-        gammas = arfima.theoretical_acf(args.d, args.sigma, args.max_lag, truncation)
-        meta = (
-            f"# theoretical, d={_fmt(args.d)}, sigma={_fmt(args.sigma)}, "
-            f"truncation={truncation}"
-        )
+            # theoretical_acf sums truncation + max_lag psi weights; from
+            # 1e5 the sum passed its tail guard at every d tried in
+            # [-0.49, 0.499] (see CHANGES.md)
+            truncation = min(
+                max(100 * args.max_lag, 100_000), glops.TRUNCATION_CAP - args.max_lag
+            )
+        sigma = 1.0 if args.sigma is None else args.sigma
+        gammas = arfima.theoretical_acf(args.d, sigma, args.max_lag, truncation)
+        meta = f"# theoretical, d={_fmt(args.d)}, sigma={_fmt(sigma)}, truncation={truncation}"
     else:
+        for flag in ("truncation", "sigma"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--{flag} does not apply to --input")
         text, name = _read_text(args.input)
         series, _ = parse_series_csv(text, name)
         gammas = spectral.sample_autocovariance(series, args.max_lag)
@@ -381,11 +387,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("acf", help="sample or theoretical autocovariance")
     p.add_argument("--input", default=None, help="series CSV for the sample ACF")
     p.add_argument("--d", type=float, default=None, help="theoretical ARFIMA(0,d,0) ACF")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=None, help="default 1; --d only")
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--truncation", type=int, default=None,
-                   help="psi-weight truncation (default 100 * max_lag, at most "
-                   "the GL truncation cap minus max_lag)")
+                   help="psi-weight truncation (default max(100 * max_lag, 100000), at "
+                   "most the GL truncation cap minus max_lag); --d only")
     add_output(p)
     p.set_defaults(handler=_cmd_acf)
 

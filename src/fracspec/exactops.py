@@ -323,7 +323,7 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     |m| <= 4, and quadrature at a fixed sample of asymptotic lags (12-16
     plus eight log-spaced up to half_width), both signs.  ``order`` may not
     exceed ``ORDER_MAX`` nor ``half_width`` ``HALF_WIDTH_CAP``.  Windows are
-    cached by (order rounded to 1e-12, half_width) and immutable; each
+    cached by the exact (order, half_width) and immutable; each
     memoises its weight spectra (:meth:`KernelWindow.spectrum`), so clearing
     the cache drops them too.
     """
@@ -333,7 +333,7 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
         raise ValueError("half_width must be a positive integer")
     if half_width > HALF_WIDTH_CAP:
         raise ValueError(f"half_width exceeds cap {HALF_WIDTH_CAP}")
-    key = (round(order, 12), half_width)
+    key = (order, half_width)
     with _window_lock:
         window = _window_cache.get(key)
     if window is None:

@@ -8,7 +8,7 @@ inverses at matching truncation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,6 @@ from . import _kernels
 
 __all__ = [
     "Series",
-    "GLCoefficients",
     "gl_coefficients",
     "gl_difference",
     "fractional_integrate",
@@ -62,58 +61,33 @@ class Series:
         return Series(values, self.step, self.start)
 
 
-@dataclass(frozen=True, eq=False)
-class GLCoefficients:
-    """Coefficients c_m = (-1)^m C(order, m) of (1-L)^order, m = 0..truncation."""
+def gl_coefficients(order: float, truncation: int) -> np.ndarray:
+    """Signed expansion coefficients c_0..c_truncation of (1-L)^order, as a
+    read-only float64 array.
 
-    order: float
-    coefficients: np.ndarray
-    truncation: int = field(init=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.ndim != 1 or c.size < 1 or c[0] != 1.0:
-            raise ValueError("coefficient sequence must start with c_0 = 1")
-        if not np.isfinite(c).all():
-            raise ValueError(
-                f"GL coefficients of order {self.order:g} are not finite at truncation "
-                f"{c.size - 1}"
-            )
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "truncation", c.size - 1)
-
-    def __len__(self) -> int:
-        return self.coefficients.size
-
-
-def _validate_truncation(truncation: int) -> int:
+    c_0 = 1, c_m = c_{m-1} * (m - 1 - order) / m.  For nonnegative integer
+    order the sequence terminates in exact zeros past lag ``order``.  Raises
+    ValueError when the truncation is negative or above ``TRUNCATION_CAP``,
+    or when an order too large makes a coefficient overflow.
+    """
+    if not math.isfinite(order):
+        raise ValueError(f"order must be finite, got {order}")
     truncation = int(truncation)
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if truncation > TRUNCATION_CAP:
         raise ValueError(f"truncation exceeds cap {TRUNCATION_CAP}")
-    return truncation
-
-
-def gl_coefficients(order: float, truncation: int) -> GLCoefficients:
-    """Signed expansion coefficients of (1-L)^order up to lag ``truncation``.
-
-    c_0 = 1, c_m = c_{m-1} * (m - 1 - order) / m.  For nonnegative integer
-    order the sequence terminates in exact zeros past lag ``order``.
-    """
-    if not math.isfinite(order):
-        raise ValueError(f"order must be finite, got {order}")
-    truncation = _validate_truncation(truncation)
     m = np.arange(1, truncation + 1, dtype=np.float64)
     coeffs = np.empty(truncation + 1)
     coeffs[0] = 1.0
-    if truncation:
-        # an order too large overflows; GLCoefficients rejects the result
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs[1:] = np.cumprod((m - 1.0 - order) / m)
-    return GLCoefficients(order, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[1:] = np.cumprod((m - 1.0 - order) / m)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(
+            f"GL coefficients of order {order:g} are not finite at truncation {truncation}"
+        )
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def gl_difference(y: Series, order: float, truncation: int) -> Series:
@@ -124,7 +98,7 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
     integration through the same code path.
     """
     coeffs = gl_coefficients(order, truncation)
-    return y.with_values(_kernels.causal_apply(y.values, coeffs.coefficients))
+    return y.with_values(_kernels.causal_apply(y.values, coeffs))
 
 
 def fractional_integrate(y: Series, order: float, truncation: int) -> Series:
@@ -152,9 +126,8 @@ def gl_derivative_approx(
     """
     if not (step > 0.0):
         raise ValueError("step must be positive")
-    truncation = _validate_truncation(truncation)
-    coeffs = gl_coefficients(order, truncation).coefficients
-    samples = np.array([f(t - m * step) for m in range(truncation + 1)], dtype=np.float64)
+    coeffs = gl_coefficients(order, truncation)
+    samples = np.array([f(t - m * step) for m in range(coeffs.size)], dtype=np.float64)
     if not np.isfinite(samples).all():
         raise ValueError("function provider returned a non-finite value")
     return float(np.dot(coeffs, samples) / step**order)

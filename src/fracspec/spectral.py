@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .exactops import KernelWindow, exact_kernel_window
-from .glops import GLCoefficients, Series, gl_coefficients
+from .glops import Series, gl_coefficients
 from .specfun import cospi, sinpi
 
 __all__ = [
@@ -58,9 +58,6 @@ class ResponseReport:
     family they are None.
     """
 
-    order: float
-    family: str
-    truncation: int
     omega_T: np.ndarray
     measured: np.ndarray
     target: np.ndarray
@@ -101,9 +98,6 @@ def _window_arrays(weights) -> tuple[np.ndarray, np.ndarray]:
     """Integer lag offsets and weights of a window."""
     if isinstance(weights, KernelWindow):
         return weights.offsets, weights.weights
-    if isinstance(weights, GLCoefficients):
-        w = weights.coefficients
-        return np.arange(w.size), w
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a one-dimensional coefficient window")
@@ -190,8 +184,8 @@ def _response_values(offsets: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np
 def operator_response(weights, grid: Sequence[float]) -> np.ndarray:
     """Measured response H(wT) = sum_m K(m) e^{-i wT m} at each grid point.
 
-    ``weights`` may be a two-sided :class:`KernelWindow`, causal
-    :class:`GLCoefficients`, or a plain causal coefficient array.  A grid
+    ``weights`` may be a two-sided :class:`KernelWindow` or a causal
+    coefficient array such as :func:`gl_coefficients` returns.  A grid
     whose values are all multiples k pi / N, with 2N no larger than either
     the grid size times the window length or 2^22, is evaluated by folding
     the lags mod 2N and one FFT, O(M + N log N); any other grid by direct
@@ -265,7 +259,7 @@ def response_report(
             columns += _error_columns(measured, gl_response_target(order, grid))
     if not all(np.isfinite(c).all() for c in (measured,) + columns):
         raise ValueError(f"response of order {order:g} is not finite on this grid")
-    return ResponseReport(order, family, int(truncation), grid, measured, *columns)
+    return ResponseReport(grid, measured, *columns)
 
 
 def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:

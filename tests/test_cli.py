@@ -103,6 +103,16 @@ def test_spectrum_command(tmp_path, capsys):
     assert "normalization" in out
 
 
+@pytest.mark.parametrize("n,n_fft", [(37, 37), (64, 64), (65, 128), (101, 128)])
+def test_spectrum_header_reports_the_transform_length(n, n_fft, tmp_path, capsys):
+    series = tmp_path / "y.csv"
+    series.write_text("t,value\n" + "".join(f"{t},{(t * 7919) % 13 - 6}\n" for t in range(n)))
+    code, out, err = run_cli(["spectrum", "--input", str(series)], capsys)
+    assert (code, err) == (0, "")
+    assert f"# n={n}, n_fft={n_fft}, step=1\n" in out
+    assert parse_rows(out).shape == (n_fft // 2, 2)
+
+
 def test_response_command_nyquist_magnitude_gap(capsys):
     code, out, _ = run_cli(
         ["response", "--family", "gl", "--order", "0.4", "--truncation", "2048",
@@ -250,7 +260,9 @@ def test_finite_input_with_non_finite_result_is_one_line(argv, message, tmp_path
 
 
 @pytest.mark.parametrize(
-    "max_lag,want", [(200, 20_000), (9900, 990_000), (9950, 990_050), (10_000, 990_000)]
+    "max_lag,want",
+    [(200, 100_000), (1000, 100_000), (1001, 100_100), (9900, 990_000), (9950, 990_050),
+     (10_000, 990_000)],
 )
 def test_acf_default_truncation_stays_within_gl_cap(max_lag, want, monkeypatch, capsys):
     seen = []
@@ -264,6 +276,25 @@ def test_acf_default_truncation_stays_within_gl_cap(max_lag, want, monkeypatch, 
     assert (code, err) == (0, "")
     assert seen == [want] and want + max_lag <= glops.TRUNCATION_CAP
     assert f"truncation={want}\n" in out
+
+
+@pytest.mark.parametrize("d", [-0.49, 0.1, 0.3, 0.45, 0.499])
+@pytest.mark.parametrize("max_lag", [0, 1, 5, 20, 100])
+def test_acf_default_truncation_passes_the_tail_guard(d, max_lag, capsys):
+    code, out, err = run_cli(["acf", "--d", str(d), "--max-lag", str(max_lag)], capsys)
+    assert (code, err) == (0, "")
+    assert parse_rows(out).shape == (max_lag + 1, 2)
+
+
+@pytest.mark.parametrize("flag,value", [("--truncation", "100"), ("--sigma", "1")])
+def test_sample_acf_rejects_theoretical_flags(flag, value, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n0,1.0\n1,2.0\n2,0.5\n")
+    code, out, err = run_cli(
+        ["acf", "--input", str(series), "--max-lag", "1", flag, value], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"fracspec: usage error: {flag} does not apply to --input\n"
 
 
 @pytest.mark.parametrize("grid", [25, 100, 301])

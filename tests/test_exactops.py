@@ -292,6 +292,19 @@ def test_window_cache_returns_same_object():
     assert a is b
 
 
+def test_window_cache_keys_the_exact_order():
+    # a nearby order built first must not stand in for 0.5
+    exactops._window_cache.clear()
+    near = exact_kernel_window(0.5 + 4e-13, 16)
+    window = exact_kernel_window(0.5, 16)
+    assert near is not window and near.order == 0.5 + 4e-13 and window.order == 0.5
+    exactops._window_cache.clear()
+    cold = exact_kernel_window(0.5, 16)
+    exactops._window_cache.clear()
+    assert np.array_equal(window.weights, cold.weights)
+    assert not np.array_equal(near.weights, cold.weights)
+
+
 def test_window_consistency_check_fires_on_bad_series(monkeypatch):
     def junk(order, m):
         return complex(math.pi**order / (order + 1.0) + 1.0, 0.0)

@@ -33,21 +33,22 @@ def test_series_validation():
 
 
 def test_coefficients_integer_orders_exact():
-    assert gl_coefficients(1.0, 3).coefficients.tolist() == [1.0, -1.0, 0.0, 0.0]
-    assert gl_coefficients(2.0, 3).coefficients.tolist() == [1.0, -2.0, 1.0, 0.0]
-    assert gl_coefficients(3.0, 5).coefficients.tolist() == [1.0, -3.0, 3.0, -1.0, 0.0, 0.0]
+    assert gl_coefficients(1.0, 3).tolist() == [1.0, -1.0, 0.0, 0.0]
+    assert gl_coefficients(2.0, 3).tolist() == [1.0, -2.0, 1.0, 0.0]
+    assert gl_coefficients(3.0, 5).tolist() == [1.0, -3.0, 3.0, -1.0, 0.0, 0.0]
 
 
 def test_coefficients_half_order():
-    c = gl_coefficients(0.5, 3).coefficients
+    c = gl_coefficients(0.5, 3)
     assert c.tolist() == [1.0, -0.5, -0.125, -0.0625]
 
 
 def test_coefficients_structure():
     c = gl_coefficients(0.37, 64)
-    assert c.coefficients[0] == 1.0
-    assert c.coefficients[1] == -0.37
-    assert c.truncation == 64
+    assert c[0] == 1.0
+    assert c[1] == -0.37
+    assert c.size == 65
+    assert type(c) is np.ndarray and c.dtype == np.float64 and not c.flags.writeable
 
 
 # c_m = Gamma(m - d) / (Gamma(-d) Gamma(m + 1)) at the lags of _GL_ORACLE_LAGS,
@@ -79,7 +80,7 @@ def test_coefficients_against_frozen_mpmath(order):
     # The bound 2e-15 * m leaves a margin over that; measured: at most
     # 3.4e-17 * m (1.7e-11 to 2.5e-11 at m = 1e6), since roundings mostly
     # cancel.
-    c = gl_coefficients(order, _GL_ORACLE_LAGS[-1]).coefficients
+    c = gl_coefficients(order, _GL_ORACLE_LAGS[-1])
     for m, want in zip(_GL_ORACLE_LAGS, _GL_ORACLE[order]):
         assert abs(c[m] - want) <= 2e-15 * m * abs(want), m
 
@@ -87,9 +88,9 @@ def test_coefficients_against_frozen_mpmath(order):
 @pytest.mark.parametrize("pair", [(0.3, 0.7), (-0.5, 1.2), (0.3, -0.5), (1.2, 0.7)])
 def test_coefficient_semigroup(pair):
     a, b = pair
-    ca = gl_coefficients(a, 64).coefficients
-    cb = gl_coefficients(b, 64).coefficients
-    cab = gl_coefficients(a + b, 64).coefficients
+    ca = gl_coefficients(a, 64)
+    cb = gl_coefficients(b, 64)
+    cab = gl_coefficients(a + b, 64)
     conv = np.convolve(ca, cb)[:65]
     assert np.abs(conv - cab).max() <= 1e-12
 
@@ -97,7 +98,7 @@ def test_coefficient_semigroup(pair):
 def test_coefficient_sum_decay():
     # partial sums equal (-1)^M C(alpha-1, M), decaying like M^-alpha
     for M in (64, 256, 1024):
-        total = gl_coefficients(0.5, M).coefficients.sum()
+        total = gl_coefficients(0.5, M).sum()
         assert abs(total) <= 2.0 * M**-0.5
 
 
@@ -201,6 +202,11 @@ def test_truncation_validation():
         gl_difference(y, 0.5, -1)
     with pytest.raises(ValueError):
         gl_difference(y, 0.5, 10**6 + 1)
+    # the quotient's truncation is checked by gl_coefficients alone
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        gl_derivative_approx(math.exp, 0.5, 0.0, 0.1, -1)
+    with pytest.raises(ValueError, match="^truncation exceeds cap 1000000$"):
+        gl_derivative_approx(math.exp, 0.5, 0.0, 0.1, 10**6 + 1)
 
 
 def test_derivative_approx_affine_and_constant():

@@ -5,10 +5,16 @@ Its tracer wraps the functions listed in ``perfbench/tracer.py``'s
 ``exactops._window_cache``, and its workloads call public names of the
 package.  A rename in the package would silently drop a traced layer, turn
 the cold set-up warm or break a workload, so all three are checked here.
+The traced CLI itself is run as a subprocess, because its counters read the
+shapes of what the package returns.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracspec
@@ -67,3 +73,40 @@ def test_every_package_name_the_benchmark_calls_is_public():
 
 def test_window_cache_can_be_cleared():
     assert callable(exactops._window_cache.clear)
+
+
+def _traced_run(tmp_path, argv):
+    """Counters of one ``perfbench/traced_cli.py`` run, the path the benchmark
+    takes at ``--trace 1``; ``-B`` keeps bytecode out of ``perfbench/``."""
+    spans = tmp_path / "spans.json"
+    path = [str(PERFBENCH.parent / "src"), *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "traced_cli.py"), str(spans), *argv],
+        cwd=tmp_path, env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(spans.read_text())["counters"]
+
+
+def _series_csv(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text("t,value\n" + "".join(f"{t},{(t * 7919) % 13 - 6}\n" for t in range(256)))
+    return str(path)
+
+
+def test_traced_exact_difference_counts_its_layers(tmp_path):
+    counters = _traced_run(tmp_path, [
+        "difference", "--input", _series_csv(tmp_path), "--order", "0.5",
+        "--family", "exact", "--half-width", "64", "-o", str(tmp_path / "z.csv"),
+    ])
+    assert counters["cli.rows_parsed"] > 0
+    assert counters["exactops.window_cold_calls"] == 1
+    assert counters["kernels.two_sided_apply_zero_macs"] > 0
+
+
+def test_traced_estimate_counts_rows(tmp_path):
+    counters = _traced_run(tmp_path, [
+        "estimate", "--input", _series_csv(tmp_path), "-o", str(tmp_path / "e.csv"),
+    ])
+    assert counters["cli.rows_parsed"] > 0

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from fracspec import spectral
 from fracspec import (
     NoiseSpec,
+    ResponseReport,
     Series,
     exact_kernel_window,
     gl_coefficients,
@@ -300,6 +302,15 @@ def test_response_report_columns():
         assert report.rel_error[j] == pytest.approx(report.abs_error[j] / abs(target), rel=1e-15)
         gl_rel = report.gl_abs_error[j] / abs(gl_target)
         assert report.gl_rel_error[j] == pytest.approx(gl_rel, rel=1e-15)
+
+
+def test_response_report_holds_only_result_columns():
+    # the caller already has the order, family and truncation it passed in
+    names = [f.name for f in dataclasses.fields(ResponseReport)]
+    assert names == [
+        "omega_T", "measured", "target", "abs_error", "rel_error",
+        "gl_target", "gl_abs_error", "gl_rel_error",
+    ]
 
 
 def test_sample_autocovariance_lag_zero_is_variance():
