@@ -16,8 +16,6 @@ from .errors import ConsistencyError, ConvergenceError, CsvParseError
 from .exactops import (
     KernelWindow,
     exact_difference,
-    exact_kernel_quadrature,
-    exact_kernel_series,
     exact_kernel_window,
 )
 from .glops import (
@@ -57,8 +55,6 @@ __all__ = [
     "estimate_memory",
     "estimate_memory_from_periodogram",
     "exact_difference",
-    "exact_kernel_quadrature",
-    "exact_kernel_series",
     "exact_kernel_window",
     "fractional_integrate",
     "gl_coefficients",

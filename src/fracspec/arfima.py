@@ -149,7 +149,6 @@ class MemoryEstimate:
     d_hat: float
     std_err: float
     bandwidth: int
-    n: int
     classification: str = field(init=False)
 
     def __post_init__(self):
@@ -250,7 +249,7 @@ def default_bandwidth(n: int) -> int:
 
 
 def estimate_memory_from_periodogram(
-    omega: np.ndarray, power: np.ndarray, bandwidth: int, n: int | None = None
+    omega: np.ndarray, power: np.ndarray, bandwidth: int
 ) -> MemoryEstimate:
     """Log-periodogram regression on precomputed (omega_j, S_j) pairs.
 
@@ -271,12 +270,7 @@ def estimate_memory_from_periodogram(
         raise ValueError("periodogram values must be positive (degenerate input)")
     fit = loglog_slope_fit(omega, power)
     # regressing on -2 log(omega) halves and negates the log-log slope
-    return MemoryEstimate(
-        d_hat=-fit.slope / 2.0,
-        std_err=fit.stderr / 2.0,
-        bandwidth=bandwidth,
-        n=omega.size if n is None else int(n),
-    )
+    return MemoryEstimate(d_hat=-fit.slope / 2.0, std_err=fit.stderr / 2.0, bandwidth=bandwidth)
 
 
 def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
@@ -288,7 +282,7 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     if not (3 <= bandwidth <= n / 2):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
     omega, power = periodogram(y)
-    return estimate_memory_from_periodogram(omega, power, bandwidth, n=n)
+    return estimate_memory_from_periodogram(omega, power, bandwidth)
 
 
 def theoretical_acf(

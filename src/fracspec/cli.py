@@ -179,7 +179,7 @@ def _series_csv(series: glops.Series, meta_lines: list[str]) -> str:
 def _cmd_kernel(args) -> str:
     window = exactops.exact_kernel_window(args.order, args.half_width)
     header = [f"# order={_fmt(args.order)}, half_width={args.half_width}", "m,weight"]
-    return _csv(header, window.offsets, window.weights)
+    return _csv(header, np.arange(-args.half_width, args.half_width + 1), window.weights)
 
 
 def _cmd_coeffs(args) -> str:
@@ -280,7 +280,7 @@ def _cmd_estimate(args) -> str:
     lines = [
         "d_hat,std_err,bandwidth,n,classification",
         f"{_fmt(estimate.d_hat)},{_fmt(estimate.std_err)},{estimate.bandwidth},"
-        f"{estimate.n},{estimate.classification}",
+        f"{len(series)},{estimate.classification}",
     ]
     return "\n".join(lines) + "\n"
 

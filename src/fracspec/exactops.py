@@ -21,8 +21,11 @@ grows like m^2 and the alternating sum cancels catastrophically beyond
 quadrature against the series at every lag up to 4, and the asymptotic
 expansion against quadrature at a fixed sample of lags (12-16 plus eight
 log-spaced lags up to M), both signs, and fails loudly if a weight is off
-by more than CROSS_CHECK_TOL * max(1, |K|).  The tolerance is relative
-because weights grow like pi^alpha.
+by more than CROSS_CHECK_TOL * max(1, |K|), or than the quadrature
+oracle's own rounding error where that is larger.  The tolerance is
+relative because weights grow like pi^alpha.  The series and quadrature
+routes are private: :func:`exact_kernel_window` is the one public source of
+kernel weights.
 """
 
 import math
@@ -38,8 +41,6 @@ from .specfun import cospi, hyp1f2, sinpi
 
 __all__ = [
     "KernelWindow",
-    "exact_kernel_series",
-    "exact_kernel_quadrature",
     "exact_kernel_window",
     "exact_difference",
     "SERIES_MAX_LAG",
@@ -66,6 +67,16 @@ ORDER_MAX = 40
 # precision in fewer terms.
 _ASYMPTOTIC_TERMS = 40
 
+# The quadrature oracle's own error at lag m.  Rounding a node x moves its
+# phase m*x by about eps*m*x, and these errors add over the m panels to about
+# eps * sqrt(m) * pi^order / (order + 1).  At orders -0.99 to 40 and lags up to
+# 1e5 (every lag to 3000, and to 2e4 at orders 2, 10 and 40),
+# |quadrature - asymptotic| reached at most 88.0 times that scale (order 40,
+# lag 19127); the constant is 2.3 times that.  Up to order 7.6 the floor
+# stays below CROSS_CHECK_TOL at every half-width up to HALF_WIDTH_CAP.
+_QUADRATURE_ERROR_C = 200.0
+_EPS = float(np.finfo(np.float64).eps)
+
 # FFT lengths whose weight spectra one window keeps; asking for another
 # drops the oldest.  A series of fixed length needs one or two.
 _SPECTRA_PER_WINDOW = 8
@@ -89,41 +100,47 @@ def _check_order(order: float) -> float:
     return order
 
 
+def _memo(cache: dict, lock: threading.Lock, key, build, bound: int):
+    """``cache[key]``, from ``build()`` on a miss; the build runs outside the
+    lock, and beyond ``bound`` entries the oldest entry goes."""
+    with lock:
+        value = cache.get(key)
+    if value is None:
+        value = build()
+        with lock:
+            value = cache.setdefault(key, value)
+            while len(cache) > bound:
+                del cache[next(iter(cache))]
+    return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class KernelWindow:
-    """Truncated two-sided kernel K(-M)..K(+M) of an exact fractional difference.
+    """Weights K(-M)..K(+M) of a two-sided kernel, read-only, with their
+    memoised spectra.
 
-    Weights depend only on the order and the lag; the sampling step enters
-    the operator through the frequency axis, never through the weights.
-    ``len(window)`` is the number of weights, 2 * half_width + 1.
+    ``weights`` must be one-dimensional, finite and of odd length 2M + 1 >= 3;
+    the middle one is K(0).  The window holds no labels: an exact fractional
+    difference comes from :func:`exact_kernel_window`, which alone knows the
+    order.
     """
 
-    order: float
-    half_width: int
     weights: np.ndarray
-    offsets: np.ndarray = field(init=False)
     _spectra: dict = field(init=False, repr=False, default_factory=dict)
     _spectra_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if self.half_width < 1:
-            raise ValueError("half_width must be a positive integer")
-        if w.shape != (2 * self.half_width + 1,):
-            raise ValueError("weights must have length 2*half_width + 1")
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 1 or w.size < 3 or w.size % 2 == 0:
+            raise ValueError("kernel weights must be one-dimensional of odd length >= 3")
         if not np.isfinite(w).all():
             raise ValueError("kernel weights must be finite")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        off = np.arange(-self.half_width, self.half_width + 1)
-        off.flags.writeable = False
-        object.__setattr__(self, "offsets", off)
-
-    def weight(self, m: int) -> float:
-        if abs(m) > self.half_width:
-            raise ValueError(f"lag {m} outside window half-width {self.half_width}")
-        return float(self.weights[m + self.half_width])
+        object.__setattr__(self, "weights", _read_only(w))
 
     def __len__(self) -> int:
         return self.weights.size
@@ -134,16 +151,10 @@ class KernelWindow:
         The spectra of the last ``_SPECTRA_PER_WINDOW`` lengths asked for
         are kept on the window, so they go when the window does.
         """
-        with self._spectra_lock:
-            spectrum = self._spectra.get(size)
-        if spectrum is None:
-            spectrum = np.fft.rfft(self.weights, size)
-            spectrum.flags.writeable = False
-            with self._spectra_lock:
-                spectrum = self._spectra.setdefault(size, spectrum)
-                while len(self._spectra) > _SPECTRA_PER_WINDOW:
-                    del self._spectra[next(iter(self._spectra))]
-        return spectrum
+        return _memo(
+            self._spectra, self._spectra_lock, size,
+            lambda: _read_only(np.fft.rfft(self.weights, size)), _SPECTRA_PER_WINDOW,
+        )
 
 
 def _kernel_pairs(order: float, e):
@@ -164,24 +175,6 @@ def _series_integrals(order: float, m: int) -> complex:
         (order + 2.0) / 2.0, 1.5, (order + 4.0) / 2.0, z
     )
     return complex(re, im)
-
-
-def exact_kernel_series(order: float, m: int) -> float:
-    """Kernel weight K_order(m) via the hypergeometric series.
-
-    Only valid for |m| <= 4, where it is the oracle that window construction
-    checks quadrature against; beyond that the series argument leaves the
-    accurate domain and callers must use :func:`exact_kernel_quadrature`.
-    """
-    order = _check_order(order)
-    m = int(m)
-    if abs(m) > SERIES_MAX_LAG:
-        raise ValueError(
-            f"|m|={abs(m)} outside series domain |m| <= {SERIES_MAX_LAG}; "
-            "use exact_kernel_quadrature"
-        )
-    pos, neg = _kernel_pairs(order, _series_integrals(order, abs(m)))
-    return neg if m < 0 else pos
 
 
 def _quadrature_integrals(order: float, lags) -> np.ndarray:
@@ -216,20 +209,6 @@ def _quadrature_integrals(order: float, lags) -> np.ndarray:
         panels = complex(np.sum(wxa * np.cos(x)), np.sum(wxa * np.sin(x)))
         out[i] = stub * eps ** (order + 1.0) + panels
     return out
-
-
-def exact_kernel_quadrature(order: float, m: int) -> float:
-    """Kernel weight K_order(m) as the inverse transform of (i x)^order.
-
-    Gauss-Legendre panels aligned to half-periods of the oscillation, with
-    an analytic stub absorbing the x^order singularity at zero.  Valid for
-    any lag; windows take lags below 12 from it, and it is the oracle for
-    the asymptotic route.
-    """
-    order = _check_order(order)
-    m = int(m)
-    pos, neg = _kernel_pairs(order, _quadrature_integrals(order, [abs(m)])[0])
-    return float(neg if m < 0 else pos)
 
 
 def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
@@ -274,20 +253,31 @@ def _cross_check_lags(half_width: int) -> np.ndarray:
     return np.array(sorted(lags))
 
 
+def _tolerance(order: float, lags: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The largest |weight - oracle| the cross-check admits at each lag:
+    CROSS_CHECK_TOL * max(1, |K|), or the quadrature oracle's own rounding
+    error where that is larger."""
+    floor = _QUADRATURE_ERROR_C * _EPS * np.sqrt(lags) * math.pi**order / (order + 1.0)
+    return np.maximum(CROSS_CHECK_TOL * np.maximum(1.0, np.abs(want)), floor)
+
+
 def _check(route: str, order: float, weights: np.ndarray, lags: np.ndarray, e) -> None:
     """Raise ConsistencyError unless the window's K(+m) and K(-m) at ``lags``
-    match the kernel of the oracle's E(m) within CROSS_CHECK_TOL * max(1, |K|)."""
+    match the kernel of the oracle's E(m) within :func:`_tolerance`."""
     signed = np.concatenate((lags, -lags))
     want = np.concatenate(_kernel_pairs(order, e))
-    err = np.abs(weights[weights.size // 2 + signed] - want) / np.maximum(1.0, np.abs(want))
-    worst = int(np.argmax(err))
-    if not err[worst] <= CROSS_CHECK_TOL:
+    diff = np.abs(weights[weights.size // 2 + signed] - want)
+    tol = _tolerance(order, np.abs(signed), want)
+    worst = int(np.argmax(diff / tol))
+    if not diff[worst] <= tol[worst]:
         raise ConsistencyError(
             f"{route} kernel mismatch at order={order:g}, m={signed[worst]}: "
-            f"|diff|/max(1, |K|)={err[worst]:.3e} > {CROSS_CHECK_TOL:g}"
+            f"|diff|={diff[worst]:.3e} > tol={tol[worst]:.3e}"
         )
 
 
+# Windows the cache keeps; building another drops the oldest.
+_WINDOWS_CACHED = 8
 _window_cache: dict[tuple[float, int], KernelWindow] = {}
 _window_lock = threading.Lock()
 
@@ -309,7 +299,7 @@ def _build_window(order: float, half_width: int) -> KernelWindow:
         sampled = _cross_check_lags(half_width)
         e = _quadrature_integrals(order, sampled)
         _check("asymptotic/quadrature", order, weights, sampled, e)
-    return KernelWindow(order, half_width, weights)
+    return KernelWindow(weights)
 
 
 def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
@@ -318,14 +308,14 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     K(m) and K(-m) both come from E(m) = int_0^pi x^order e^{imx} dx, taken
     by quadrature at |m| < 12 and by the large-lag asymptotic expansion at
     |m| >= 12, so a cold build costs O(half_width).  Two oracles check the
-    routes within 1e-8 * max(1, |K|), or construction raises
+    routes within :func:`_tolerance`, or construction raises
     :class:`ConsistencyError`: the hypergeometric series at every lag
     |m| <= 4, and quadrature at a fixed sample of asymptotic lags (12-16
     plus eight log-spaced up to half_width), both signs.  ``order`` may not
     exceed ``ORDER_MAX`` nor ``half_width`` ``HALF_WIDTH_CAP``.  Windows are
-    cached by the exact (order, half_width) and immutable; each
-    memoises its weight spectra (:meth:`KernelWindow.spectrum`), so clearing
-    the cache drops them too.
+    immutable and cached by the exact (order, half_width); the cache keeps
+    the last ``_WINDOWS_CACHED`` built.  Each window memoises its weight
+    spectra (:meth:`KernelWindow.spectrum`), so dropping it drops them too.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -333,14 +323,10 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
         raise ValueError("half_width must be a positive integer")
     if half_width > HALF_WIDTH_CAP:
         raise ValueError(f"half_width exceeds cap {HALF_WIDTH_CAP}")
-    key = (order, half_width)
-    with _window_lock:
-        window = _window_cache.get(key)
-    if window is None:
-        window = _build_window(order, half_width)
-        with _window_lock:
-            window = _window_cache.setdefault(key, window)
-    return window
+    return _memo(
+        _window_cache, _window_lock, (order, half_width),
+        lambda: _build_window(order, half_width), _WINDOWS_CACHED,
+    )
 
 
 def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") -> Series:

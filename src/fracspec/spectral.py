@@ -97,7 +97,8 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
 def _window_arrays(weights) -> tuple[np.ndarray, np.ndarray]:
     """Integer lag offsets and weights of a window."""
     if isinstance(weights, KernelWindow):
-        return weights.offsets, weights.weights
+        half = weights.weights.size // 2
+        return np.arange(-half, half + 1), weights.weights
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a one-dimensional coefficient window")

@@ -187,11 +187,11 @@ def test_estimate_memory_validation():
 
 
 def test_memory_estimate_classification_rule():
-    assert MemoryEstimate(0.3, 0.1, 8, 64).classification == "long"
-    assert MemoryEstimate(-0.3, 0.1, 8, 64).classification == "short"
-    assert MemoryEstimate(0.15, 0.1, 8, 64).classification == "none"
+    assert MemoryEstimate(0.3, 0.1, 8).classification == "long"
+    assert MemoryEstimate(-0.3, 0.1, 8).classification == "short"
+    assert MemoryEstimate(0.15, 0.1, 8).classification == "none"
     with pytest.raises(ValueError):
-        MemoryEstimate(0.3, 0.1, 2, 64)
+        MemoryEstimate(0.3, 0.1, 2)
 
 
 def test_theoretical_acf_white_noise():

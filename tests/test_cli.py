@@ -1,8 +1,10 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +436,58 @@ def test_pipeline_subprocess():
     assert est.returncode == 0, est.stderr.decode()
     lines = est.stdout.decode().splitlines()
     assert lines[0] == "d_hat,std_err,bandwidth,n,classification"
+
+
+def _readme_cli_commands():
+    """The command lines of README's ``sh`` block that runs ``fracspec``,
+    continuations joined, comments dropped, each split into pipe stages."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    (block,) = [b for b in blocks if "\nfracspec " in "\n" + b]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if tokens:
+            stages = " ".join(tokens).split(" | ")
+            commands.append([shlex.split(stage) for stage in stages])
+    return commands
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # every line of the README's CLI example in order, in one directory (later
+    # lines read the files earlier ones write), each pipe stage a
+    # `python -m fracspec` process fed the previous stage's output
+    commands = _readme_cli_commands()
+    assert len(commands) >= 10
+    for stages in commands:
+        data = None
+        for stage in stages:
+            assert stage[0] == "fracspec", stage
+            proc = subprocess.run([sys.executable, "-m", *stage], input=data, cwd=tmp_path,
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, (stage, proc.stderr.decode())
+            data = proc.stdout
+
+
+def test_estimate_row_reads_the_series_length(tmp_path, capsys):
+    # the n column is the sample count, not the regression's bandwidth
+    sim = tmp_path / "y.csv"
+    assert main(["simulate", "--d", "0.2", "--n", "5000", "--seed", "3", "-o", str(sim)]) == 0
+    code, out, err = run_cli(["estimate", "--input", str(sim)], capsys)
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["n"] == "5000"
+    assert row.split(",")[2] == "70"  # floor(sqrt(5000))
+
+
+def test_kernel_even_order_at_large_half_width(capsys):
+    # K(+-4438) at order 14 is 0.657 in magnitude and the quadrature
+    # oracle's own error there is 1.1e-8, above 1e-8 * max(1, |K|)
+    code, out, err = run_cli(["kernel", "--order", "14", "--half-width", "4438"], capsys)
+    assert (code, err) == (0, "")
+    rows = parse_rows(out)
+    assert rows[0, 0] == -4438 and rows[-1, 0] == 4438
+    assert rows[[0, -1], 1] == pytest.approx(-0.6569791148347915699531, rel=1e-11)
 
 
 def test_import_stays_numpy_only():

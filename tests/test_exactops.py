@@ -1,15 +1,17 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import fracspec
 from fracspec import (
     ConsistencyError,
+    KernelWindow,
     NoiseSpec,
     Series,
     exact_difference,
-    exact_kernel_quadrature,
-    exact_kernel_series,
     exact_kernel_window,
     white_noise,
 )
@@ -17,47 +19,45 @@ from fracspec import exactops
 from fracspec.specfun import cospi
 
 
-def test_series_m0_closed_form():
+def _at(window, m: int) -> float:
+    """K(m) of a window; the middle weight is K(0)."""
+    return float(window.weights[window.weights.size // 2 + m])
+
+
+def test_series_m0_closed_form(route_kernel):
     # K_alpha(0) = cos(pi alpha/2) * pi^alpha / (alpha + 1)
     for alpha in (-0.5, 0.5, 1.5):
         want = cospi(alpha / 2.0) * math.pi**alpha / (alpha + 1.0)
-        assert exact_kernel_series(alpha, 0) == pytest.approx(want, rel=1e-12)
-    assert exact_kernel_series(0.5, 0) == pytest.approx(0.83554275821033350, rel=1e-12)
+        assert route_kernel("series", alpha, 0) == pytest.approx(want, rel=1e-12)
+    assert route_kernel("series", 0.5, 0) == pytest.approx(0.83554275821033350, rel=1e-12)
 
 
-def test_series_alpha_one():
-    assert exact_kernel_series(1.0, 0) == 0.0
-    assert exact_kernel_series(1.0, 1) == pytest.approx(-1.0, abs=1e-10)
-    assert exact_kernel_series(1.0, -1) == pytest.approx(1.0, abs=1e-10)
+def test_series_alpha_one(route_kernel):
+    assert route_kernel("series", 1.0, 0) == 0.0
+    assert route_kernel("series", 1.0, 1) == pytest.approx(-1.0, abs=1e-10)
+    assert route_kernel("series", 1.0, -1) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_series_domain_checks():
-    with pytest.raises(ValueError):
-        exact_kernel_series(-1.0, 0)
-    with pytest.raises(ValueError):
-        exact_kernel_series(0.5, 5)
+def test_quadrature_alpha_two_closed_forms(route_kernel):
+    assert route_kernel("quadrature", 2.0, 0) == pytest.approx(-math.pi**2 / 3.0, abs=1e-10)
+    assert route_kernel("quadrature", 2.0, 1) == pytest.approx(2.0, abs=1e-10)
+    assert route_kernel("quadrature", 2.0, 2) == pytest.approx(-0.5, abs=1e-10)
 
 
-def test_quadrature_alpha_two_closed_forms():
-    assert exact_kernel_quadrature(2.0, 0) == pytest.approx(-math.pi**2 / 3.0, abs=1e-10)
-    assert exact_kernel_quadrature(2.0, 1) == pytest.approx(2.0, abs=1e-10)
-    assert exact_kernel_quadrature(2.0, 2) == pytest.approx(-0.5, abs=1e-10)
-
-
-def test_quadrature_alpha_one_closed_form():
-    assert exact_kernel_quadrature(1.0, 3) == pytest.approx(-1.0 / 3.0, abs=1e-10)
+def test_quadrature_alpha_one_closed_form(route_kernel):
+    assert route_kernel("quadrature", 1.0, 3) == pytest.approx(-1.0 / 3.0, abs=1e-10)
     for m in range(1, 21):
         want = (-1.0) ** m / m
-        assert exact_kernel_quadrature(1.0, m) == pytest.approx(want, abs=1e-10)
+        assert route_kernel("quadrature", 1.0, m) == pytest.approx(want, abs=1e-10)
 
 
-def test_quadrature_alpha_zero_is_impulse():
-    assert exact_kernel_quadrature(0.0, 0) == pytest.approx(1.0, abs=1e-12)
+def test_quadrature_alpha_zero_is_impulse(route_kernel):
+    assert route_kernel("quadrature", 0.0, 0) == pytest.approx(1.0, abs=1e-12)
     for m in (1, 2, 7, 23):
-        assert exact_kernel_quadrature(0.0, m) == pytest.approx(0.0, abs=1e-12)
+        assert route_kernel("quadrature", 0.0, m) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_quadrature_matches_extended_precision_oracle():
+def test_quadrature_matches_extended_precision_oracle(route_kernel):
     # frozen from 40-digit mpmath integration of the same integrals
     cases = {
         (0.5, 1): -0.74954768784214786914,
@@ -67,7 +67,7 @@ def test_quadrature_matches_extended_precision_oracle():
         (1.5, -2): -0.76542631879926654671,
     }
     for (alpha, m), want in cases.items():
-        assert exact_kernel_quadrature(alpha, m) == pytest.approx(want, abs=1e-13)
+        assert route_kernel("quadrature", alpha, m) == pytest.approx(want, abs=1e-13)
 
 
 # K(-11)..K(11) from the closed form
@@ -191,7 +191,7 @@ _SMALL_LAG_ORACLE = {
 def test_window_matches_closed_form_oracle_at_small_lags(alpha):
     window = exact_kernel_window(alpha, 11)
     for m, want in zip(range(-11, 12), _SMALL_LAG_ORACLE[alpha]):
-        assert abs(window.weight(m) - want) <= 1e-14 * max(1.0, abs(want)), m
+        assert abs(_at(window, m) - want) <= 1e-14 * max(1.0, abs(want)), m
 
 
 def test_window_matches_extended_precision_oracle_at_large_lags():
@@ -222,20 +222,15 @@ def test_window_matches_extended_precision_oracle_at_large_lags():
     }
     for (alpha, m), (want_pos, want_neg) in cases.items():
         window = exact_kernel_window(alpha, 4096)  # cached after the first lag
-        assert window.weight(m) == pytest.approx(want_pos, abs=1e-13)
-        assert window.weight(-m) == pytest.approx(want_neg, abs=1e-13)
-
-
-def test_quadrature_domain():
-    with pytest.raises(ValueError):
-        exact_kernel_quadrature(-1.2, 1)
+        assert _at(window, m) == pytest.approx(want_pos, abs=1e-13)
+        assert _at(window, -m) == pytest.approx(want_neg, abs=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.0, 1.5, 2.0])
-def test_series_quadrature_oracle_equivalence(alpha):
+def test_series_quadrature_oracle_equivalence(alpha, route_kernel):
     for m in range(-4, 5):
-        s = exact_kernel_series(alpha, m)
-        q = exact_kernel_quadrature(alpha, m)
+        s = route_kernel("series", alpha, m)
+        q = route_kernel("quadrature", alpha, m)
         assert abs(s - q) <= 1e-8
 
 
@@ -243,7 +238,7 @@ def test_window_alpha_one_closed_form():
     window = exact_kernel_window(1.0, 3)
     want = [1 / 3, -1 / 2, 1.0, 0.0, -1.0, 1 / 2, -1 / 3]
     assert np.abs(window.weights - want).max() <= 1e-9
-    assert window.weight(-3) == window.weights[0]
+    assert _at(window, -3) == window.weights[0]
 
 
 def test_window_alpha_two_closed_form():
@@ -254,8 +249,8 @@ def test_window_alpha_two_closed_form():
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.4, 1.0, 1.7])
 def test_window_parity_identity(alpha):
-    window = exact_kernel_window(alpha, 24)
-    M = window.half_width
+    M = 24
+    window = exact_kernel_window(alpha, M)
     kplus_term = 2.0 * cospi(alpha / 2.0)
     m = np.arange(1, M + 1)
     lhs = window.weights[M + m] + window.weights[M - m]
@@ -264,7 +259,7 @@ def test_window_parity_identity(alpha):
 
 
 def test_window_alpha_one_center_zero():
-    assert abs(exact_kernel_window(1.0, 8).weight(0)) <= 1e-12
+    assert abs(_at(exact_kernel_window(1.0, 8), 0)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -272,8 +267,8 @@ def test_window_decay_over_dyadic_blocks(alpha):
     # |K(m)| ~ C m^-(1+min(alpha,1)) once past the pre-asymptotic lags
     # (at alpha=1.5 the cos/sin parts nearly cancel at m=1), so block maxima
     # decrease from the second dyadic block on
-    window = exact_kernel_window(alpha, 128)
-    M = window.half_width
+    M = 128
+    window = exact_kernel_window(alpha, M)
     mags = np.abs(window.weights[M + 1 :])
     block_max = [
         mags[2**j - 1 : min(2 ** (j + 1) - 1, mags.size)].max() for j in range(1, 7)
@@ -297,7 +292,7 @@ def test_window_cache_keys_the_exact_order():
     exactops._window_cache.clear()
     near = exact_kernel_window(0.5 + 4e-13, 16)
     window = exact_kernel_window(0.5, 16)
-    assert near is not window and near.order == 0.5 + 4e-13 and window.order == 0.5
+    assert near is not window
     exactops._window_cache.clear()
     cold = exact_kernel_window(0.5, 16)
     exactops._window_cache.clear()
@@ -369,15 +364,15 @@ def test_window_build_quadrature_calls_are_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [15.0, 20.0, 30.0])
-def test_high_order_window_builds_and_matches_quadrature(alpha):
+def test_high_order_window_builds_and_matches_quadrature(alpha, route_kernel):
     # weights grow like pi^alpha (|K(0)| = 2.6e13 at order 30), so the
     # cross-check tolerance is relative to max(1, |K|)
     exactops._window_cache.clear()
     window = exact_kernel_window(alpha, 64)
     for m in exactops._cross_check_lags(64):
         for lag in (m, -m):
-            want = exact_kernel_quadrature(alpha, lag)
-            assert abs(window.weight(lag) - want) <= 1e-12 * max(1.0, abs(want))
+            want = route_kernel("quadrature", alpha, lag)
+            assert abs(_at(window, lag) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize(
@@ -396,7 +391,7 @@ def test_window_consistency_check_is_relative_at_high_order(monkeypatch, name, r
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 3.0, 6.3])
-def test_window_matches_quadrature_at_sampled_lags(alpha):
+def test_window_matches_quadrature_at_sampled_lags(alpha, route_kernel):
     # the asymptotic route against quadrature, well inside the
     # 1e-8 * max(1, |K|) that window construction enforces at its own
     # sample of lags.  Quadrature loses accuracy as the order grows (at 6.3
@@ -406,8 +401,123 @@ def test_window_matches_quadrature_at_sampled_lags(alpha):
     lags = [*range(exactops.ASYMPTOTIC_MIN_LAG, 40), *range(40, 600, 37), 600]
     for m in lags:
         for lag in (m, -m):
-            want = exact_kernel_quadrature(alpha, lag)
-            assert abs(window.weight(lag) - want) <= 1e-12 * max(1.0, abs(want))
+            want = route_kernel("quadrature", alpha, lag)
+            assert abs(_at(window, lag) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# K(m) = K(-m) at even integer orders, where the leading 1/m term of the
+# kernel cancels and |K| sits far below the quadrature oracle's error scale.
+# Frozen from mpmath 1.3.0 at 60 digits: E(m) integrated by parts in closed
+# form (exact at integer orders), and at order 16, lag 4096 also mpmath's
+# 1F1 closed form.  At each lag the quadrature oracle is off by more than
+# 1e-8 * max(1, |K|); lag 19127 is its worst found, 88 times
+# eps * sqrt(m) * pi^order / (order + 1).
+_EVEN_ORDER_ORACLE = {
+    (10.0, 19524): -0.000248920907290283319087,
+    (14.0, 4438): -0.6569791148347915699531,
+    (16.0, 4096): 8.699569332800523610252,
+    (20.0, 7573): -309.8785592591839466421,
+    (40.0, 4530): 15189922980849.64281142,
+    (40.0, 19127): -852042503412.1052512769,
+}
+
+
+@pytest.mark.parametrize("order,m", sorted(_EVEN_ORDER_ORACLE))
+def test_even_order_window_builds_and_matches_mpmath_at_its_edge(order, m):
+    exactops._window_cache.clear()
+    window = exact_kernel_window(order, m)
+    exactops._window_cache.clear()
+    want = _EVEN_ORDER_ORACLE[order, m]
+    for lag in (m, -m):
+        assert abs(_at(window, lag) - want) <= 1e-13 * max(1.0, abs(want)), lag
+
+
+def test_window_consistency_check_fires_at_even_order_large_lag(monkeypatch):
+    # at order 16, lag 4096 the tolerance is the quadrature floor, 1.5e-5 on
+    # K = 8.70; a real shift of E(4096) by pi * 5e-5 moves K(+-4096) by 5e-5
+    asymptotic = exactops._asymptotic_integrals
+
+    def off_at_4096(order, lags):
+        return asymptotic(order, lags) + np.where(lags == 4096, math.pi * 5e-5, 0.0)
+
+    monkeypatch.setattr(exactops, "_asymptotic_integrals", off_at_4096)
+    exactops._window_cache.clear()
+    with pytest.raises(ConsistencyError, match="asymptotic/quadrature .* order=16, m=-?4096:"):
+        exact_kernel_window(16.0, 4096)
+    exactops._window_cache.clear()
+
+
+def test_quadrature_floor_sets_the_tolerance_only_at_high_orders():
+    # up to order 7.6 the relative term sets the tolerance at every lag up to
+    # the cap, as it did before the floor existed
+    cap = np.array([exactops.HALF_WIDTH_CAP])
+    for order in (-0.99, -0.5, 0.5, 2.0, 5.0, 7.6):
+        assert exactops._tolerance(order, cap, np.zeros(1))[0] == exactops.CROSS_CHECK_TOL
+    tol = exactops._tolerance(16.0, np.array([4096]), np.array([8.7]))[0]
+    assert 8.7 * exactops.CROSS_CHECK_TOL < tol < 8.7e-5
+
+
+def test_kernel_window_is_its_weights():
+    w = np.array([0.5, -1.0, 2.0, -1.0, 0.5])
+    window = KernelWindow(w)
+    w[0] = 9.0
+    assert window.weights.tolist() == [0.5, -1.0, 2.0, -1.0, 0.5]
+    assert not window.weights.flags.writeable and len(window) == 5
+    for name in ("order", "half_width", "offsets", "weight"):
+        assert not hasattr(window, name), name
+    for bad in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], np.ones((3, 3)),
+                [1.0, math.nan, 1.0], [1.0, math.inf, 1.0]):
+        with pytest.raises(ValueError, match="kernel weights must be"):
+            KernelWindow(bad)
+
+
+def test_kernel_weights_have_one_public_route():
+    for name in ("exact_kernel_series", "exact_kernel_quadrature"):
+        assert not hasattr(fracspec, name) and not hasattr(exactops, name)
+        assert name not in fracspec.__all__ and name not in exactops.__all__
+
+
+def test_window_cache_keeps_the_newest_windows():
+    exactops._window_cache.clear()
+    orders = [0.3 + 0.01 * k for k in range(exactops._WINDOWS_CACHED + 3)]
+    windows = [exact_kernel_window(a, 8) for a in orders]
+    assert list(exactops._window_cache) == [(a, 8) for a in orders[3:]]
+    assert exact_kernel_window(orders[-1], 8) is windows[-1]
+    rebuilt = exact_kernel_window(orders[0], 8)
+    exactops._window_cache.clear()
+    assert rebuilt is not windows[0] and np.array_equal(rebuilt.weights, windows[0].weights)
+
+
+def test_threads_building_more_windows_than_the_cache_keeps():
+    # more threads than cores and more keys than the cache keeps, with a
+    # short switch interval, so lookups, builds and evictions interleave
+    orders = [0.3 + 0.01 * k for k in range(exactops._WINDOWS_CACHED + 3)]
+    exactops._window_cache.clear()
+    want = {a: exact_kernel_window(a, 16).weights for a in orders}
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait()
+        results[slot] = [(a, exact_kernel_window(a, 16)) for a in (orders[slot:] + orders[:slot]) * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(exactops._window_cache) == exactops._WINDOWS_CACHED
+    exactops._window_cache.clear()
+    for got in results:
+        assert len(got) == 3 * len(orders)
+        assert all(np.array_equal(window.weights, want[a]) for a, window in got)
 
 
 def test_window_validation():
@@ -447,7 +557,7 @@ def test_exact_difference_periodic_eigenfunction():
     y = Series(np.cos(theta * t))
     window = exact_kernel_window(alpha, M)
     out = exact_difference(y, window, boundary="periodic")
-    resp = complex((window.weights * np.exp(-1j * theta * window.offsets)).sum())
+    resp = complex((window.weights * np.exp(-1j * theta * np.arange(-M, M + 1))).sum())
     want = np.real(resp * np.exp(1j * theta * t))
     assert np.abs(out.values - want).max() <= 1e-10
     target_mag = theta**alpha  # |(i w0 T)^alpha|

@@ -167,7 +167,7 @@ def test_kernel_frequency_semigroup():
         wa = exact_kernel_window(0.3, M)
         wb = exact_kernel_window(0.7, M)
         conv = np.convolve(wa.weights, wb.weights)
-        combined = KernelWindow(1.0, 2 * M, conv)
+        combined = KernelWindow(conv)
         measured = operator_response(combined, grid)
         sups.append((np.abs(measured - targets) / np.abs(targets)).max())
     assert sups == sorted(sups, reverse=True)
