@@ -10,22 +10,23 @@ one complex integral:
 
 Windows take E from one of two routes:
 
-- |m| < 12: oscillation-aware Gauss-Legendre quadrature, O(m) per lag;
+- |m| < 12: Gauss-Legendre quadrature on half-period panels, where each
+  node's phase is k pi plus a fixed offset, so one prefix sum serves every
+  lag up to the largest asked for, in O(max lag);
 - |m| >= 12: the large-lag asymptotic expansion of E about its endpoints,
-  one vectorised pass over all lags.
+  one vectorised pass over all lags in real arithmetic.
 
-A window therefore costs O(M).  E also has a closed form in 1F2
-hypergeometric values at z = -(pi*m/2)^2, summed as a series; its argument
-grows like m^2 and the alternating sum cancels catastrophically beyond
-|z| ~ 40, so it serves |m| <= 4 only, as an oracle.  Construction checks
-quadrature against the series at every lag up to 4, and the asymptotic
-expansion against quadrature at a fixed sample of lags (12-16 plus eight
-log-spaced lags up to M), both signs, and fails loudly if a weight is off
-by more than CROSS_CHECK_TOL * max(1, |K|), or than the quadrature
-oracle's own rounding error where that is larger.  The tolerance is
-relative because weights grow like pi^alpha.  The series and quadrature
-routes are private: :func:`exact_kernel_window` is the one public source of
-kernel weights.
+E also has a closed form in 1F2 hypergeometric values at z = -(pi*m/2)^2,
+summed as a series; its argument grows like m^2 and the alternating sum
+cancels catastrophically beyond |z| ~ 40, so it serves |m| <= 4 only, as an
+oracle.  Construction checks quadrature against the series at every lag up
+to 4, and the asymptotic expansion against quadrature at a fixed sample of
+lags (12-16 plus eight log-spaced lags up to M), both signs, and fails
+loudly if a weight is off by more than CROSS_CHECK_TOL * max(1, |K|),
+relative because weights grow like pi^alpha.  One quadrature call serves
+lags 0-11 and the sample, so a cold window costs O(M): under 1 ms at M = 256,
+about 30 ms at M = 1e5 (2-vCPU VM).  The series and quadrature routes are
+private; :func:`exact_kernel_window` is the one public source of weights.
 """
 
 import math
@@ -53,8 +54,8 @@ __all__ = [
 SERIES_MAX_LAG = 4
 ASYMPTOTIC_MIN_LAG = 12
 CROSS_CHECK_TOL = 1e-8
-# A cold half-width-1e5 build, with 1.6e6 quadrature nodes at its largest
-# checked lag, takes about 0.2 s at 77 MB peak RSS (fresh process, 2-vCPU VM).
+# A cold half-width-1e5 build takes about 0.05 s and peaks at 19 MB traced,
+# 50 MB RSS with the interpreter and numpy (fresh process, 2-vCPU VM).
 HALF_WIDTH_CAP = 10**5
 # Up to order 41.5 the asymptotic route agrees with quadrature at lag 12 to
 # 2.3e-12 relative; from order 44.55 the cross-check fails at every
@@ -67,24 +68,31 @@ ORDER_MAX = 40
 # precision in fewer terms.
 _ASYMPTOTIC_TERMS = 40
 
-# The quadrature oracle's own error at lag m.  Rounding a node x moves its
-# phase m*x by about eps*m*x, and these errors add over the m panels to about
-# eps * sqrt(m) * pi^order / (order + 1).  At orders -0.99 to 40 and lags up to
-# 1e5 (every lag to 3000, and to 2e4 at orders 2, 10 and 40),
-# |quadrature - asymptotic| reached at most 88.0 times that scale (order 40,
-# lag 19127); the constant is 2.3 times that.  Up to order 7.6 the floor
-# stays below CROSS_CHECK_TOL at every half-width up to HALF_WIDTH_CAP.
-_QUADRATURE_ERROR_C = 200.0
-_EPS = float(np.finfo(np.float64).eps)
-
 # FFT lengths whose weight spectra one window keeps; asking for another
 # drops the oldest.  A series of fixed length needs one or two.
 _SPECTRA_PER_WINDOW = 8
 
-# 16-point Gauss-Legendre rule: one panel per half-period of the oscillation.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(16):
+# it is symmetric about 0, so the positive nodes and their weights define it.
+_GL_NODES, _GL_WEIGHTS = (np.r_[sign * np.flip(half), half] for sign, half in (
+    (-1.0, [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+            0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499]),
+    (1.0, [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+           0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]),
+))
 
-# (i pi/16)^j / j!, the Taylor coefficients of e^{imx} at m*x = pi/16; the
+# The rule on the unit panel of u = m x / pi: nodes tau in (0, 1), and the
+# weights (w/2) cos(pi tau) and (w/2) sin(pi tau) as two columns.
+_UNIT_TAU = (1.0 + _GL_NODES) / 2.0
+_UNIT_PHASE = _GL_WEIGHTS[:, None] / 2.0 * np.c_[np.cos(math.pi * _UNIT_TAU),
+                                                 np.sin(math.pi * _UNIT_TAU)]
+# The rule on the panels [a, 2a], a = 1/16, 1/8, 1/4, 1/2: nodes a (1 + tau)
+# and weights a (w/2) e^{i pi u}.
+_HEAD_NODES = np.outer(2.0 ** np.arange(-4, 0), 1.0 + _UNIT_TAU).ravel()
+_HEAD_WEIGHTS = (np.outer(2.0 ** np.arange(-4, 0), _GL_WEIGHTS / 2.0).ravel()
+                 * np.exp(1j * math.pi * _HEAD_NODES))
+
+# (i pi/16)^j / j!, the Taylor coefficients of e^{i pi u} at u = 1/16; the
 # last is below 1e-22 of the first.
 _STUB_TAYLOR = np.cumprod(np.r_[1.0, 1j * math.pi / 16.0 / np.arange(1, 16)])
 
@@ -178,36 +186,32 @@ def _series_integrals(order: float, m: int) -> complex:
 
 
 def _quadrature_integrals(order: float, lags) -> np.ndarray:
-    """E(m) at each lag m >= 0 by panel quadrature, O(m) work per lag.
+    """E(m) at each lag m >= 0 by panel quadrature, O(max lag) work per call.
 
-    On [0, eps] the Taylor series of e^{imx} is integrated term by term:
-    sum_j (i m eps)^j / (j! (j + order + 1)) times eps^(order+1).  With
-    eps = pi/(16m), m*eps = pi/16 at every lag m >= 1, so the sum is one
-    constant; at m = 0 only its first term is left.  [eps, pi] is cut into
-    panels doubling out of the singularity up to the first half-period pi/m,
-    then one panel per half-period (at m = 0 the panels double up to pi),
-    each integrated by the 16-point Gauss-Legendre rule.
+    E(0) = pi^(order+1) / (order+1).  For m >= 1, x = pi u / m gives
+    E(m) = (pi/m)^(order+1) int_0^m u^order e^{i pi u} du.  On [0, 1/16] the
+    Taylor series of e^{i pi u} is integrated term by term; panels doubling
+    from 1/16 to 1 and the unit panels [k, k+1], k < m, take the 16-point
+    Gauss-Legendre rule.  At node k + tau the phase is exactly
+    (-1)^k e^{i pi tau}, so with g(k) = sum_t (w_t/2) e^{i pi tau_t} (k + tau_t)^order,
+
+        E(m) = (pi/m)^(order+1) [H + sum_{k=1}^{m-1} (-1)^k g(k)],
+
+    where H, the stub and the doubling panels, does not depend on m: one
+    prefix sum of g serves every lag.
     """
+    lags = np.asarray(lags, dtype=np.int64)
+    top = int(lags.max(initial=1))
+    powers = np.add.outer(np.arange(1.0, top), _UNIT_TAU)
+    np.power(powers, order, out=powers)
+    g = powers @ _UNIT_PHASE  # (Re g(k), Im g(k)) by rows
+    g[::2] *= -1.0  # (-1)^k, k = 1, 3, ...
+    sums = np.cumsum(np.vstack(((0.0, 0.0), g)), axis=0)[np.maximum(lags - 1, 0)]
     taylor = np.sum(_STUB_TAYLOR / (np.arange(_STUB_TAYLOR.size) + order + 1.0))
-    out = np.empty(len(lags), dtype=complex)
-    for i, m in enumerate(map(int, lags)):
-        if m == 0:
-            eps = math.pi * 2.0**-52
-            stub = 1.0 / (order + 1.0)
-            edges = eps * 2.0 ** np.arange(53)
-        else:
-            eps = math.pi / (16.0 * m)
-            stub = taylor
-            # 16 eps = pi/m exactly, so the doubling lands on the first half-period
-            edges = np.concatenate((eps * 2.0 ** np.arange(4), math.pi / m * np.arange(1, m + 1)))
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        # nodes: (panels, 16); the sums run on real arrays
-        x = mid[:, None] + half[:, None] * _GL_NODES
-        wxa = half[:, None] * _GL_WEIGHTS * x**order
-        x *= m
-        panels = complex(np.sum(wxa * np.cos(x)), np.sum(wxa * np.sin(x)))
-        out[i] = stub * eps ** (order + 1.0) + panels
+    head = 16.0 ** -(order + 1.0) * taylor + _HEAD_NODES**order @ _HEAD_WEIGHTS
+    m = np.maximum(lags, 1).astype(np.float64)
+    out = math.pi ** (order + 1.0) * m ** -(order + 1.0) * (head + sums @ (1.0, 1j))
+    out[lags == 0] = math.pi ** (order + 1.0) / (order + 1.0)
     return out
 
 
@@ -218,27 +222,31 @@ def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
     beyond pi, integrated by parts:
 
         E(m) = Gamma(a+1) e^{i pi (a+1)/2} m^-(a+1)
-               + (-1)^m sum_k c_k pi^(a-k) (i m)^-(k+1),
-        c_0 = 1,  c_{k+1} = -(a - k) c_k.
+               + (-1)^m pi^a / m sum_k (-i)^(k+1) a_k,
+        a_0 = 1,  a_k = a_{k-1} (k - 1 - a) / (m pi).
 
-    The sum is asymptotic, not convergent: term k+1 is term k times
-    (k - a) / (i m pi), so terms shrink only while k - a < m pi.  A lag
-    stops at its smallest term or after _ASYMPTOTIC_TERMS terms; at integer
-    orders c_k vanishes and the sum is exact.
+    The sum is asymptotic, not convergent: terms shrink only while
+    k - a < m pi.  A lag stops at its smallest term or after
+    _ASYMPTOTIC_TERMS terms; at integer orders a_k vanishes and the sum is
+    exact.  The real products a_k add into four sums by k mod 4.
     """
     m = lags.astype(np.float64)
+    mpi = math.pi * m
+    least = float(mpi.min())
+    a = np.ones_like(m)
+    sums = np.zeros((4, m.size))  # sum of a_k over k = 0, 1, 2, 3 mod 4
+    sums[0] = a
+    for k in range(1, _ASYMPTOTIC_TERMS):
+        step = k - 1.0 - order
+        if step == 0.0:
+            break  # integer order: a_k and every later term vanish
+        # a zero ratio ends a lag's sum for good where its terms would grow
+        a *= step / mpi if step < least else np.where(step < mpi, step / mpi, 0.0)
+        sums[k % 4] += a
     rotation = complex(cospi((order + 1.0) / 2.0), sinpi((order + 1.0) / 2.0))
     head = math.gamma(order + 1.0) * rotation * m ** -(order + 1.0)
-    mpi = math.pi * m
-    term = math.pi**order / (1j * m)
-    tail = term
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        step = k - 1.0 - order  # c_k / c_{k-1}
-        if step == 0.0:
-            break  # integer order: c_k and every later term vanish
-        # a zero ratio ends a lag's sum for good where its terms would grow
-        term = term * np.where(step < mpi, step / mpi, 0.0) / 1j
-        tail = tail + term
+    # (-i)^(k+1) is -i, -1, i, 1 at k = 0, 1, 2, 3 mod 4
+    tail = (sums[3] - sums[1] + 1j * (sums[2] - sums[0])) * math.pi**order / m
     return head + np.where(lags % 2 == 1, -tail, tail)
 
 
@@ -253,21 +261,13 @@ def _cross_check_lags(half_width: int) -> np.ndarray:
     return np.array(sorted(lags))
 
 
-def _tolerance(order: float, lags: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The largest |weight - oracle| the cross-check admits at each lag:
-    CROSS_CHECK_TOL * max(1, |K|), or the quadrature oracle's own rounding
-    error where that is larger."""
-    floor = _QUADRATURE_ERROR_C * _EPS * np.sqrt(lags) * math.pi**order / (order + 1.0)
-    return np.maximum(CROSS_CHECK_TOL * np.maximum(1.0, np.abs(want)), floor)
-
-
 def _check(route: str, order: float, weights: np.ndarray, lags: np.ndarray, e) -> None:
     """Raise ConsistencyError unless the window's K(+m) and K(-m) at ``lags``
-    match the kernel of the oracle's E(m) within :func:`_tolerance`."""
+    match the kernel of the oracle's E(m) within CROSS_CHECK_TOL * max(1, |K|)."""
     signed = np.concatenate((lags, -lags))
     want = np.concatenate(_kernel_pairs(order, e))
     diff = np.abs(weights[weights.size // 2 + signed] - want)
-    tol = _tolerance(order, np.abs(signed), want)
+    tol = CROSS_CHECK_TOL * np.maximum(1.0, np.abs(want))
     worst = int(np.argmax(diff / tol))
     if not diff[worst] <= tol[worst]:
         raise ConsistencyError(
@@ -285,8 +285,10 @@ _window_lock = threading.Lock()
 def _build_window(order: float, half_width: int) -> KernelWindow:
     weights = np.empty(2 * half_width + 1)
     small = np.arange(min(half_width, ASYMPTOTIC_MIN_LAG - 1) + 1)
+    sampled = _cross_check_lags(half_width)
+    quadrature = _quadrature_integrals(order, np.concatenate((small, sampled)))
     weights[half_width + small], weights[half_width - small] = _kernel_pairs(
-        order, _quadrature_integrals(order, small)
+        order, quadrature[: small.size]
     )
     series = small[: SERIES_MAX_LAG + 1]
     e = np.array([_series_integrals(order, m) for m in range(series.size)])
@@ -296,9 +298,7 @@ def _build_window(order: float, half_width: int) -> KernelWindow:
         weights[half_width + large], weights[half_width - large] = _kernel_pairs(
             order, _asymptotic_integrals(order, large)
         )
-        sampled = _cross_check_lags(half_width)
-        e = _quadrature_integrals(order, sampled)
-        _check("asymptotic/quadrature", order, weights, sampled, e)
+        _check("asymptotic/quadrature", order, weights, sampled, quadrature[small.size :])
     return KernelWindow(weights)
 
 
@@ -308,7 +308,7 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     K(m) and K(-m) both come from E(m) = int_0^pi x^order e^{imx} dx, taken
     by quadrature at |m| < 12 and by the large-lag asymptotic expansion at
     |m| >= 12, so a cold build costs O(half_width).  Two oracles check the
-    routes within :func:`_tolerance`, or construction raises
+    routes within CROSS_CHECK_TOL * max(1, |K|), or construction raises
     :class:`ConsistencyError`: the hypergeometric series at every lag
     |m| <= 4, and quadrature at a fixed sample of asymptotic lags (12-16
     plus eight log-spaced up to half_width), both signs.  ``order`` may not

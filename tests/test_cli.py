@@ -419,6 +419,17 @@ def test_parse_series_csv_rejects_nonuniform():
         parse_series_csv(text, "<test>")
 
 
+def test_kernel_command_does_not_import_numpy_polynomial(tmp_path):
+    # exactops freezes its Gauss-Legendre rule; numpy.polynomial costs a CLI
+    # process 3-7 ms of import
+    out = str(tmp_path / "k.csv")
+    code = ("import sys\nfrom fracspec.cli import main\n"
+            f"assert main(['kernel', '--order', '0.5', '--half-width', '64', '-o', {out!r}]) == 0\n"
+            "print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
 def test_pipeline_subprocess():
     sim = subprocess.run(
         [sys.executable, "-m", "fracspec", "simulate", "--d", "0.3", "--n", "1024",

@@ -394,9 +394,8 @@ def test_window_consistency_check_is_relative_at_high_order(monkeypatch, name, r
 def test_window_matches_quadrature_at_sampled_lags(alpha, route_kernel):
     # the asymptotic route against quadrature, well inside the
     # 1e-8 * max(1, |K|) that window construction enforces at its own
-    # sample of lags.  Quadrature loses accuracy as the order grows (at 6.3
-    # it is off by 1.2e-11 at lag 513 against mpmath), so accuracy itself is
-    # checked against the frozen extended-precision values above.
+    # sample of lags; accuracy itself is checked against the frozen
+    # extended-precision values above and below.
     window = exact_kernel_window(alpha, 600)
     lags = [*range(exactops.ASYMPTOTIC_MIN_LAG, 40), *range(40, 600, 37), 600]
     for m in lags:
@@ -406,12 +405,11 @@ def test_window_matches_quadrature_at_sampled_lags(alpha, route_kernel):
 
 
 # K(m) = K(-m) at even integer orders, where the leading 1/m term of the
-# kernel cancels and |K| sits far below the quadrature oracle's error scale.
-# Frozen from mpmath 1.3.0 at 60 digits: E(m) integrated by parts in closed
-# form (exact at integer orders), and at order 16, lag 4096 also mpmath's
-# 1F1 closed form.  At each lag the quadrature oracle is off by more than
-# 1e-8 * max(1, |K|); lag 19127 is its worst found, 88 times
-# eps * sqrt(m) * pi^order / (order + 1).
+# kernel cancels and |K| sits far below pi^order / m.  Frozen from mpmath
+# 1.3.0 at 60 digits: E(m) integrated by parts in closed form (exact at
+# integer orders), and at order 16, lag 4096 also mpmath's 1F1 closed form.
+# At each lag a quadrature that forms each node's phase m*x from the rounded
+# node x is off by more than 1e-8 * max(1, |K|).
 _EVEN_ORDER_ORACLE = {
     (10.0, 19524): -0.000248920907290283319087,
     (14.0, 4438): -0.6569791148347915699531,
@@ -433,8 +431,8 @@ def test_even_order_window_builds_and_matches_mpmath_at_its_edge(order, m):
 
 
 def test_window_consistency_check_fires_at_even_order_large_lag(monkeypatch):
-    # at order 16, lag 4096 the tolerance is the quadrature floor, 1.5e-5 on
-    # K = 8.70; a real shift of E(4096) by pi * 5e-5 moves K(+-4096) by 5e-5
+    # at order 16, lag 4096 the tolerance is 1e-8 * |K| = 8.7e-8 on K = 8.70;
+    # a real shift of E(4096) by pi * 5e-5 moves K(+-4096) by 5e-5
     asymptotic = exactops._asymptotic_integrals
 
     def off_at_4096(order, lags):
@@ -447,14 +445,59 @@ def test_window_consistency_check_fires_at_even_order_large_lag(monkeypatch):
     exactops._window_cache.clear()
 
 
-def test_quadrature_floor_sets_the_tolerance_only_at_high_orders():
-    # up to order 7.6 the relative term sets the tolerance at every lag up to
-    # the cap, as it did before the floor existed
-    cap = np.array([exactops.HALF_WIDTH_CAP])
-    for order in (-0.99, -0.5, 0.5, 2.0, 5.0, 7.6):
-        assert exactops._tolerance(order, cap, np.zeros(1))[0] == exactops.CROSS_CHECK_TOL
-    tol = exactops._tolerance(16.0, np.array([4096]), np.array([8.7]))[0]
-    assert 8.7 * exactops.CROSS_CHECK_TOL < tol < 8.7e-5
+@pytest.mark.parametrize("shift,fires", [(2e-7, True), (2e-8, False)])
+def test_cross_check_tolerance_has_no_floor(monkeypatch, shift, fires):
+    # the tolerance is 1e-8 * max(1, |K|) at every lag and order, with no
+    # floor: 8.7e-8 on K = 8.70 at order 16, lag 4096; a real shift of
+    # E(4096) by pi * shift moves K(+-4096) by shift
+    asymptotic = exactops._asymptotic_integrals
+
+    def off_at_4096(order, lags):
+        return asymptotic(order, lags) + np.where(lags == 4096, math.pi * shift, 0.0)
+
+    monkeypatch.setattr(exactops, "_asymptotic_integrals", off_at_4096)
+    exactops._window_cache.clear()
+    try:
+        if fires:
+            with pytest.raises(ConsistencyError, match=r"m=-?4096: .* > tol=8\.700e-08"):
+                exact_kernel_window(16.0, 4096)
+        else:
+            want = _EVEN_ORDER_ORACLE[16.0, 4096] + shift
+            assert _at(exact_kernel_window(16.0, 4096), 4096) == pytest.approx(want, abs=1e-12)
+    finally:
+        exactops._window_cache.clear()
+
+
+# K(+m), K(-m) from pi^(a+1) 1F1(a+1; a+2; i pi m) / (a+1), frozen from
+# mpmath 1.3.0 at 30 digits (within 1e-23 of 60 digits).  At the first three
+# a quadrature that forms each node's phase m*x from the rounded node x is
+# off by 1.3e-8, 6.0e-6 and 1.1e-8 of max(1, |K|); at order -0.99, lag 12 a
+# zero ratio ends the asymptotic sum at its 38th term.
+_ROUTE_ORACLE = {
+    (10.0, 19524): (-0.0002489209072902833190869923, -0.0002489209072902833190869923),
+    (40.0, 19127): (-852042503412.1052512768538, -852042503412.1052512768538),
+    (16.0, 4096): (8.699569332800523610251551, 8.699569332800523610251551),
+    (0.5, 100000): (0.000003980508532807261625687794, -0.000003989416454660838729565287),
+    (-0.5, 8375): (0.006180156912506409366915952, -0.00001516237116641595615071298),
+    (-0.99, 12): (0.9612313469747969328373012, 0.008524339607411808933675075),
+}
+
+
+# measured worst errors, relative to max(1, |K|): quadrature 4.7e-13 (order
+# 16, lag 4096), the asymptotic sum 1.6e-15 (order 40, lag 19127)
+@pytest.mark.parametrize("route,tol", [("_quadrature_integrals", 2e-12),
+                                       ("_asymptotic_integrals", 1e-14)])
+@pytest.mark.parametrize("order,m", list(_ROUTE_ORACLE))
+def test_routes_match_mpmath_at_large_lags(route, tol, order, m):
+    pos, neg = exactops._kernel_pairs(order, getattr(exactops, route)(order, np.array([m])))
+    for got, want in zip((pos[0], neg[0]), _ROUTE_ORACLE[order, m]):
+        assert abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(exactops._GL_NODES, nodes)
+    assert np.array_equal(exactops._GL_WEIGHTS, weights)
 
 
 def test_kernel_window_is_its_weights():

@@ -5,7 +5,10 @@ golden file under ``tests/data/golden/``.  The golden files were written by
 the line-by-line CSV layer that the array-native one replaced, except the
 four exact-kernel files (``kernel_half``, ``exact_zero``, ``exact_periodic``,
 ``response_exact``), rewritten when the window's lags 0-4 moved from the 1F2
-series to quadrature.  A failure here means a command's bytes changed.
+series to quadrature, and all but ``kernel_half`` again, in the last printed
+digit of a few rows, when quadrature began to form node phases exactly and
+the asymptotic sum moved to real arithmetic.  A failure here means a
+command's bytes changed.
 Inputs are golden files of earlier cases (``y.csv``) or small hand-written
 series.
 """

@@ -223,11 +223,11 @@ def test_folded_response_matches_extended_precision_oracle():
         ("gl", 0.4, 2048, 37, 256): complex(0.62421563197426584869, 0.37204944712259814475),
         ("gl", 0.4, 2048, 241, 256): complex(1.3163753870084849199, 0.04848480416034994902),
         ("gl", 0.4, 2048, 256, 256): complex(1.3195048052967321474, 0.0),
-        ("exact", 0.5, 1024, 1, 256): complex(0.078407559518959613642, 0.07764351506238753584),
-        ("exact", 0.5, 1024, 100, 256): complex(0.78331710136969226709, 0.78304084252046406308),
-        ("exact", 0.5, 1024, 256, 256): complex(1.2531858855710733986, 0.0),
+        ("exact", 0.5, 1024, 1, 256): complex(0.078407559518961287922, 0.077643515062387614355),
+        ("exact", 0.5, 1024, 100, 256): complex(0.7833171013696916804, 0.78304084252046426498),
+        ("exact", 0.5, 1024, 256, 256): complex(1.253185885571075818, 0.0),
         ("gl", 0.4, 100000, 1, 100): complex(0.20360100557583612931, 0.14597826046785690575),
-        ("exact", 0.5, 100000, 1, 3): complex(0.72360126347882232854, 0.72360586112400998262),
+        ("exact", 0.5, 100000, 1, 3): complex(0.72360126347882155795, 0.72360586112401007594),
     }
     for (family, order, size, k, n), want in cases.items():
         window = _window(family, order, size)
