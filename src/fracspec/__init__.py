@@ -12,7 +12,7 @@ from .arfima import (
     theoretical_acf,
     white_noise,
 )
-from .errors import ConsistencyError, ConvergenceError, CsvParseError
+from .errors import ConsistencyError, CsvParseError
 from .exactops import (
     KernelWindow,
     exact_difference,
@@ -25,7 +25,6 @@ from .glops import (
     gl_derivative_approx,
     gl_difference,
 )
-from .specfun import hyp1f2
 from .spectral import (
     ResponseReport,
     SlopeFit,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArfimaSpec",
     "ConsistencyError",
-    "ConvergenceError",
     "CsvParseError",
     "KernelWindow",
     "MemoryEstimate",
@@ -61,7 +59,6 @@ __all__ = [
     "gl_derivative_approx",
     "gl_difference",
     "gl_response_target",
-    "hyp1f2",
     "loglog_slope_fit",
     "operator_response",
     "periodogram",

@@ -16,17 +16,13 @@ Windows take E from one of two routes:
 - |m| >= 12: the large-lag asymptotic expansion of E about its endpoints,
   one vectorised pass over all lags in real arithmetic.
 
-E also has a closed form in 1F2 hypergeometric values at z = -(pi*m/2)^2,
-summed as a series; its argument grows like m^2 and the alternating sum
-cancels catastrophically beyond |z| ~ 40, so it serves |m| <= 4 only, as an
-oracle.  Construction checks quadrature against the series at every lag up
-to 4, and the asymptotic expansion against quadrature at a fixed sample of
-lags (12-16 plus eight log-spaced lags up to M), both signs, and fails
-loudly if a weight is off by more than CROSS_CHECK_TOL * max(1, |K|),
-relative because weights grow like pi^alpha.  One quadrature call serves
-lags 0-11 and the sample, so a cold window costs O(M): under 1 ms at M = 256,
-about 30 ms at M = 1e5 (2-vCPU VM).  The series and quadrature routes are
-private; :func:`exact_kernel_window` is the one public source of weights.
+Quadrature is also the one oracle.  Construction runs it once over every
+lag 0..M and checks the asymptotic expansion against it at every lag from
+12 to M, both signs, failing loudly if a weight is off by more than
+CROSS_CHECK_TOL * max(1, |K|), relative because weights grow like pi^alpha.
+A cold window costs O(M): under 1 ms at M = 256, 35-40 ms at M = 1e5
+(2-vCPU VM).  The routes are private; :func:`exact_kernel_window` is the one
+public source of weights.
 """
 
 import math
@@ -38,24 +34,21 @@ import numpy as np
 from . import _kernels
 from .errors import ConsistencyError
 from .glops import Series
-from .specfun import cospi, hyp1f2, sinpi
 
 __all__ = [
     "KernelWindow",
     "exact_kernel_window",
     "exact_difference",
-    "SERIES_MAX_LAG",
     "ASYMPTOTIC_MIN_LAG",
     "CROSS_CHECK_TOL",
     "HALF_WIDTH_CAP",
     "ORDER_MAX",
 ]
 
-SERIES_MAX_LAG = 4
 ASYMPTOTIC_MIN_LAG = 12
 CROSS_CHECK_TOL = 1e-8
-# A cold half-width-1e5 build takes about 0.05 s and peaks at 19 MB traced,
-# 50 MB RSS with the interpreter and numpy (fresh process, 2-vCPU VM).
+# A cold half-width-1e5 build takes about 0.06 s and peaks at 16 MB traced,
+# 51 MB RSS with the interpreter and numpy (fresh process, 2-vCPU VM).
 HALF_WIDTH_CAP = 10**5
 # Up to order 41.5 the asymptotic route agrees with quadrature at lag 12 to
 # 2.3e-12 relative; from order 44.55 the cross-check fails at every
@@ -165,6 +158,26 @@ class KernelWindow:
         )
 
 
+def sinpi(x: float) -> float:
+    """sin(pi*x) with exact range reduction (exact zeros at integers)."""
+    n = round(x)
+    r = x - n  # exact
+    if r == 0.0:
+        return 0.0
+    s = math.sin(math.pi * r)
+    return -s if n % 2 else s
+
+
+def cospi(x: float) -> float:
+    """cos(pi*x) with exact range reduction (exact zeros at half-integers)."""
+    n = round(x)
+    r = x - n
+    if abs(r) == 0.5:
+        return 0.0
+    c = math.cos(math.pi * r)
+    return -c if n % 2 else c
+
+
 def _kernel_pairs(order: float, e):
     """(K(+m), K(-m)) from E(m); scalars or arrays."""
     cos_half, sin_half = cospi(order / 2.0), sinpi(order / 2.0)
@@ -173,20 +186,8 @@ def _kernel_pairs(order: float, e):
     return pos, neg
 
 
-def _series_integrals(order: float, m: int) -> complex:
-    """E(m) from the 1F2 series; 0 <= m <= SERIES_MAX_LAG."""
-    z = -(math.pi * math.pi) * (m * m) / 4.0
-    re = math.pi ** (order + 1.0) / (order + 1.0) * hyp1f2(
-        (order + 1.0) / 2.0, 0.5, (order + 3.0) / 2.0, z
-    )
-    im = math.pi ** (order + 2.0) * m / (order + 2.0) * hyp1f2(
-        (order + 2.0) / 2.0, 1.5, (order + 4.0) / 2.0, z
-    )
-    return complex(re, im)
-
-
-def _quadrature_integrals(order: float, lags) -> np.ndarray:
-    """E(m) at each lag m >= 0 by panel quadrature, O(max lag) work per call.
+def _quadrature_integrals(order: float, top: int) -> np.ndarray:
+    """E(0), ..., E(top) by panel quadrature, O(top) work.
 
     E(0) = pi^(order+1) / (order+1).  For m >= 1, x = pi u / m gives
     E(m) = (pi/m)^(order+1) int_0^m u^order e^{i pi u} du.  On [0, 1/16] the
@@ -200,18 +201,19 @@ def _quadrature_integrals(order: float, lags) -> np.ndarray:
     where H, the stub and the doubling panels, does not depend on m: one
     prefix sum of g serves every lag.
     """
-    lags = np.asarray(lags, dtype=np.int64)
-    top = int(lags.max(initial=1))
     powers = np.add.outer(np.arange(1.0, top), _UNIT_TAU)
     np.power(powers, order, out=powers)
     g = powers @ _UNIT_PHASE  # (Re g(k), Im g(k)) by rows
+    del powers  # 128 bytes per lag, the largest array of a build
     g[::2] *= -1.0  # (-1)^k, k = 1, 3, ...
-    sums = np.cumsum(np.vstack(((0.0, 0.0), g)), axis=0)[np.maximum(lags - 1, 0)]
+    sums = np.cumsum(np.vstack(((0.0, 0.0), g)), axis=0)
     taylor = np.sum(_STUB_TAYLOR / (np.arange(_STUB_TAYLOR.size) + order + 1.0))
     head = 16.0 ** -(order + 1.0) * taylor + _HEAD_NODES**order @ _HEAD_WEIGHTS
-    m = np.maximum(lags, 1).astype(np.float64)
-    out = math.pi ** (order + 1.0) * m ** -(order + 1.0) * (head + sums @ (1.0, 1j))
-    out[lags == 0] = math.pi ** (order + 1.0) / (order + 1.0)
+    scale = math.pi ** (order + 1.0) * np.arange(1.0, top + 1) ** -(order + 1.0)
+    out = np.empty(top + 1, dtype=np.complex128)
+    out[0] = math.pi ** (order + 1.0) / (order + 1.0)
+    out.real[1:] = scale * (head.real + sums[:, 0])
+    out.imag[1:] = scale * (head.imag + sums[:, 1])
     return out
 
 
@@ -226,13 +228,12 @@ def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
         a_0 = 1,  a_k = a_{k-1} (k - 1 - a) / (m pi).
 
     The sum is asymptotic, not convergent: terms shrink only while
-    k - a < m pi.  A lag stops at its smallest term or after
-    _ASYMPTOTIC_TERMS terms; at integer orders a_k vanishes and the sum is
-    exact.  The real products a_k add into four sums by k mod 4.
+    k - a < m pi.  It is cut after _ASYMPTOTIC_TERMS terms; at integer
+    orders a_k vanishes and the sum is exact.  The real products a_k add
+    into four sums by k mod 4.
     """
     m = lags.astype(np.float64)
     mpi = math.pi * m
-    least = float(mpi.min())
     a = np.ones_like(m)
     sums = np.zeros((4, m.size))  # sum of a_k over k = 0, 1, 2, 3 mod 4
     sums[0] = a
@@ -240,8 +241,7 @@ def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
         step = k - 1.0 - order
         if step == 0.0:
             break  # integer order: a_k and every later term vanish
-        # a zero ratio ends a lag's sum for good where its terms would grow
-        a *= step / mpi if step < least else np.where(step < mpi, step / mpi, 0.0)
+        a *= step / mpi
         sums[k % 4] += a
     rotation = complex(cospi((order + 1.0) / 2.0), sinpi((order + 1.0) / 2.0))
     head = math.gamma(order + 1.0) * rotation * m ** -(order + 1.0)
@@ -250,30 +250,22 @@ def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
     return head + np.where(lags % 2 == 1, -tail, tail)
 
 
-def _cross_check_lags(half_width: int) -> np.ndarray:
-    """Asymptotic-route lags compared with quadrature: the first five, where
-    the expansion is least accurate, and eight log-spaced up to half_width.
-    Their quadrature costs O(half_width) in total."""
-    lo = ASYMPTOTIC_MIN_LAG
-    lags = set(range(lo, min(half_width, lo + 4) + 1))
-    if half_width > lo + 4:
-        lags.update(np.geomspace(lo + 5, half_width, 8).round().astype(int).tolist())
-    return np.array(sorted(lags))
-
-
-def _check(route: str, order: float, weights: np.ndarray, lags: np.ndarray, e) -> None:
-    """Raise ConsistencyError unless the window's K(+m) and K(-m) at ``lags``
-    match the kernel of the oracle's E(m) within CROSS_CHECK_TOL * max(1, |K|)."""
-    signed = np.concatenate((lags, -lags))
-    want = np.concatenate(_kernel_pairs(order, e))
-    diff = np.abs(weights[weights.size // 2 + signed] - want)
-    tol = CROSS_CHECK_TOL * np.maximum(1.0, np.abs(want))
-    worst = int(np.argmax(diff / tol))
-    if not diff[worst] <= tol[worst]:
-        raise ConsistencyError(
-            f"{route} kernel mismatch at order={order:g}, m={signed[worst]}: "
-            f"|diff|={diff[worst]:.3e} > tol={tol[worst]:.3e}"
-        )
+def _check(order: float, got, e: np.ndarray) -> None:
+    """Raise ConsistencyError unless the window's weights ``got``, the pair
+    (K(+m), K(-m)) over lags m = 12, 13, ..., match the kernel of quadrature's
+    E(m) in ``e`` within CROSS_CHECK_TOL * max(1, |K|), one sign at a time."""
+    for sign, have, want in zip((1, -1), got, _kernel_pairs(order, e)):
+        tol = np.abs(want)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= CROSS_CHECK_TOL
+        diff = np.abs(np.subtract(have, want, out=want), out=want)
+        if not (diff <= tol).all():
+            worst = int(np.argmax(diff / tol))
+            raise ConsistencyError(
+                f"asymptotic/quadrature kernel mismatch at order={order:g}, "
+                f"m={sign * (ASYMPTOTIC_MIN_LAG + worst)}: "
+                f"|diff|={diff[worst]:.3e} > tol={tol[worst]:.3e}"
+            )
 
 
 # Windows the cache keeps; building another drops the oldest.
@@ -284,21 +276,14 @@ _window_lock = threading.Lock()
 
 def _build_window(order: float, half_width: int) -> KernelWindow:
     weights = np.empty(2 * half_width + 1)
-    small = np.arange(min(half_width, ASYMPTOTIC_MIN_LAG - 1) + 1)
-    sampled = _cross_check_lags(half_width)
-    quadrature = _quadrature_integrals(order, np.concatenate((small, sampled)))
-    weights[half_width + small], weights[half_width - small] = _kernel_pairs(
-        order, quadrature[: small.size]
-    )
-    series = small[: SERIES_MAX_LAG + 1]
-    e = np.array([_series_integrals(order, m) for m in range(series.size)])
-    _check("quadrature/series", order, weights, series, e)
-    if half_width >= ASYMPTOTIC_MIN_LAG:
-        large = np.arange(ASYMPTOTIC_MIN_LAG, half_width + 1)
-        weights[half_width + large], weights[half_width - large] = _kernel_pairs(
-            order, _asymptotic_integrals(order, large)
-        )
-        _check("asymptotic/quadrature", order, weights, sampled, quadrature[small.size :])
+    pos, neg = weights[half_width:], weights[half_width::-1]  # K(0..M), K(0..-M)
+    lo = ASYMPTOTIC_MIN_LAG
+    quadrature = _quadrature_integrals(order, half_width)
+    pos[:lo], neg[:lo] = _kernel_pairs(order, quadrature[:lo])
+    if half_width >= lo:
+        large = np.arange(lo, half_width + 1)
+        pos[lo:], neg[lo:] = _kernel_pairs(order, _asymptotic_integrals(order, large))
+        _check(order, (pos[lo:], neg[lo:]), quadrature[lo:])
     return KernelWindow(weights)
 
 
@@ -307,15 +292,14 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
 
     K(m) and K(-m) both come from E(m) = int_0^pi x^order e^{imx} dx, taken
     by quadrature at |m| < 12 and by the large-lag asymptotic expansion at
-    |m| >= 12, so a cold build costs O(half_width).  Two oracles check the
-    routes within CROSS_CHECK_TOL * max(1, |K|), or construction raises
-    :class:`ConsistencyError`: the hypergeometric series at every lag
-    |m| <= 4, and quadrature at a fixed sample of asymptotic lags (12-16
-    plus eight log-spaced up to half_width), both signs.  ``order`` may not
-    exceed ``ORDER_MAX`` nor ``half_width`` ``HALF_WIDTH_CAP``.  Windows are
-    immutable and cached by the exact (order, half_width); the cache keeps
-    the last ``_WINDOWS_CACHED`` built.  Each window memoises its weight
-    spectra (:meth:`KernelWindow.spectrum`), so dropping it drops them too.
+    |m| >= 12, so a cold build costs O(half_width).  One quadrature pass over
+    every lag is the oracle: each asymptotic weight, both signs, must match
+    it within CROSS_CHECK_TOL * max(1, |K|), or construction raises
+    :class:`ConsistencyError`.  ``order`` may not exceed ``ORDER_MAX`` nor
+    ``half_width`` ``HALF_WIDTH_CAP``.  Windows are immutable and cached by
+    the exact (order, half_width); the cache keeps the last
+    ``_WINDOWS_CACHED`` built.  Each window memoises its weight spectra
+    (:meth:`KernelWindow.spectrum`), so dropping it drops them too.
     """
     order = _check_order(order)
     half_width = int(half_width)

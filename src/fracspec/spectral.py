@@ -17,9 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .exactops import KernelWindow, exact_kernel_window
+from .exactops import KernelWindow, cospi, exact_kernel_window, sinpi
 from .glops import Series, gl_coefficients
-from .specfun import cospi, sinpi
 
 __all__ = [
     "ResponseReport",

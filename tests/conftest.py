@@ -1,7 +1,8 @@
 """Child ``python -m fracspec`` processes import the package under test, also
 when the suite runs uninstalled through pytest's ``pythonpath`` setting.  The
 ``route_kernel`` fixture reads single kernel weights off the private
-exact-kernel routes, which the tests use as references."""
+exact-kernel quadrature route and the test-only 1F2 series, which the tests
+use as references."""
 
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fracspec
+import series_oracle
 from fracspec import exactops
 
 _ROOT = str(Path(fracspec.__file__).resolve().parents[1])
@@ -17,14 +19,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_ROOT, os.environ.get("
 
 @pytest.fixture
 def route_kernel():
-    """K(m) from one private exactops route, ``"series"`` (|m| <= 4) or
-    ``"quadrature"``: the route's E(|m|) mapped through ``_kernel_pairs``."""
+    """K(m) from the 1F2 series of ``series_oracle`` (``"series"``,
+    |m| <= 4) or exactops' private ``"quadrature"`` route: E(|m|) mapped
+    through ``_kernel_pairs``."""
 
     def kernel(route: str, order: float, m: int) -> float:
         if route == "series":
-            e = exactops._series_integrals(order, abs(m))
+            e = series_oracle.series_integrals(order, abs(m))
         else:
-            e = exactops._quadrature_integrals(order, [abs(m)])[0]
+            e = exactops._quadrature_integrals(order, abs(m))[abs(m)]
         pos, neg = exactops._kernel_pairs(order, e)
         return float(neg if m < 0 else pos)
 

@@ -1,39 +1,20 @@
-"""Real-argument special functions used by the kernel formulas and response targets.
+"""The generalized hypergeometric series 1F2 and the kernel integral E(m) in
+closed form through it: a test oracle for the exact-kernel routes at lags
+0-4, independent of quadrature.
 
-Everything here is scalar and pure: exactly reduced sinpi and cospi, and
-the generalized hypergeometric series 1F2.  The gamma function itself is
-``math.gamma``.
+E(m) = int_0^pi x^a e^{imx} dx has real and imaginary parts in 1F2 values at
+z = -(pi m / 2)^2.  That argument grows like m^2, and the alternating sum
+cancels catastrophically beyond |z| ~ 40, so the series serves |m| <= 4 only.
 """
 
 import math
 
-from .errors import ConvergenceError
+# Beyond |z| ~ 40 the alternating series loses more than 6 digits to
+# cancellation in double precision.
+Z_MAX = 40.0
 
-__all__ = [
-    "hyp1f2",
-    "sinpi",
-    "cospi",
-]
-
-
-def sinpi(x: float) -> float:
-    """sin(pi*x) with exact range reduction (exact zeros at integers)."""
-    n = round(x)
-    r = x - n  # exact
-    if r == 0.0:
-        return 0.0
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def cospi(x: float) -> float:
-    """cos(pi*x) with exact range reduction (exact zeros at half-integers)."""
-    n = round(x)
-    r = x - n
-    if abs(r) == 0.5:
-        return 0.0
-    c = math.cos(math.pi * r)
-    return -c if n % 2 else c
+_EPS_REL = 1e-16
+_MAX_TERMS = 10_000
 
 
 def _check_lower_param(name: str, value: float) -> None:
@@ -43,15 +24,6 @@ def _check_lower_param(name: str, value: float) -> None:
         )
 
 
-# Beyond |z| ~ 40 the alternating series loses more than 6 digits to
-# cancellation in double precision; callers needing larger |z| should
-# integrate instead (see exactops quadrature).
-Z_MAX = 40.0
-
-_EPS_REL = 1e-16
-_MAX_TERMS = 10_000
-
-
 def hyp1f2(a: float, b: float, c: float, z: float) -> float:
     """Generalized hypergeometric series 1F2(a; b, c; z) for real z, |z| <= 40.
 
@@ -59,7 +31,8 @@ def hyp1f2(a: float, b: float, c: float, z: float) -> float:
     and are accumulated with compensated (Kahan) summation.  Summation stops
     once |t_k| < 1e-16 * |sum| for two consecutive k with k >= 8.  Raises
     ValueError when b or c is zero or a negative integer, where the series
-    is undefined.
+    is undefined, and RuntimeError if it has not converged after 10,000
+    terms.
     """
     _check_lower_param("b", b)
     _check_lower_param("c", c)
@@ -82,6 +55,16 @@ def hyp1f2(a: float, b: float, c: float, z: float) -> float:
         else:
             small_streak = 0
         term *= (a + k) * z / ((b + k) * (c + k) * (k + 1))
-    raise ConvergenceError(
-        f"1F2 series did not converge within {_MAX_TERMS} terms (z={z:g})"
+    raise RuntimeError(f"1F2 series did not converge within {_MAX_TERMS} terms (z={z:g})")
+
+
+def series_integrals(order: float, m: int) -> complex:
+    """E(m) from the 1F2 series; 0 <= m <= 4."""
+    z = -(math.pi * math.pi) * (m * m) / 4.0
+    re = math.pi ** (order + 1.0) / (order + 1.0) * hyp1f2(
+        (order + 1.0) / 2.0, 0.5, (order + 3.0) / 2.0, z
     )
+    im = math.pi ** (order + 2.0) * m / (order + 2.0) * hyp1f2(
+        (order + 2.0) / 2.0, 1.5, (order + 4.0) / 2.0, z
+    )
+    return complex(re, im)

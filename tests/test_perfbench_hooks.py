@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracspec
 from fracspec import exactops
 
@@ -33,15 +35,26 @@ def _traced():
     raise AssertionError("perfbench/tracer.py defines no TRACED")
 
 
+# TRACED entries whose module left the package.  ``Tracer.install`` skips a
+# module that is not loaded, so such an entry is safe exactly while its
+# module cannot be imported; a module that came back without the function
+# would make every traced run raise.
+_RETIRED = {("fracspec.specfun", "hyp1f2")}
+
+
 def test_every_traced_function_exists():
     traced = _traced()
     assert traced
     missing = [
         (module, function)
         for module, function, _ in traced
-        if not callable(getattr(importlib.import_module(module), function, None))
+        if (module, function) not in _RETIRED
+        and not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+    for module, _ in _RETIRED:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 def _attributes_of(tree, name):
