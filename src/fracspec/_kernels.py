@@ -4,25 +4,32 @@ two-sided kernel application, and the AR recursion.
 All three convolutions go through ``convolve``.  It sums directly with
 ``np.convolve`` while the shorter operand has fewer than ``FFT_MIN_SIZE``
 samples, and otherwise multiplies real FFTs zero-padded to a 5-smooth length.
-The crossover is measured: on a 2-vCPU x86 host the FFT product starts to win
-at a shorter side of 320-448 samples for series of 2k-50k samples, and above
-512 for series of up to 1k samples or of 1e5.  The direct path keeps
-``np.convolve``'s rounding bit for bit.  The FFT path is within
-1e-13 * sum|w| * max|y| of the exact sum; measured against the direct sum it
-is within ~1.2e-16 times that scale up to n = M = 1e5.  An operand that is a
-window (an object with ``weights`` and a memoised ``spectrum(size)``, such as
-``exactops.KernelWindow``) supplies its weight spectrum to the FFT path
-instead of having it recomputed; the values are the same, so the output is
-bit-identical.  The periodic boundary wrap-pads the series by the kernel
-half-width and keeps the part the padding fully covers.  The AR recursion
-is inherently sequential and runs as a pure-Python loop over floats, which
-is cheaper than indexing numpy scalars.
+An operand held as :class:`Taps` (GL operators and exact-kernel windows)
+supplies its memoised weight spectrum, so on the FFT path it costs one
+``rfft`` of the series and one ``irfft``; the values are those of
+transforming the weights, so outputs are bit-identical.  The crossover is
+measured on that path: on a 2-vCPU x86 host the product with a memoised
+spectrum starts to win at a shorter side of 128-192 samples for series of
+2k-8k samples, 192-320 for series of 512-1k or 16k samples, and from 288 to
+above 448 for series of 5e4-1e5; across that grid 224 costs the least over
+the faster path.  The direct path keeps ``np.convolve``'s rounding bit for
+bit.  The FFT path is within 1e-13 * sum|w| * max|y| of the exact sum;
+measured against the direct sum it is within ~1.2e-16 times that scale up
+to n = M = 1e5.  The periodic boundary wrap-pads the series by the kernel
+half-width and keeps the part the padding fully covers.  The AR recursion is
+inherently sequential and runs as a pure-Python loop over floats, which is
+cheaper than indexing numpy scalars.
 """
+
+import functools
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "FFT_MIN_SIZE",
+    "Taps",
     "convolve",
     "causal_apply",
     "two_sided_apply_zero",
@@ -31,13 +38,82 @@ __all__ = [
 ]
 
 # direct np.convolve while the shorter operand is below this many samples
-FFT_MIN_SIZE = 384
+FFT_MIN_SIZE = 224
+
+# FFT lengths whose weight spectra one Taps keeps; asking for another drops
+# the oldest.  A series of fixed length needs one or two.
+_SPECTRA_KEPT = 8
 
 
 def _as_f8(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _without_trailing_zeros(c: np.ndarray) -> np.ndarray:
+    """``c`` up to its last nonzero entry (its first, if all are zero).
+
+    Exact trailing zeros, such as the GL terms of a nonnegative integer
+    order, add nothing; without them such filters stay on the direct sum at
+    any length."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1 if nonzero.size else 1]
+
+
+def _memo(cache: dict, lock: threading.Lock, key, build, bound: int):
+    """``cache[key]``, from ``build()`` on a miss; the build runs outside the
+    lock, and beyond ``bound`` entries the oldest entry goes."""
+    with lock:
+        value = cache.get(key)
+    if value is None:
+        value = build()
+        with lock:
+            value = cache.setdefault(key, value)
+            while len(cache) > bound:
+                del cache[next(iter(cache))]
+    return value
+
+
+@dataclass(frozen=True, eq=False)
+class Taps:
+    """Convolution weights, read-only, with their memoised spectra.
+
+    ``weights`` must be one-dimensional, nonempty and finite; they are
+    copied.
+    """
+
+    weights: np.ndarray
+    _spectra: dict = field(init=False, repr=False, default_factory=dict)
+    _spectra_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+
+    def __post_init__(self):
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 1 or w.size < 1:
+            raise ValueError("kernel weights must be one-dimensional and nonempty")
+        if not np.isfinite(w).all():
+            raise ValueError("kernel weights must be finite")
+        object.__setattr__(self, "weights", _read_only(w))
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """``np.fft.rfft(weights, size)``, read-only.
+
+        The spectra of the last ``_SPECTRA_KEPT`` lengths asked for are kept
+        on the object, so they go when it does.
+        """
+        return _memo(
+            self._spectra, self._spectra_lock, size,
+            lambda: _read_only(np.fft.rfft(self.weights, size)), _SPECTRA_KEPT,
+        )
+
+
+@functools.lru_cache(maxsize=64)
 def _fft_length(target: int) -> int:
     """Smallest 2^a 3^b 5^c >= target."""
     best = 1 << (target - 1).bit_length()
@@ -54,33 +130,34 @@ def _fft_length(target: int) -> int:
 def convolve(y, w) -> np.ndarray:
     """Full linear convolution, length len(y) + len(w) - 1.
 
-    ``w`` is an array of weights or a window whose memoised spectrum the
-    FFT path reuses.
+    ``w`` is an array of weights or :class:`Taps`, whose memoised spectrum
+    the FFT path reuses.
     """
-    window = w if hasattr(w, "spectrum") else None
-    y, w = _as_f8(y), _as_f8(w if window is None else window.weights)
+    taps = w if isinstance(w, Taps) else None
+    y, w = _as_f8(y), _as_f8(w if taps is None else taps.weights)
     if min(y.shape[0], w.shape[0]) < FFT_MIN_SIZE:
         return np.convolve(y, w)
     full = y.shape[0] + w.shape[0] - 1
     size = _fft_length(full)
-    w_hat = np.fft.rfft(w, size) if window is None else window.spectrum(size)
+    w_hat = np.fft.rfft(w, size) if taps is None else taps.spectrum(size)
     return np.fft.irfft(np.fft.rfft(y, size) * w_hat, size)[:full]
 
 
 def causal_apply(y, coeffs) -> np.ndarray:
-    """z[t] = sum_{m=0}^{min(t, M)} coeffs[m] * y[t-m] (zero pre-sample)."""
-    y, coeffs = _as_f8(y), _as_f8(coeffs)
-    # exact trailing zeros (GL terms of a nonnegative integer order) add
-    # nothing; dropping them keeps such orders on the direct sum at any length
-    nonzero = np.flatnonzero(coeffs)
-    coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
+    """z[t] = sum_{m=0}^{min(t, M)} coeffs[m] * y[t-m] (zero pre-sample).
+
+    ``coeffs`` is an array or :class:`Taps`, as for :func:`convolve`.
+    """
+    y = _as_f8(y)
+    if not isinstance(coeffs, Taps):
+        coeffs = _without_trailing_zeros(_as_f8(coeffs))
     return convolve(y, coeffs)[: y.shape[0]]
 
 
 def two_sided_apply_zero(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero.
 
-    ``weights`` is an array or a window, as for :func:`convolve`.
+    ``weights`` is an array or :class:`Taps`, as for :func:`convolve`.
     """
     y = _as_f8(y)
     half = (len(weights) - 1) // 2
@@ -90,7 +167,7 @@ def two_sided_apply_zero(y, weights) -> np.ndarray:
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n].
 
-    ``weights`` is an array or a window, as for :func:`convolve`.
+    ``weights`` is an array or :class:`Taps`, as for :func:`convolve`.
     """
     y = _as_f8(y)
     n = y.shape[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .glops import Series, gl_coefficients
+from .glops import Series, _gl_operator, gl_coefficients
 from .spectral import loglog_slope_fit, periodogram
 
 __all__ = [
@@ -236,8 +236,7 @@ def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
     if spec.ma:
         values = _kernels.causal_apply(values, np.concatenate(([1.0], spec.ma)))
     if spec.d != 0.0:
-        weights = gl_coefficients(-spec.d, spec.truncation)
-        values = _kernels.causal_apply(values, weights)
+        values = _kernels.causal_apply(values, _gl_operator(-spec.d, spec.truncation))
     if spec.ar:
         values = _kernels.ar_recurse(values, np.asarray(spec.ar))
     return Series(values[spec.burn_in :], step=1.0, start=0.0)

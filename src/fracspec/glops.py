@@ -8,6 +8,7 @@ inverses at matching truncation.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,11 @@ __all__ = [
 ]
 
 TRUNCATION_CAP = 10**6
+
+# GL operators the cache keeps; building another drops the oldest.
+_OPERATORS_CACHED = 8
+_operator_cache: dict[tuple[float, int], _kernels.Taps] = {}
+_operator_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +96,34 @@ def gl_coefficients(order: float, truncation: int) -> np.ndarray:
     return coeffs
 
 
+def _gl_operator(order: float, truncation: int) -> _kernels.Taps:
+    """The coefficients of :func:`gl_coefficients` without their exact
+    trailing zeros, as :class:`_kernels.Taps` with memoised spectra.
+
+    Operators are cached by the exact (float(order), int(truncation)); the
+    cache keeps the last ``_OPERATORS_CACHED`` built.
+    """
+    order, truncation = float(order), int(truncation)
+    return _kernels._memo(
+        _operator_cache, _operator_lock, (order, truncation),
+        lambda: _kernels.Taps(_kernels._without_trailing_zeros(gl_coefficients(order, truncation))),
+        _OPERATORS_CACHED,
+    )
+
+
 def gl_difference(y: Series, order: float, truncation: int) -> Series:
     """Apply (1-L_T)^order to a series with the given coefficient truncation.
 
     z_t = sum_{m=0}^{min(t, truncation)} c_m y_{t-m}; samples before the
     series start count as zero.  Negative order performs discrete fractional
-    integration through the same code path.
+    integration through the same code path.  The coefficients come from a
+    cache of GL operators keyed by the exact (order, truncation), which also
+    memoises their spectra, so repeated differences at one order, truncation
+    and series length transform only the series.  Exact trailing zeros are
+    dropped, so a nonnegative integer order is a short direct sum at any
+    truncation.
     """
-    coeffs = gl_coefficients(order, truncation)
-    return y.with_values(_kernels.causal_apply(y.values, coeffs))
+    return y.with_values(_kernels.causal_apply(y.values, _gl_operator(order, truncation)))
 
 
 def fractional_integrate(y: Series, order: float, truncation: int) -> Series:

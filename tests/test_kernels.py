@@ -5,7 +5,8 @@ sizes below and above the direct/FFT crossover of ``_kernels.convolve``."""
 import numpy as np
 import pytest
 
-from fracspec import _kernels
+from fracspec import NoiseSpec, gl_coefficients, gl_difference, white_noise
+from fracspec import _kernels, glops
 
 
 def _brute_causal(y, c):
@@ -77,12 +78,22 @@ def test_two_sided_apply_matches_brute_force(rng, n, half, periodic):
 
 def test_fft_cases_are_above_the_crossover():
     sizes = [min(n, k) for n, k in _FFT_CAUSAL]
-    # the periodic boundary convolves the series wrap-padded by half
+    # the zero boundary convolves the series, the periodic boundary the
+    # series wrap-padded by half
+    sizes += [min(n, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
     sizes += [min(n + 2 * half, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
-    # the zero boundary at (300, 900) stays direct, a 300-sample series
-    n, half = _FFT_TWO_SIDED[0]
-    sizes.append(min(n, 2 * half + 1))
     assert min(sizes) >= _kernels.FFT_MIN_SIZE
+
+
+@pytest.mark.parametrize("taps", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE])
+def test_gl_difference_on_both_sides_of_the_crossover(taps):
+    glops._operator_cache.clear()
+    y = white_noise(NoiseSpec(seed=taps), 3000)
+    c = gl_coefficients(0.4, taps - 1)
+    got = gl_difference(y, 0.4, taps - 1).values
+    # the operator memoises a spectrum only on the FFT path
+    assert bool(glops._operator_cache[(0.4, taps - 1)]._spectra) == (taps >= _kernels.FFT_MIN_SIZE)
+    _assert_within_bound(got, _brute_causal(y.values, c), y.values, c, 1e-13)
 
 
 @pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE])

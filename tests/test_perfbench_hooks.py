@@ -123,3 +123,12 @@ def test_traced_estimate_counts_rows(tmp_path):
         "estimate", "--input", _series_csv(tmp_path), "-o", str(tmp_path / "e.csv"),
     ])
     assert counters["cli.rows_parsed"] > 0
+
+
+def test_traced_gl_difference_counts_its_taps(tmp_path):
+    # the tracer reads len() of causal_apply's second argument, the GL operator
+    counters = _traced_run(tmp_path, [
+        "difference", "--input", _series_csv(tmp_path), "--order", "0.4",
+        "--truncation", "300", "-o", str(tmp_path / "z.csv"),
+    ])
+    assert counters["kernels.causal_apply_macs"] == 256 * min(256, 301)

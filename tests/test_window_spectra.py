@@ -37,10 +37,16 @@ def _fresh_window(order, half_width):
     return exact_kernel_window(order, half_width)
 
 
+# half-widths whose windows are the longest below FFT_MIN_SIZE and the
+# shortest at or above it
+_BELOW = (_kernels.FFT_MIN_SIZE - 2) // 2
+_ABOVE = _BELOW + 1
+
+
 # (n, half): direct sums (window below FFT_MIN_SIZE), FFT products, and a
 # half-width beyond the series length on both paths
 @pytest.mark.parametrize(
-    "n,half", [(1000, 100), (1000, 191), (1000, 192), (4096, 256), (150, 400), (20, 30)]
+    "n,half", [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (4096, 256), (150, 400), (20, 30)]
 )
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
 def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
@@ -72,10 +78,10 @@ def test_memo_is_bounded_over_many_lengths():
     window = _fresh_window(0.7, 256)
     lengths = [400 + 97 * i for i in range(50)]
     sizes = [_kernels._fft_length(n + 2 * 256) for n in lengths]
-    assert len(set(sizes)) > 2 * exactops._SPECTRA_PER_WINDOW
+    assert len(set(sizes)) > 2 * _kernels._SPECTRA_KEPT
     # the stated bound: a full memo of the largest spectra, plus 64 KiB
     largest = (max(sizes) // 2 + 1) * 16
-    bound = exactops._SPECTRA_PER_WINDOW * largest + 64 * 1024
+    bound = _kernels._SPECTRA_KEPT * largest + 64 * 1024
     y = white_noise(NoiseSpec(seed=5), max(lengths)).values
     tracemalloc.start()
     try:
@@ -86,7 +92,7 @@ def test_memo_is_bounded_over_many_lengths():
     finally:
         tracemalloc.stop()
     # the memo keeps the most recent lengths, dropping the oldest
-    assert list(window._spectra) == list(dict.fromkeys(sizes))[-exactops._SPECTRA_PER_WINDOW :]
+    assert list(window._spectra) == list(dict.fromkeys(sizes))[-_kernels._SPECTRA_KEPT :]
     # unbounded, the 50 spectra would hold about 1 MB
     assert grown <= bound
 
@@ -108,7 +114,7 @@ def test_threads_sharing_a_window_agree():
     # more threads than cores and more lengths than the memo keeps, with a
     # short switch interval, so lookups, inserts and evictions interleave
     window = _fresh_window(0.5, 300)
-    lengths = [700 + 200 * i for i in range(exactops._SPECTRA_PER_WINDOW + 4)]
+    lengths = [700 + 200 * i for i in range(_kernels._SPECTRA_KEPT + 4)]
     y = white_noise(NoiseSpec(seed=9), max(lengths)).values
     want = {n: _recomputed(y[:n], window.weights, "periodic") for n in lengths}
     workers = 4
@@ -134,6 +140,6 @@ def test_threads_sharing_a_window_agree():
     for got in results:
         assert len(got) == 3 * len(lengths)
         assert all(np.array_equal(out, want[n]) for n, out in got)
-    assert len(window._spectra) == exactops._SPECTRA_PER_WINDOW
+    assert len(window._spectra) == _kernels._SPECTRA_KEPT
     for size, spectrum in window._spectra.items():
         assert np.array_equal(spectrum, np.fft.rfft(window.weights, size))
