@@ -2,23 +2,25 @@
 two-sided kernel application, and the AR recursion.
 
 All three convolutions go through ``convolve``.  It sums directly with
-``np.convolve`` while the shorter operand has fewer than ``FFT_MIN_SIZE``
-samples, and otherwise multiplies real FFTs zero-padded to a 5-smooth length.
-An operand held as :class:`Taps` (GL operators and exact-kernel windows)
-supplies its memoised weight spectrum, so on the FFT path it costs one
-``rfft`` of the series and one ``irfft``; the values are those of
-transforming the weights, so outputs are bit-identical.  The crossover is
-measured on that path: on a 2-vCPU x86 host the product with a memoised
-spectrum starts to win at a shorter side of 128-192 samples for series of
-2k-8k samples, 192-320 for series of 512-1k or 16k samples, and from 288 to
-above 448 for series of 5e4-1e5; across that grid 224 costs the least over
-the faster path.  The direct path keeps ``np.convolve``'s rounding bit for
-bit.  The FFT path is within 1e-13 * sum|w| * max|y| of the exact sum;
-measured against the direct sum it is within ~1.2e-16 times that scale up
-to n = M = 1e5.  The periodic boundary wrap-pads the series by the kernel
-half-width and keeps the part the padding fully covers.  The AR recursion is
-inherently sequential and runs as a pure-Python loop over floats, which is
-cheaper than indexing numpy scalars.
+``np.convolve`` while the shorter operand is below a crossover, and otherwise
+multiplies real FFTs zero-padded to a 5-smooth length.  An operand held as
+:class:`Taps` (GL operators and exact-kernel windows, both cached) supplies
+its memoised weight spectrum, so on the FFT path it costs one ``rfft`` of the
+series and one ``irfft``; the values are those of transforming the weights,
+so outputs are bit-identical.  Two plain arrays cost three transforms, as
+does the first call of a :class:`Taps` at an FFT length.  The crossover
+follows the operand's type, never whether its spectrum is memoised yet, so a
+call's output depends only on its inputs.  Both crossovers are measured on a
+grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU x86 host): for
+two plain arrays ``FFT_MIN_SIZE`` = 384 costs the least over the faster path,
+and for a :class:`Taps` with its spectrum memoised ``TAPS_FFT_MIN_SIZE`` =
+224 does.  The direct path keeps ``np.convolve``'s rounding bit for bit.  The
+FFT path is within 1e-13 * sum|w| * max|y| of the exact sum; measured against
+the direct sum it is within ~1.2e-16 times that scale up to n = M = 1e5.  The
+periodic boundary wrap-pads the series by the kernel half-width and keeps the
+part the padding fully covers.  The AR recursion is inherently sequential and
+runs as a pure-Python loop over floats, which is cheaper than indexing numpy
+scalars.
 """
 
 import functools
@@ -29,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "FFT_MIN_SIZE",
+    "TAPS_FFT_MIN_SIZE",
     "Taps",
     "convolve",
     "causal_apply",
@@ -37,8 +40,10 @@ __all__ = [
     "ar_recurse",
 ]
 
-# direct np.convolve while the shorter operand is below this many samples
-FFT_MIN_SIZE = 224
+# direct np.convolve while the shorter operand is below this many samples;
+# the second applies when the weights are Taps, whose spectrum is memoised
+FFT_MIN_SIZE = 384
+TAPS_FFT_MIN_SIZE = 224
 
 # FFT lengths whose weight spectra one Taps keeps; asking for another drops
 # the oldest.  A series of fixed length needs one or two.
@@ -131,11 +136,11 @@ def convolve(y, w) -> np.ndarray:
     """Full linear convolution, length len(y) + len(w) - 1.
 
     ``w`` is an array of weights or :class:`Taps`, whose memoised spectrum
-    the FFT path reuses.
+    the FFT path reuses from ``TAPS_FFT_MIN_SIZE`` on.
     """
     taps = w if isinstance(w, Taps) else None
     y, w = _as_f8(y), _as_f8(w if taps is None else taps.weights)
-    if min(y.shape[0], w.shape[0]) < FFT_MIN_SIZE:
+    if min(y.shape[0], w.shape[0]) < (FFT_MIN_SIZE if taps is None else TAPS_FFT_MIN_SIZE):
         return np.convolve(y, w)
     full = y.shape[0] + w.shape[0] - 1
     size = _fft_length(full)

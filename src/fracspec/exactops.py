@@ -20,7 +20,7 @@ Quadrature is also the one oracle.  Construction runs it once over every
 lag 0..M and checks the asymptotic expansion against it at every lag from
 12 to M, both signs, failing loudly if a weight is off by more than
 CROSS_CHECK_TOL * max(1, |K|), relative because weights grow like pi^alpha.
-A cold window costs O(M): under 1 ms at M = 256, 30-32 ms at M = 1e5
+A cold window costs O(M): under 1 ms at M = 256, 35-40 ms at M = 1e5
 (2-vCPU VM).  The routes are private; :func:`exact_kernel_window` is the one
 public source of weights.
 """
@@ -59,13 +59,6 @@ ORDER_MAX = 40
 # about 40! / (12 pi)^40 ~ 7e-16 of the first; larger lags reach double
 # precision in fewer terms.
 _ASYMPTOTIC_TERMS = 40
-# Each term of the expansion runs only over the prefix of lags whose sums it
-# can still change; below this many lags, finding that prefix costs more
-# than the terms it would save.
-_LIVE_CHECK_MIN = 1024
-# A term below |sum| eps / 4 leaves a sum of doubles as it is; half of that
-# covers the rounding of the bound on the term.
-_UNSEEN = np.finfo(np.float64).eps / 8.0
 
 # 16-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(16):
 # it is symmetric about 0, so the positive nodes and their weights define it.
@@ -192,48 +185,23 @@ def _asymptotic_integrals(order: float, lags: np.ndarray) -> np.ndarray:
     k - a < m pi.  It is cut after _ASYMPTOTIC_TERMS terms; at integer
     orders a_k vanishes and the sum is exact.  The real products a_k add
     into four sums by k mod 4.
-
-    Each term runs only over the prefix of lags whose sums a later term can
-    still change (see :func:`_done`); the sums, and so the weights, are
-    those of running every term at every lag.
     """
     m = lags.astype(np.float64)
     mpi = math.pi * m
     a = np.ones_like(m)
     sums = np.zeros((4, m.size))  # sum of a_k over k = 0, 1, 2, 3 mod 4
     sums[0] = a
-    # the prefix of lags still running: it ends after its last lag that is
-    # not done, so it can shrink only once that last lag is done
-    live_a, live_mpi, live_sums = a, mpi, sums
     for k in range(1, _ASYMPTOTIC_TERMS):
         step = k - 1.0 - order
-        if step == 0.0 or live_a.size == 0:
+        if step == 0.0:
             break  # integer order: a_k and every later term vanish
-        live_a *= step / live_mpi
-        live_sums[k % 4] += live_a
-        if (live_a.size >= _LIVE_CHECK_MIN
-                and _done(order, k, live_a[-1], live_mpi[-1], live_sums[:, -1])):
-            pending = np.flatnonzero(~_done(order, k, live_a, live_mpi, live_sums))
-            live = int(pending[-1]) + 1 if pending.size else 0
-            live_a, live_mpi, live_sums = a[:live], mpi[:live], sums[:, :live]
+        a *= step / mpi
+        sums[k % 4] += a
     rotation = complex(cospi((order + 1.0) / 2.0), sinpi((order + 1.0) / 2.0))
     head = math.gamma(order + 1.0) * rotation * m ** -(order + 1.0)
     # (-i)^(k+1) is -i, -1, i, 1 at k = 0, 1, 2, 3 mod 4
     tail = (sums[3] - sums[1] + 1j * (sums[2] - sums[0])) * math.pi**order / m
     return head + np.where(lags % 2 == 1, -tail, tail)
-
-
-def _done(order: float, k: int, a, mpi, sums):
-    """Whether no term after a_k can change one of the four sums at a lag;
-    elementwise over arrays of lags.
-
-    Later terms shrink from one to the next at a lag where m pi exceeds
-    every |j - 1 - order|, j = k+1, ..., _ASYMPTOTIC_TERMS - 1, so there the
-    next term bounds them all.
-    """
-    largest = max(abs(k - order), abs(_ASYMPTOTIC_TERMS - 2 - order))
-    bound = np.abs(a) * (abs(k - order) / mpi)  # |a_{k+1}|
-    return (bound < np.abs(sums).min(axis=0) * _UNSEEN) & (mpi > largest)
 
 
 def _check(order: float, got, e: np.ndarray) -> None:

@@ -78,21 +78,23 @@ def test_two_sided_apply_matches_brute_force(rng, n, half, periodic):
 
 def test_fft_cases_are_above_the_crossover():
     sizes = [min(n, k) for n, k in _FFT_CAUSAL]
-    # the zero boundary convolves the series, the periodic boundary the
-    # series wrap-padded by half
-    sizes += [min(n, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
+    # the periodic boundary convolves the series wrap-padded by half
     sizes += [min(n + 2 * half, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
+    # the zero boundary at (300, 900) stays direct, a 300-sample series
+    n, half = _FFT_TWO_SIDED[0]
+    sizes.append(min(n, 2 * half + 1))
     assert min(sizes) >= _kernels.FFT_MIN_SIZE
 
 
-@pytest.mark.parametrize("taps", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE])
+@pytest.mark.parametrize("taps", [_kernels.TAPS_FFT_MIN_SIZE - 1, _kernels.TAPS_FFT_MIN_SIZE])
 def test_gl_difference_on_both_sides_of_the_crossover(taps):
     glops._operator_cache.clear()
     y = white_noise(NoiseSpec(seed=taps), 3000)
     c = gl_coefficients(0.4, taps - 1)
     got = gl_difference(y, 0.4, taps - 1).values
     # the operator memoises a spectrum only on the FFT path
-    assert bool(glops._operator_cache[(0.4, taps - 1)]._spectra) == (taps >= _kernels.FFT_MIN_SIZE)
+    operator = glops._operator_cache[(0.4, taps - 1)]
+    assert bool(operator._spectra) == (taps >= _kernels.TAPS_FFT_MIN_SIZE)
     _assert_within_bound(got, _brute_causal(y.values, c), y.values, c, 1e-13)
 
 
@@ -118,6 +120,36 @@ def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
     else:
         assert direct_calls == []
         assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
+
+
+@pytest.mark.parametrize(
+    "short", [_kernels.TAPS_FFT_MIN_SIZE - 1, _kernels.TAPS_FFT_MIN_SIZE, _kernels.FFT_MIN_SIZE - 1]
+)
+@pytest.mark.parametrize("taps_short", [False, True])
+def test_taps_have_their_own_crossover(rng, monkeypatch, short, taps_short):
+    # between the two crossovers the same weights take the direct sum as a
+    # plain array and the FFT path as Taps, on a miss and on a hit alike
+    long_, short_ = rng.normal(size=2000), rng.normal(size=short)
+    y, w = (long_, short_) if taps_short else (short_, long_)
+    taps = _kernels.Taps(w)
+    want = np.convolve(y, w)
+    direct_calls = []
+    real_convolve = np.convolve
+
+    def counting_convolve(*args):
+        direct_calls.append(args)
+        return real_convolve(*args)
+
+    monkeypatch.setattr(_kernels.np, "convolve", counting_convolve)
+    assert np.array_equal(_kernels.convolve(y, w), want)
+    assert len(direct_calls) == 1
+    miss = _kernels.convolve(y, taps)
+    hit = _kernels.convolve(y, taps)
+    fft = short >= _kernels.TAPS_FFT_MIN_SIZE
+    assert len(direct_calls) == (1 if fft else 3)
+    assert bool(taps._spectra) == fft
+    assert np.array_equal(hit, miss)
+    assert np.abs(miss - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
 
 
 def test_fft_length_is_smallest_5_smooth():

@@ -17,7 +17,7 @@ from fracspec import _kernels, exactops
 def _recomputed_convolve(y, w):
     """Reference ``convolve`` that transforms the weights on every FFT-path
     call."""
-    if min(y.size, w.size) < _kernels.FFT_MIN_SIZE:
+    if min(y.size, w.size) < _kernels.TAPS_FFT_MIN_SIZE:
         return np.convolve(y, w)
     full = y.size + w.size - 1
     size = _kernels._fft_length(full)
@@ -37,16 +37,20 @@ def _fresh_window(order, half_width):
     return exact_kernel_window(order, half_width)
 
 
-# half-widths whose windows are the longest below FFT_MIN_SIZE and the
+# half-widths whose windows are the longest below TAPS_FFT_MIN_SIZE and the
 # shortest at or above it
-_BELOW = (_kernels.FFT_MIN_SIZE - 2) // 2
+_BELOW = (_kernels.TAPS_FFT_MIN_SIZE - 2) // 2
 _ABOVE = _BELOW + 1
 
 
-# (n, half): direct sums (window below FFT_MIN_SIZE), FFT products, and a
-# half-width beyond the series length on both paths
+# (n, half): direct sums (window below TAPS_FFT_MIN_SIZE), FFT products, a
+# half-width beyond the series length on both paths, and windows of 383 and
+# 385 weights, on both sides of the plain-array FFT_MIN_SIZE, which as
+# windows both take the FFT path
 @pytest.mark.parametrize(
-    "n,half", [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (4096, 256), (150, 400), (20, 30)]
+    "n,half",
+    [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (1000, 191), (1000, 192), (4096, 256),
+     (150, 400), (20, 30)],
 )
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
 def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
@@ -61,7 +65,7 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
     assert window._spectra.keys() == memo.keys()
     assert all(window._spectra[k] is memo[k] for k in memo)
     operand = n if boundary == "zero" else n + 2 * half
-    assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.FFT_MIN_SIZE)
+    assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.TAPS_FFT_MIN_SIZE)
 
 
 def test_memoised_spectra_are_read_only():
