@@ -5,7 +5,6 @@ from .arfima import (
     ArfimaSpec,
     MemoryEstimate,
     NoiseSpec,
-    default_bandwidth,
     estimate_memory,
     estimate_memory_from_periodogram,
     simulate_arfima,
@@ -20,7 +19,6 @@ from .exactops import (
 )
 from .glops import (
     Series,
-    fractional_integrate,
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
@@ -49,12 +47,10 @@ __all__ = [
     "ResponseReport",
     "Series",
     "SlopeFit",
-    "default_bandwidth",
     "estimate_memory",
     "estimate_memory_from_periodogram",
     "exact_difference",
     "exact_kernel_window",
-    "fractional_integrate",
     "gl_coefficients",
     "gl_derivative_approx",
     "gl_difference",

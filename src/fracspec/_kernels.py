@@ -21,6 +21,10 @@ periodic boundary wrap-pads the series by the kernel half-width and keeps the
 part the padding fully covers.  The AR recursion is inherently sequential and
 runs as a pure-Python loop over floats, which is cheaper than indexing numpy
 scalars.
+
+Exact-kernel windows, GL operators and each :class:`Taps`'s spectra are kept
+in :class:`BoundedCache` instances, each holding its newest ``CACHE_BOUND``
+entries.
 """
 
 import functools
@@ -32,6 +36,8 @@ import numpy as np
 __all__ = [
     "FFT_MIN_SIZE",
     "TAPS_FFT_MIN_SIZE",
+    "CACHE_BOUND",
+    "BoundedCache",
     "Taps",
     "convolve",
     "causal_apply",
@@ -45,9 +51,9 @@ __all__ = [
 FFT_MIN_SIZE = 384
 TAPS_FFT_MIN_SIZE = 224
 
-# FFT lengths whose weight spectra one Taps keeps; asking for another drops
-# the oldest.  A series of fixed length needs one or two.
-_SPECTRA_KEPT = 8
+# entries every BoundedCache keeps: exact windows, GL operators, and the FFT
+# lengths of one Taps's spectra (a series of fixed length needs one or two)
+CACHE_BOUND = 8
 
 
 def _as_f8(a) -> np.ndarray:
@@ -69,18 +75,27 @@ def _without_trailing_zeros(c: np.ndarray) -> np.ndarray:
     return c[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def _memo(cache: dict, lock: threading.Lock, key, build, bound: int):
-    """``cache[key]``, from ``build()`` on a miss; the build runs outside the
-    lock, and beyond ``bound`` entries the oldest entry goes."""
-    with lock:
-        value = cache.get(key)
-    if value is None:
-        value = build()
-        with lock:
-            value = cache.setdefault(key, value)
-            while len(cache) > bound:
-                del cache[next(iter(cache))]
-    return value
+class BoundedCache(dict):
+    """A dict of at most ``CACHE_BOUND`` entries, filled by
+    :meth:`get_or_build` under the cache's own lock.  The build runs outside
+    the lock; builders racing on one key each get the first value stored;
+    past the bound the oldest entry goes."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def get_or_build(self, key, build):
+        """``self[key]``, from ``build()`` on a miss."""
+        with self._lock:
+            value = self.get(key)
+        if value is None:
+            value = build()
+            with self._lock:
+                value = self.setdefault(key, value)
+                while len(self) > CACHE_BOUND:
+                    del self[next(iter(self))]
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +107,7 @@ class Taps:
     """
 
     weights: np.ndarray
-    _spectra: dict = field(init=False, repr=False, default_factory=dict)
-    _spectra_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+    _spectra: BoundedCache = field(init=False, repr=False, default_factory=BoundedCache)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -109,12 +123,11 @@ class Taps:
     def spectrum(self, size: int) -> np.ndarray:
         """``np.fft.rfft(weights, size)``, read-only.
 
-        The spectra of the last ``_SPECTRA_KEPT`` lengths asked for are kept
+        The spectra of the last ``CACHE_BOUND`` lengths asked for are kept
         on the object, so they go when it does.
         """
-        return _memo(
-            self._spectra, self._spectra_lock, size,
-            lambda: _read_only(np.fft.rfft(self.weights, size)), _SPECTRA_KEPT,
+        return self._spectra.get_or_build(
+            size, lambda: _read_only(np.fft.rfft(self.weights, size))
         )
 
 

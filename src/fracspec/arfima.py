@@ -29,7 +29,6 @@ __all__ = [
     "estimate_memory",
     "estimate_memory_from_periodogram",
     "theoretical_acf",
-    "default_bandwidth",
     "SAMPLE_CAP",
     "MAX_LAG_CAP",
 ]
@@ -242,11 +241,6 @@ def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
     return Series(values[spec.burn_in :], step=1.0, start=0.0)
 
 
-def default_bandwidth(n: int) -> int:
-    """Standard bias/variance compromise: floor(sqrt(n))."""
-    return int(math.isqrt(n))
-
-
 def estimate_memory_from_periodogram(
     omega: np.ndarray, power: np.ndarray, bandwidth: int
 ) -> MemoryEstimate:
@@ -277,7 +271,7 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     frequencies.  Default bandwidth is floor(sqrt(n))."""
     n = len(y)
     if bandwidth is None:
-        bandwidth = default_bandwidth(n)
+        bandwidth = math.isqrt(n)
     if not (3 <= bandwidth <= n / 2):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
     omega, power = periodogram(y)
@@ -291,10 +285,15 @@ def theoretical_acf(
     of an ARFIMA(0, d, 0) process, lags 0..max_lag.
 
     psi are the MA-infinity weights of (1-L)^(-d), summed up to
-    ``truncation`` (which must be at least 10*max_lag); ``max_lag`` may not
-    exceed ``MAX_LAG_CAP``.  The leading omitted term psi_J^2 serves as the
-    truncation-tail indicator; if it exceeds 1e-6 of gamma(0) the truncation
-    is rejected as too small.
+    ``truncation`` J (which must be at least 10*max_lag); ``max_lag`` may
+    not exceed ``MAX_LAG_CAP``.  The sum falls short of the exact
+    autocovariance by its omitted tail, about
+    sigma^2 J^(2d-1) / ((1-2d) Gamma(d)^2) at lags well below J: at J = 1e5
+    that is 0.21% of gamma(0) at d = 0.3 and 22% at d = 0.45 (4.1% and 46%
+    of gamma(200)).  The truncation is rejected when the leading omitted
+    term psi_J^2 exceeds 1e-6 of gamma(0); that understates the tail (about
+    2.5e5 times at d = 0.3), so the guard only rejects very short
+    truncations.
     """
     if not (abs(d) < 0.5):
         raise ValueError("theoretical ACF requires |d| < 0.5")

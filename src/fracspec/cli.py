@@ -390,8 +390,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=None, help="default 1; --d only")
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--truncation", type=int, default=None,
-                   help="psi-weight truncation (default max(100 * max_lag, 100000), at "
-                   "most the GL truncation cap minus max_lag); --d only")
+                   help="psi-weight truncation J (default max(100 * max_lag, 100000), at "
+                   "most the GL truncation cap minus max_lag); the sum falls short of "
+                   "the ACF by about sigma^2 J^(2d-1) / ((1-2d) Gamma(d)^2), 22%% of "
+                   "gamma(0) at d = 0.45 and J = 1e5, and its tail guard rejects only "
+                   "very short truncations; --d only")
     add_output(p)
     p.set_defaults(handler=_cmd_acf)
 

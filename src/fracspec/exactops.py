@@ -26,7 +26,6 @@ public source of weights.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -222,10 +221,7 @@ def _check(order: float, got, e: np.ndarray) -> None:
             )
 
 
-# Windows the cache keeps; building another drops the oldest.
-_WINDOWS_CACHED = 8
-_window_cache: dict[tuple[float, int], KernelWindow] = {}
-_window_lock = threading.Lock()
+_window_cache = _kernels.BoundedCache()  # (order, half_width) -> KernelWindow
 
 
 def _build_window(order: float, half_width: int) -> KernelWindow:
@@ -251,9 +247,10 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     it within CROSS_CHECK_TOL * max(1, |K|), or construction raises
     :class:`ConsistencyError`.  ``order`` may not exceed ``ORDER_MAX`` nor
     ``half_width`` ``HALF_WIDTH_CAP``.  Windows are immutable and cached by
-    the exact (order, half_width); the cache keeps the last
-    ``_WINDOWS_CACHED`` built.  Each window memoises its weight spectra
-    (:meth:`KernelWindow.spectrum`), so dropping it drops them too.
+    the exact (order, half_width) in a :class:`_kernels.BoundedCache`, which
+    keeps the last ``_kernels.CACHE_BOUND`` = 8 built.  Each window memoises
+    its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`),
+    so dropping it drops them too.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -261,9 +258,8 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
         raise ValueError("half_width must be a positive integer")
     if half_width > HALF_WIDTH_CAP:
         raise ValueError(f"half_width exceeds cap {HALF_WIDTH_CAP}")
-    return _kernels._memo(
-        _window_cache, _window_lock, (order, half_width),
-        lambda: _build_window(order, half_width), _WINDOWS_CACHED,
+    return _window_cache.get_or_build(
+        (order, half_width), lambda: _build_window(order, half_width)
     )
 
 

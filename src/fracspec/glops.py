@@ -8,7 +8,6 @@ inverses at matching truncation.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,17 +19,13 @@ __all__ = [
     "Series",
     "gl_coefficients",
     "gl_difference",
-    "fractional_integrate",
     "gl_derivative_approx",
     "TRUNCATION_CAP",
 ]
 
 TRUNCATION_CAP = 10**6
 
-# GL operators the cache keeps; building another drops the oldest.
-_OPERATORS_CACHED = 8
-_operator_cache: dict[tuple[float, int], _kernels.Taps] = {}
-_operator_lock = threading.Lock()
+_operator_cache = _kernels.BoundedCache()  # (order, truncation) -> Taps
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +95,14 @@ def _gl_operator(order: float, truncation: int) -> _kernels.Taps:
     """The coefficients of :func:`gl_coefficients` without their exact
     trailing zeros, as :class:`_kernels.Taps` with memoised spectra.
 
-    Operators are cached by the exact (float(order), int(truncation)); the
-    cache keeps the last ``_OPERATORS_CACHED`` built.
+    Operators are cached by the exact (float(order), int(truncation)) in a
+    :class:`_kernels.BoundedCache`, which keeps the last
+    ``_kernels.CACHE_BOUND`` = 8 built.
     """
     order, truncation = float(order), int(truncation)
-    return _kernels._memo(
-        _operator_cache, _operator_lock, (order, truncation),
+    return _operator_cache.get_or_build(
+        (order, truncation),
         lambda: _kernels.Taps(_kernels._without_trailing_zeros(gl_coefficients(order, truncation))),
-        _OPERATORS_CACHED,
     )
 
 
@@ -116,14 +111,17 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
 
     z_t = sum_{m=0}^{min(t, truncation)} c_m y_{t-m}; samples before the
     series start count as zero.  Negative order performs discrete fractional
-    integration through the same code path.  The coefficients come from a
+    integration through the same code path: ``gl_difference(y, -d, T)``
+    integrates to order d, with MA weights psi_m = (-1)^m C(-d, m), all
+    positive for 0 < d < 1.  The coefficients come from a
     cache of GL operators keyed by the exact (order, truncation), which also
     memoises their spectra, so repeated differences at one order, truncation
     and series length transform only the series.  Exact trailing zeros are
     dropped, so a nonnegative integer order is a short direct sum at any
     truncation.
 
-    The cache stays alive after the call.  It holds at most 8 operators, each
+    The cache stays alive after the call.  It and each operator's spectra
+    keep ``_kernels.CACHE_BOUND`` = 8 entries: at most 8 operators, each
     with its coefficients (8 bytes a tap) and up to 8 spectra (8 bytes per
     sample of FFT length L, which is at least the series length plus the
     truncation).  The worst case is 8 * (8 MB + 64 L) bytes at
@@ -131,17 +129,6 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
     0.8 GB for series of 5e5 (L = 1.5e6).
     """
     return y.with_values(_kernels.causal_apply(y.values, _gl_operator(order, truncation)))
-
-
-def fractional_integrate(y: Series, order: float, truncation: int) -> Series:
-    """Discrete fractional integration of positive order.
-
-    Alias for ``gl_difference(y, -order, truncation)``; the MA weights
-    psi_m = (-1)^m C(-order, m) are all positive for 0 < order < 1.
-    """
-    if not (order > 0.0):
-        raise ValueError("integration order must be positive")
-    return gl_difference(y, -order, truncation)
 
 
 def gl_derivative_approx(

@@ -8,7 +8,6 @@ from fracspec import (
     ArfimaSpec,
     MemoryEstimate,
     NoiseSpec,
-    default_bandwidth,
     estimate_memory,
     estimate_memory_from_periodogram,
     gl_difference,
@@ -171,7 +170,7 @@ def test_estimate_memory_brackets_truth_cheap():
         y = simulate_arfima(
             ArfimaSpec(d=0.0, n=2048, truncation=2048), NoiseSpec(seed=seed)
         )
-        ds.append(estimate_memory(y, default_bandwidth(2048)).d_hat)
+        ds.append(estimate_memory(y, math.isqrt(2048)).d_hat)
     assert -0.15 <= np.mean(ds) <= 0.15
 
 
@@ -211,6 +210,26 @@ def test_theoretical_acf_matches_gamma_closed_form():
             math.lgamma(1.0 - d) + math.lgamma(k + d) - math.lgamma(d) - math.lgamma(k + 1.0 - d)
         )
         assert gammas[k] == pytest.approx(g0 * ratio, rel=2e-2)
+
+
+def _hosking_acf(d, max_lag):
+    """gamma(0) = Gamma(1-2d) / Gamma(1-d)^2, gamma(k) = gamma(k-1) (k-1+d) / (k-d)
+    (Hosking, Fractional differencing, Biometrika 1981), sigma = 1."""
+    k = np.arange(1, max_lag + 1)
+    ratios = np.r_[1.0, np.cumprod((k - 1.0 + d) / (k - d))]
+    return math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2 * ratios
+
+
+@pytest.mark.parametrize("d", [-0.45, -0.3, 0.1, 0.3, 0.45])
+def test_theoretical_acf_falls_short_by_its_tail(d):
+    # the truncated sum omits sum_{j > J} psi_j psi_{j+k}, about
+    # J^(2d-1) / ((1-2d) Gamma(d)^2) at lags well below J
+    J = 100_000
+    gammas = theoretical_acf(d, 1.0, 200, J)
+    exact = _hosking_acf(d, 200)
+    tail = J ** (2.0 * d - 1.0) / ((1.0 - 2.0 * d) * math.gamma(d) ** 2)
+    for lag in (0, 200):
+        assert exact[lag] - gammas[lag] == pytest.approx(tail, rel=1e-2), lag
 
 
 def test_theoretical_acf_power_law_slope():

@@ -74,7 +74,7 @@ def test_operator_cache_keys_the_exact_order():
 
 def test_operator_cache_keeps_the_newest_operators():
     glops._operator_cache.clear()
-    orders = [0.3 + 0.01 * k for k in range(glops._OPERATORS_CACHED + 3)]
+    orders = [0.3 + 0.01 * k for k in range(_kernels.CACHE_BOUND + 3)]
     y = white_noise(NoiseSpec(seed=6), 512)
     for a in orders:
         gl_difference(y, a, 200)
@@ -84,14 +84,14 @@ def test_operator_cache_keeps_the_newest_operators():
     assert glops._operator_cache[(orders[-1], 200)] is newest
     gl_difference(y, orders[0], 200)
     assert list(glops._operator_cache)[-1] == (orders[0], 200)
-    assert len(glops._operator_cache) == glops._OPERATORS_CACHED
+    assert len(glops._operator_cache) == _kernels.CACHE_BOUND
 
 
 def test_threads_building_more_operators_than_the_cache_keeps():
     # more threads than cores, more keys than the cache keeps and FFT-path
     # sizes, with a short switch interval, so lookups, builds, evictions and
     # spectrum memos interleave
-    orders = [0.3 + 0.01 * k for k in range(glops._OPERATORS_CACHED + 3)]
+    orders = [0.3 + 0.01 * k for k in range(_kernels.CACHE_BOUND + 3)]
     y = white_noise(NoiseSpec(seed=9), 2000)
     want = {a: _recomputed(y.values, gl_coefficients(a, 400)) for a in orders}
     glops._operator_cache.clear()
@@ -115,7 +115,7 @@ def test_threads_building_more_operators_than_the_cache_keeps():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(glops._operator_cache) == glops._OPERATORS_CACHED
+    assert len(glops._operator_cache) == _kernels.CACHE_BOUND
     for got in results:
         assert len(got) == 3 * len(orders)
         assert all(np.array_equal(out, want[a]) for a, out in got)

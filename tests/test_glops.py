@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fracspec import (
     NoiseSpec,
     Series,
-    fractional_integrate,
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
@@ -166,23 +165,15 @@ def test_gl_difference_linearity(a, b, order):
 
 def test_fractional_integrate_impulse():
     impulse = Series(np.array([1.0, 0.0, 0.0, 0.0]))
-    got = fractional_integrate(impulse, 0.5, 3)
+    got = gl_difference(impulse, -0.5, 3)
     assert got.values.tolist() == [1.0, 0.5, 0.375, 0.3125]
-
-
-def test_fractional_integrate_requires_positive_order():
-    y = _random_series(8, seed=9)
-    with pytest.raises(ValueError):
-        fractional_integrate(y, 0.0, 4)
-    with pytest.raises(ValueError):
-        fractional_integrate(y, -0.3, 4)
 
 
 @pytest.mark.parametrize("d", [0.1, 0.45, 0.9])
 def test_inversion_identity(d):
     y = _random_series(512, seed=21)
     M = 512
-    back = gl_difference(fractional_integrate(y, d, M), d, M)
+    back = gl_difference(gl_difference(y, -d, M), d, M)
     assert np.abs(back.values - y.values).max() <= 1e-10
 
 

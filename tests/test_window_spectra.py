@@ -82,10 +82,10 @@ def test_memo_is_bounded_over_many_lengths():
     window = _fresh_window(0.7, 256)
     lengths = [400 + 97 * i for i in range(50)]
     sizes = [_kernels._fft_length(n + 2 * 256) for n in lengths]
-    assert len(set(sizes)) > 2 * _kernels._SPECTRA_KEPT
+    assert len(set(sizes)) > 2 * _kernels.CACHE_BOUND
     # the stated bound: a full memo of the largest spectra, plus 64 KiB
     largest = (max(sizes) // 2 + 1) * 16
-    bound = _kernels._SPECTRA_KEPT * largest + 64 * 1024
+    bound = _kernels.CACHE_BOUND * largest + 64 * 1024
     y = white_noise(NoiseSpec(seed=5), max(lengths)).values
     tracemalloc.start()
     try:
@@ -96,7 +96,7 @@ def test_memo_is_bounded_over_many_lengths():
     finally:
         tracemalloc.stop()
     # the memo keeps the most recent lengths, dropping the oldest
-    assert list(window._spectra) == list(dict.fromkeys(sizes))[-_kernels._SPECTRA_KEPT :]
+    assert list(window._spectra) == list(dict.fromkeys(sizes))[-_kernels.CACHE_BOUND :]
     # unbounded, the 50 spectra would hold about 1 MB
     assert grown <= bound
 
@@ -118,7 +118,7 @@ def test_threads_sharing_a_window_agree():
     # more threads than cores and more lengths than the memo keeps, with a
     # short switch interval, so lookups, inserts and evictions interleave
     window = _fresh_window(0.5, 300)
-    lengths = [700 + 200 * i for i in range(_kernels._SPECTRA_KEPT + 4)]
+    lengths = [700 + 200 * i for i in range(_kernels.CACHE_BOUND + 4)]
     y = white_noise(NoiseSpec(seed=9), max(lengths)).values
     want = {n: _recomputed(y[:n], window.weights, "periodic") for n in lengths}
     workers = 4
@@ -144,6 +144,6 @@ def test_threads_sharing_a_window_agree():
     for got in results:
         assert len(got) == 3 * len(lengths)
         assert all(np.array_equal(out, want[n]) for n, out in got)
-    assert len(window._spectra) == _kernels._SPECTRA_KEPT
+    assert len(window._spectra) == _kernels.CACHE_BOUND
     for size, spectrum in window._spectra.items():
         assert np.array_equal(spectrum, np.fft.rfft(window.weights, size))
