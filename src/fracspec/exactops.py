@@ -249,8 +249,9 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     ``half_width`` ``HALF_WIDTH_CAP``.  Windows are immutable and cached by
     the exact (order, half_width) in a :class:`_kernels.BoundedCache`, which
     keeps the last ``_kernels.CACHE_BOUND`` = 8 built.  Each window memoises
-    its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`),
-    so dropping it drops them too.
+    its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`
+    and, for the circular route, :meth:`KernelWindow.folded_spectrum`), so
+    dropping it drops them too.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -269,12 +270,16 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     ``boundary`` resolves samples outside the observed range: ``"zero"``
     treats them as zero, ``"periodic"`` wraps indices modulo the length.
     The operator carries no step^order factor; the step enters only through
-    the frequency axis of the response target.
+    the frequency axis of the response target.  At a 5-smooth length, a
+    window of at least ``_kernels.TAPS_FFT_MIN_SIZE`` weights takes the
+    circular route of ``_kernels`` (for ``"zero"``, only while the
+    half-width is at most n / ``_kernels.CIRCULAR_SPAN_RATIO``), which reads
+    the series' memoised ``rfft()``.
     """
     if boundary == "zero":
-        values = _kernels.two_sided_apply_zero(y.values, window)
+        values = _kernels.two_sided_apply_zero(y, window)
     elif boundary == "periodic":
-        values = _kernels.two_sided_apply_periodic(y.values, window)
+        values = _kernels.two_sided_apply_periodic(y, window)
     else:
         raise ValueError(f"boundary must be 'zero' or 'periodic', got {boundary!r}")
     return y.with_values(values)

@@ -1,11 +1,15 @@
 """Brute-force index-convention oracles for the hot kernels: each kernel is
 checked against a loop over lags written straight from its definition, on
-sizes below and above the direct/FFT crossover of ``_kernels.convolve``."""
+sizes below and above the direct/FFT crossover of ``_kernels.convolve`` and
+on both sides of every choice of the circular (length-n) route."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fracspec import NoiseSpec, gl_coefficients, gl_difference, white_noise
+from fracspec import NoiseSpec, Series, gl_coefficients, gl_difference, periodogram, white_noise
 from fracspec import _kernels, glops
 
 
@@ -18,17 +22,18 @@ def _brute_causal(y, c):
 
 
 def _brute_two_sided(y, w, periodic):
+    # weight k sits at lag k - half, so an even length reaches lag half + 1
     n = len(y)
     half = (len(w) - 1) // 2
     t = np.arange(n)
     out = np.zeros(n)
-    for m in range(-half, half + 1):
-        i = t - m
+    for k, wk in enumerate(w):
+        i = t - (k - half)
         if periodic:
-            out += w[m + half] * y[i % n]
+            out += wk * y[i % n]
         else:
             inside = (0 <= i) & (i < n)
-            out[inside] += w[m + half] * y[i[inside]]
+            out[inside] += wk * y[i[inside]]
     return out
 
 
@@ -186,3 +191,155 @@ def test_ar_recurse_matches_brute_force(rng, p):
     x = rng.normal(size=40)
     phi = rng.normal(size=p) * 0.3
     assert np.allclose(_kernels.ar_recurse(x, phi), _brute_ar(x, phi), atol=1e-12)
+
+
+# The circular route.  A Series of 5-smooth length n and Taps of at least
+# TAPS_FFT_MIN_SIZE weights take it: periodic at any half-width, causal and
+# zero while CIRCULAR_SPAN_RATIO * span <= n (span M - 1, or the largest
+# positive lag).  _AT is the series length at which a span of 256 sits
+# exactly on the ratio.
+_MIN = _kernels.TAPS_FFT_MIN_SIZE
+_AT = _kernels.CIRCULAR_SPAN_RATIO * 256
+
+_KERNELS = {
+    "causal": _kernels.causal_apply,
+    "zero": _kernels.two_sided_apply_zero,
+    "periodic": _kernels.two_sided_apply_periodic,
+}
+
+
+def _brute(kind, y, w):
+    return _brute_causal(y, w) if kind == "causal" else _brute_two_sided(y, w, kind == "periodic")
+
+
+def _took_circular(kind, taps, n):
+    # the circular route memoises the length-n spectrum: the causal one
+    # under n, which a linear product never uses (its length exceeds n),
+    # and the folded two-sided one under ("folded", n)
+    return (n if kind == "causal" else ("folded", n)) in taps._spectra
+
+
+@pytest.mark.parametrize(
+    "kind,n,taps,circular",
+    [
+        # 5-smooth against not
+        ("periodic", 4096, 513, True), ("periodic", 4099, 513, False),
+        ("periodic", 1000, 225, True), ("periodic", 1009, 225, False),
+        ("causal", _AT, 257, True), ("causal", _AT - 1, 257, False),
+        ("zero", _AT, 513, True), ("zero", _AT + 1, 513, False),
+        # span exactly at the ratio against one above
+        ("causal", _AT, 258, False), ("zero", _AT, 515, False),
+        ("causal", 4096, 257, False), ("zero", 4096, 513, False),
+        # one tap below the crossover against at it
+        ("periodic", 4096, _MIN - 1, False), ("periodic", 4096, _MIN, True),
+        ("causal", _AT, _MIN - 1, False), ("causal", _AT, _MIN, True),
+        ("zero", _AT, _MIN - 1, False), ("zero", _AT, _MIN, True),
+        # a periodic half-width beyond the series length
+        ("periodic", 100, 601, True),
+    ],
+)
+def test_circular_route_on_both_sides_of_each_choice(kind, n, taps, circular):
+    rng = np.random.default_rng(n + taps)
+    y = Series(rng.normal(size=n))
+    w = _kernels.Taps(rng.normal(size=taps))
+    got = _KERNELS[kind](y, w)
+    assert _took_circular(kind, w, n) == circular
+    assert got.shape == (n,)
+    _assert_within_bound(got, _brute(kind, y.values, w.weights), y.values, w.weights, 1e-12)
+
+
+def _steps(window, operator):
+    return {
+        "causal": lambda y: _kernels.causal_apply(y, operator),
+        "zero": lambda y: _kernels.two_sided_apply_zero(y, window),
+        "periodic": lambda y: _kernels.two_sided_apply_periodic(y, window),
+        "periodogram": lambda y: periodogram(y)[1],
+    }
+
+
+def test_call_order_on_one_series_gives_the_same_bits():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=_AT)
+    window = _kernels.Taps(rng.normal(size=2 * 128 + 1))
+    operator = _kernels.Taps(gl_coefficients(0.4, 256))
+    steps = _steps(window, operator)
+    outputs = []
+    for order in (["periodic", "zero", "causal", "periodogram"],
+                  ["periodogram", "causal", "zero", "periodic"]):
+        y = Series(values)
+        outputs.append({name: steps[name](y) for name in order})
+    assert _took_circular("causal", operator, _AT) and _took_circular("zero", window, _AT)
+    for name in steps:
+        assert np.array_equal(outputs[0][name], outputs[1][name])
+
+
+@pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
+def test_memo_hits_are_bit_identical_to_misses(kind):
+    rng = np.random.default_rng(5)
+    values, weights = rng.normal(size=_AT), rng.normal(size=257)
+    apply = _KERNELS[kind]
+    y, w = Series(values), _kernels.Taps(weights)
+    miss = apply(y, w)  # both memos empty
+    spectrum = y.rfft()
+    assert _took_circular(kind, w, _AT) and not spectrum.flags.writeable
+    results = [
+        apply(y, w),  # both hit
+        apply(y, _kernels.Taps(weights)),  # the series' memo hits, the operator's misses
+        apply(Series(values), w),  # the operator's memo hits, the series' misses
+    ]
+    assert y.rfft() is spectrum
+    assert np.array_equal(spectrum, np.fft.rfft(values))
+    assert all(np.array_equal(got, miss) for got in results)
+
+
+def test_threads_sharing_one_series_agree():
+    # more threads than cores, each running the three kernels and the
+    # periodogram on one shared series, window and operator whose memos
+    # start empty, with a short switch interval so the memo fills race
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=_AT)
+    weights, coeffs = rng.normal(size=2 * 128 + 1), gl_coefficients(0.3, 256)
+    reference = _steps(_kernels.Taps(weights), _kernels.Taps(coeffs))
+    want = {name: step(Series(values)) for name, step in reference.items()}
+    y, steps = Series(values), _steps(_kernels.Taps(weights), _kernels.Taps(coeffs))
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait()
+        results[slot] = [{name: step(y) for name, step in steps.items()} for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 3
+        for outputs in got:
+            assert all(np.array_equal(outputs[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
+def test_plain_arrays_keep_the_linear_route(kind):
+    # the sizes of the circular cases above, given as an array: the output
+    # is the linear product's, bit for bit, and no length-n spectrum is kept
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=_AT)
+    w = _kernels.Taps(rng.normal(size=257))
+    half = 128
+    if kind == "causal":
+        want = _kernels.convolve(y, w)[:_AT]
+    elif kind == "zero":
+        want = _kernels.convolve(y, w)[half : half + _AT]
+    else:
+        want = _kernels.convolve(np.pad(y, half, mode="wrap"), w)[2 * half : 2 * half + _AT]
+    assert np.array_equal(_KERNELS[kind](y, w), want)
+    assert not _took_circular(kind, w, _AT)

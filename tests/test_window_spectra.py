@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracspec import NoiseSpec, exact_difference, exact_kernel_window, white_noise
+from fracspec import NoiseSpec, Series, exact_difference, exact_kernel_window, white_noise
 from fracspec import _kernels, exactops
 
 
@@ -24,8 +24,24 @@ def _recomputed_convolve(y, w):
     return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[:full]
 
 
+def _circular(n, w, span):
+    """The route rule of ``_kernels``, restated for a series and a window."""
+    return (w.size >= _kernels.TAPS_FFT_MIN_SIZE and _kernels._fft_length(n) == n
+            and _kernels.CIRCULAR_SPAN_RATIO * span <= n)
+
+
 def _recomputed(y, w, boundary):
-    half = (w.size - 1) // 2
+    """Reference exact difference of a series on the route ``_kernels`` takes,
+    transforming the series and the weights on every call."""
+    n, half = y.size, (w.size - 1) // 2
+    if _circular(n, w, 0 if boundary == "periodic" else half):
+        folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
+        z = np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(folded), n)
+        if boundary == "zero":
+            wrapped = _recomputed_convolve(np.concatenate((y[:half], y[n - half :])), w)
+            z[:half] -= wrapped[3 * half :]
+            z[n - half :] -= wrapped[:half]
+        return z
     if boundary == "zero":
         return _recomputed_convolve(y, w)[half : half + y.size]
     padded = np.pad(y, half, mode="wrap")
@@ -46,11 +62,13 @@ _ABOVE = _BELOW + 1
 # (n, half): direct sums (window below TAPS_FFT_MIN_SIZE), FFT products, a
 # half-width beyond the series length on both paths, and windows of 383 and
 # 385 weights, on both sides of the plain-array FFT_MIN_SIZE, which as
-# windows both take the FFT path
+# windows both take the FFT path.  Periodic differences of a 5-smooth series
+# with a window from TAPS_FFT_MIN_SIZE on take the circular route, as does
+# the zero boundary at (8192, 128), whose half-width is n / CIRCULAR_SPAN_RATIO.
 @pytest.mark.parametrize(
     "n,half",
     [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (1000, 191), (1000, 192), (4096, 256),
-     (150, 400), (20, 30)],
+     (150, 400), (20, 30), (8192, 128)],
 )
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
 def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
@@ -66,6 +84,8 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
     assert all(window._spectra[k] is memo[k] for k in memo)
     operand = n if boundary == "zero" else n + 2 * half
     assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.TAPS_FFT_MIN_SIZE)
+    circular = _circular(n, window.weights, 0 if boundary == "periodic" else half)
+    assert (("folded", n) in memo) == circular
 
 
 def test_memoised_spectra_are_read_only():
@@ -116,10 +136,13 @@ def test_cleared_window_cache_builds_cold():
 
 def test_threads_sharing_a_window_agree():
     # more threads than cores and more lengths than the memo keeps, with a
-    # short switch interval, so lookups, inserts and evictions interleave
+    # short switch interval, so lookups, inserts and evictions interleave;
+    # the threads share each length's series, so its spectrum memo races too,
+    # and the 5-smooth lengths (900, 1500, 2500, 2700) take the circular route
     window = _fresh_window(0.5, 300)
     lengths = [700 + 200 * i for i in range(_kernels.CACHE_BOUND + 4)]
     y = white_noise(NoiseSpec(seed=9), max(lengths)).values
+    series = {n: Series(y[:n]) for n in lengths}
     want = {n: _recomputed(y[:n], window.weights, "periodic") for n in lengths}
     workers = 4
     start = threading.Barrier(workers)
@@ -128,7 +151,8 @@ def test_threads_sharing_a_window_agree():
     def work(slot):
         start.wait()
         order = (lengths[slot:] + lengths[:slot]) * 3
-        results[slot] = [(n, _kernels.two_sided_apply_periodic(y[:n], window)) for n in order]
+        results[slot] = [(n, _kernels.two_sided_apply_periodic(series[n], window))
+                         for n in order]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -145,5 +169,12 @@ def test_threads_sharing_a_window_agree():
         assert len(got) == 3 * len(lengths)
         assert all(np.array_equal(out, want[n]) for n, out in got)
     assert len(window._spectra) == _kernels.CACHE_BOUND
-    for size, spectrum in window._spectra.items():
-        assert np.array_equal(spectrum, np.fft.rfft(window.weights, size))
+    half = (window.weights.size - 1) // 2
+    for key, spectrum in window._spectra.items():
+        if isinstance(key, tuple):
+            n = key[1]
+            folded = np.bincount(np.arange(-half, half + 1) % n, weights=window.weights,
+                                 minlength=n)
+            assert np.array_equal(spectrum, np.fft.rfft(folded))
+        else:
+            assert np.array_equal(spectrum, np.fft.rfft(window.weights, key))
