@@ -45,7 +45,9 @@ memoised, as the second and later uses of one series do.  Up to n = 8192
 the correction costs as much as the shorter transforms save at every span.
 With spans from n/128 to n/64 single-use breaks even (causal 0.88-0.96,
 zero 0.95-1.13; shared 0.45-0.69), so ``CIRCULAR_SPAN_RATIO`` = 64.  The
-periodic product needs no correction: 0.17-1.20 single-use (above 1 only at
+causal sum alone would break even at span n/16 (1.01-1.06 at n = 4096-8192,
+0.88-0.93 at 16384-32768), but the zero boundary corrects both ends and
+reads 1.11-1.32 there.  The periodic product needs no correction: 0.17-1.20 single-use (above 1 only at
 n = 32768) and 0.11-0.54 shared, half-widths beyond n/2 included.
 
 Every choice reads the operand types and sizes only, never whether a
