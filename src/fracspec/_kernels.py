@@ -1,59 +1,53 @@
 """Hot inner loops: linear convolution, truncated causal convolution,
 two-sided kernel application, and the AR recursion.
 
-The three convolutions take one of two routes.
+All three convolutions go through ``convolve``.  It sums directly with
+``np.convolve`` while the shorter operand is below a crossover, and otherwise
+multiplies real FFTs zero-padded to a 5-smooth length.  An operand held as
+:class:`Taps` (GL operators and exact-kernel windows, both cached) supplies
+its memoised weight spectrum, so on the FFT path it costs one ``rfft`` of the
+series and one ``irfft``; the values are those of transforming the weights,
+so outputs are bit-identical.  Two plain arrays cost three transforms, as
+does the first call of a :class:`Taps` at an FFT length.  Both crossovers are
+measured on a grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU
+x86 host): for two plain arrays ``FFT_MIN_SIZE`` = 384 costs the least over
+the faster path, and for a :class:`Taps` with its spectrum memoised
+``TAPS_FFT_MIN_SIZE`` = 224 does.  The direct path keeps ``np.convolve``'s
+rounding bit for bit.  The FFT path is within 1e-13 * sum|w| * max|y| of the
+exact sum; measured against the direct sum it is within ~1.2e-16 times that
+scale up to n = M = 1e5.
 
-Linear: ``convolve``.  It sums directly with ``np.convolve`` while the
-shorter operand is below a crossover, and otherwise multiplies real FFTs
-zero-padded to a 5-smooth length.  An operand held as :class:`Taps` (GL
-operators and exact-kernel windows, both cached) supplies its memoised weight
-spectrum, so on the FFT path it costs one ``rfft`` of the series and one
-``irfft``; the values are those of transforming the weights, so outputs are
-bit-identical.  Two plain arrays cost three transforms, as does the first
-call of a :class:`Taps` at an FFT length.  Both crossovers are measured on a
-grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU x86 host): for
-two plain arrays ``FFT_MIN_SIZE`` = 384 costs the least over the faster path,
-and for a :class:`Taps` with its spectrum memoised ``TAPS_FFT_MIN_SIZE`` =
-224 does.  The direct path keeps ``np.convolve``'s rounding bit for bit.  The
-FFT path is within 1e-13 * sum|w| * max|y| of the exact sum; measured against
-the direct sum it is within ~1.2e-16 times that scale up to n = M = 1e5.  On
-this route the periodic boundary wrap-pads the series by the kernel
-half-width and keeps the part the padding fully covers.
+The periodic boundary has a second, circular route.  A series passed as a
+``glops.Series``, which memoises ``rfft()`` of its values at their own
+length n, of 5-smooth n (``_fft_length(n) == n``), with a :class:`Taps` of
+at least ``TAPS_FFT_MIN_SIZE`` weights, is convolved as one length-n
+product: the series' spectrum times the weights folded mod n
+(``Taps.folded_spectrum(n)``, memoised), and one ``irfft``.  That is the
+periodic sum exactly, at any half-width, with no padding.  Otherwise the
+series is wrap-padded by the half-width and convolved, keeping the part
+the padding fully covers.  Time per call, circular over wrap-padded, on a
+grid of n = 1024-1e5 (powers of two to 65536, and 1e5) by half-width
+224-2048 (same host, median of per-call times with the routes interleaved,
+two sessions):
 
-Circular: a series passed as a ``glops.Series``, which memoises ``rfft()`` of
-its values, of 5-smooth length n (``_fft_length(n) == n``), with a
-:class:`Taps` of at least ``TAPS_FFT_MIN_SIZE`` weights.  The product is
-taken at length n: the series' spectrum times the weights' memoised
-length-n spectrum (``Taps.spectrum(n)`` for the causal sum, the weights
-folded mod n, ``Taps.folded_spectrum(n)``, for two-sided ones), and one
-``irfft``.  That is the periodic boundary exactly, at any half-width.  The
-causal and zero boundaries subtract the sums that wrapped round the series'
-ends, one ``convolve`` of its first and last samples with the weights, and
-take this route only while ``CIRCULAR_SPAN_RATIO`` * span <= n, the span
-being M - 1 or the largest positive lag.  Plain arrays keep the linear
-route.  Time per call, circular over linear, on a grid of n = 1024-1e5
-(powers of two from 1024 to 65536, and 1e5) by span 224-2048 (same host,
-median of per-call times with the routes interleaved, two sessions):
+    n            single-use    shared
+    1024-4096    0.25-0.97     0.11-0.48
+    8192         0.66-1.04     0.29-0.48
+    16384-1e5    0.54-1.01     0.25-0.46
 
-    n            causal, single-use   zero, single-use   both, shared
-    <= 8192      1.01-1.77            1.02-1.78          0.62-1.40
-    16384        0.88-0.96            0.94-1.41          0.45-0.96
-    32768-1e5    0.85-1.03            0.91-1.19          0.47-0.75
-
-Single-use transforms the series for the call; shared finds its spectrum
-memoised, as the second and later uses of one series do.  Up to n = 8192
-the correction costs as much as the shorter transforms save at every span.
-With spans from n/128 to n/64 single-use breaks even (causal 0.88-0.96,
-zero 0.95-1.13; shared 0.45-0.69), so ``CIRCULAR_SPAN_RATIO`` = 64.  The
-causal sum alone would break even at span n/16 (1.01-1.06 at n = 4096-8192,
-0.88-0.93 at 16384-32768), but the zero boundary corrects both ends and
-reads 1.11-1.32 there.  The periodic product needs no correction: 0.17-1.20 single-use (above 1 only at
-n = 32768) and 0.11-0.54 shared, half-widths beyond n/2 included.
-
-Every choice reads the operand types and sizes only, never whether a
-spectrum is memoised yet, so a call's output depends only on its inputs.
-The AR recursion is inherently sequential and runs as a pure-Python loop over
-floats, which is cheaper than indexing numpy scalars.
+Single-use transforms the series for the call (the mean-removed values and
+their sum, as ``Series.rfft`` does); shared finds its spectrum memoised, as
+the second and later uses of one series do.  Single-use breaks even at
+worst (half-width 224-256 at n = 8192), so the route is taken at every
+half-width.  The causal and zero boundaries stay on ``convolve``: on the
+circular route they would also subtract the sums that wrap round the
+series' ends, which on the same host cost as much as the shorter transform
+saves up to n = 8192, and no benchmark workload runs them on a longer
+5-smooth series with a short operator.  The choice reads the operand types
+and sizes only, never whether a spectrum is memoised yet, so a call's
+output depends only on its inputs.  The AR recursion is inherently
+sequential and runs as a pure-Python loop over floats, which is cheaper
+than indexing numpy scalars.
 
 Exact-kernel windows, GL operators and each :class:`Taps`'s spectra are kept
 in :class:`BoundedCache` instances, each holding its newest ``CACHE_BOUND``
@@ -69,7 +63,6 @@ import numpy as np
 __all__ = [
     "FFT_MIN_SIZE",
     "TAPS_FFT_MIN_SIZE",
-    "CIRCULAR_SPAN_RATIO",
     "CACHE_BOUND",
     "BoundedCache",
     "Taps",
@@ -84,10 +77,6 @@ __all__ = [
 # the second applies when the weights are Taps, whose spectrum is memoised
 FFT_MIN_SIZE = 384
 TAPS_FFT_MIN_SIZE = 224
-
-# a series' circular route corrects sums that wrap round its ends only while
-# they reach at most 1/CIRCULAR_SPAN_RATIO of it
-CIRCULAR_SPAN_RATIO = 64
 
 # entries every BoundedCache keeps: exact windows, GL operators, and the FFT
 # lengths of one Taps's spectra (a series of fixed length needs one or two)
@@ -211,81 +200,41 @@ def convolve(y, w) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(y, size) * w_hat, size)[:full]
 
 
-def _samples(y):
-    """``y``'s samples as float64, and the method giving their memoised
-    length-n ``rfft`` if ``y`` is a series (``glops.Series``), else None."""
-    rfft = getattr(y, "rfft", None)
-    return (_as_f8(y), None) if rfft is None else (y.values, rfft)
-
-
-def _circular(n: int, w, span: int) -> bool:
-    """Whether a series of n samples with a memoised spectrum is convolved
-    with ``w`` on the circular route, ``span`` being the reach of the sums
-    that wrap round its ends.  Reads only sizes, never a memo."""
-    return (
-        isinstance(w, Taps)
-        and len(w) >= TAPS_FFT_MIN_SIZE
-        and CIRCULAR_SPAN_RATIO * span <= n
-        and _fft_length(n) == n
-    )
-
-
-def _circular_zero(y, y_hat, w, lo: int, w_hat) -> np.ndarray:
-    """Zero-boundary convolution of a series with the weights of ``w``, weight
-    k at lag k - lo, on the circular route: the length-n product of the
-    series' spectrum ``y_hat`` and the weights' ``w_hat``, less the sums
-    that wrapped round the series' ends."""
-    n = y.shape[0]
-    hi = len(w) - 1 - lo
-    z = np.fft.irfft(y_hat * w_hat, n)
-    # the first lo samples' sums wrapped onto the tail and the last hi
-    # samples' onto the head; one convolution of the two pieces holds both
-    wrapped = convolve(np.concatenate((y[:lo], y[n - hi :])), w)
-    z[:hi] -= wrapped[2 * lo + hi :]
-    z[n - lo :] -= wrapped[:lo]
-    return z
-
-
 def causal_apply(y, coeffs) -> np.ndarray:
     """z[t] = sum_{m=0}^{min(t, M)} coeffs[m] * y[t-m] (zero pre-sample).
 
-    ``y`` is an array or a series, ``coeffs`` an array or :class:`Taps`, as
-    in the module docstring.
+    ``coeffs`` is an array or :class:`Taps`, as for :func:`convolve`.
     """
-    y, y_hat = _samples(y)
-    n = y.shape[0]
+    y = _as_f8(y)
     if not isinstance(coeffs, Taps):
         coeffs = _without_trailing_zeros(_as_f8(coeffs))
-    elif y_hat is not None and _circular(n, coeffs, len(coeffs) - 1):
-        return _circular_zero(y, y_hat(), coeffs, 0, coeffs.spectrum(n))
-    return convolve(y, coeffs)[:n]
+    return convolve(y, coeffs)[: y.shape[0]]
 
 
 def two_sided_apply_zero(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero.
 
-    ``y`` is an array or a series, ``weights`` an array or :class:`Taps`, as
-    in the module docstring.
+    ``weights`` is an array or :class:`Taps`, as for :func:`convolve`.
     """
-    y, y_hat = _samples(y)
-    n = y.shape[0]
+    y = _as_f8(y)
     half = (len(weights) - 1) // 2
-    # the largest positive lag is half, or half + 1 for an even length
-    if y_hat is not None and _circular(n, weights, len(weights) - 1 - half):
-        return _circular_zero(y, y_hat(), weights, half, weights.folded_spectrum(n))
-    return convolve(y, weights)[half : half + n]
+    return convolve(y, weights)[half : half + y.shape[0]]
 
 
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n].
 
-    ``y`` is an array or a series, ``weights`` an array or :class:`Taps`, as
-    in the module docstring.
+    ``y`` is an array or a ``glops.Series``, ``weights`` an array or
+    :class:`Taps`; a series of 5-smooth length with :class:`Taps` of at least
+    ``TAPS_FFT_MIN_SIZE`` weights takes the circular route of the module
+    docstring.
     """
-    y, y_hat = _samples(y)
+    rfft = getattr(y, "rfft", None)
+    y = _as_f8(y if rfft is None else y.values)
     n = y.shape[0]
-    if y_hat is not None and _circular(n, weights, 0):
-        return np.fft.irfft(y_hat() * weights.folded_spectrum(n), n)
+    if (rfft is not None and isinstance(weights, Taps)
+            and len(weights) >= TAPS_FFT_MIN_SIZE and _fft_length(n) == n):
+        return np.fft.irfft(rfft() * weights.folded_spectrum(n), n)
     half = (len(weights) - 1) // 2
     if half <= n:
         padded = np.concatenate((y[n - half :], y, y[:half]))

@@ -250,8 +250,8 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     the exact (order, half_width) in a :class:`_kernels.BoundedCache`, which
     keeps the last ``_kernels.CACHE_BOUND`` = 8 built.  Each window memoises
     its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`
-    and, for the circular route, :meth:`KernelWindow.folded_spectrum`), so
-    dropping it drops them too.
+    and, for periodic differences on the circular route,
+    :meth:`KernelWindow.folded_spectrum`), so dropping it drops them too.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -270,14 +270,13 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     ``boundary`` resolves samples outside the observed range: ``"zero"``
     treats them as zero, ``"periodic"`` wraps indices modulo the length.
     The operator carries no step^order factor; the step enters only through
-    the frequency axis of the response target.  At a 5-smooth length, a
-    window of at least ``_kernels.TAPS_FFT_MIN_SIZE`` weights takes the
-    circular route of ``_kernels`` (for ``"zero"``, only while the
-    half-width is at most n / ``_kernels.CIRCULAR_SPAN_RATIO``), which reads
-    the series' memoised ``rfft()``.
+    the frequency axis of the response target.  A periodic difference of a
+    series of 5-smooth length with a window of at least
+    ``_kernels.TAPS_FFT_MIN_SIZE`` weights takes the circular route of
+    ``_kernels``, which reads the series' memoised ``rfft()``.
     """
     if boundary == "zero":
-        values = _kernels.two_sided_apply_zero(y, window)
+        values = _kernels.two_sided_apply_zero(y.values, window)
     elif boundary == "periodic":
         values = _kernels.two_sided_apply_periodic(y, window)
     else:

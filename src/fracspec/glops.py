@@ -34,7 +34,8 @@ class Series:
 
     ``values[i]`` is the sample at time ``start + i * step``.  The series
     memoises ``rfft()``, the real FFT of its values at their own length, so
-    the differences and the periodogram that read it transform it once.
+    periodic exact differences and the periodogram that read it transform it
+    once.
     """
 
     values: np.ndarray
@@ -61,13 +62,19 @@ class Series:
         return self.start + self.step * np.arange(self.values.size)
 
     def rfft(self) -> np.ndarray:
-        """``np.fft.rfft(values)``, read-only, computed on the first call and
-        kept on the series (n // 2 + 1 complex values)."""
+        """The real FFT of the values at length n, read-only, computed on the
+        first call and kept on the series (n // 2 + 1 complex values).
+
+        Bins 1..n // 2 are ``np.fft.rfft`` of the mean-removed values, so
+        their rounding scales with the series' fluctuations, not its level;
+        bin 0 is the values' sum.
+        """
         spectrum = self.__dict__.get("_rfft")
         if spectrum is None:
             # threads racing here compute equal arrays; all keep the first
-            spectrum = _kernels._read_only(np.fft.rfft(self.values))
-            spectrum = self.__dict__.setdefault("_rfft", spectrum)
+            spectrum = np.fft.rfft(self.values - self.values.mean())
+            spectrum[0] = self.values.sum()
+            spectrum = self.__dict__.setdefault("_rfft", _kernels._read_only(spectrum))
         return spectrum
 
     def with_values(self, values) -> "Series":
@@ -128,21 +135,19 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
     positive for 0 < d < 1.  The coefficients come from a
     cache of GL operators keyed by the exact (order, truncation), which also
     memoises their spectra, so repeated differences at one order, truncation
-    and series length transform only the series; on the circular route of
-    ``_kernels`` (5-smooth length n, truncation at most
-    n / ``_kernels.CIRCULAR_SPAN_RATIO``) the series'
-    own memoised ``rfft()`` serves too.  Exact trailing zeros are dropped, so
-    a nonnegative integer order is a short direct sum at any truncation.
+    and series length transform only the series.  Exact trailing zeros are
+    dropped, so a nonnegative integer order is a short direct sum at any
+    truncation.
 
     The cache stays alive after the call.  It and each operator's spectra
     keep ``_kernels.CACHE_BOUND`` = 8 entries: at most 8 operators, each
     with its coefficients (8 bytes a tap) and up to 8 spectra (8 bytes per
-    sample of FFT length L, at most the 5-smooth length above the series
-    length plus the truncation).  The worst case is 8 * (8 MB + 64 L) bytes at
+    sample of FFT length L, which is at least the series length plus the
+    truncation).  The worst case is 8 * (8 MB + 64 L) bytes at
     TRUNCATION_CAP: about 2.1 GB for series of 3e6 samples (L = 4e6) and
     0.8 GB for series of 5e5 (L = 1.5e6).
     """
-    return y.with_values(_kernels.causal_apply(y, _gl_operator(order, truncation)))
+    return y.with_values(_kernels.causal_apply(y.values, _gl_operator(order, truncation)))
 
 
 def gl_derivative_approx(

@@ -76,16 +76,15 @@ def _fft_size(n: int) -> int:
 def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     """Raw periodogram (omega_j, S_j), S_j = |yhat_j|^2 / n_fft, j = 1..n_fft//2.
 
-    The transform is a real FFT of length n_fft: the sample count n up to
-    64, zero-padded to the next power of two above, with omega_j =
-    2 pi j / (n_fft * step).  When n_fft is n it is the series' memoised
-    ``Series.rfft()``, shared with the differences that read it; a level
-    offset then changes only the dropped zero-frequency bin, and each other
-    bin differs from the mean-removed transform by a length-n FFT's rounding
-    of the uncentred series, at most about 4 eps log2(n) ||y||_2.  A padded
-    transform removes the mean first, so that the offset cannot leak into
-    the low-frequency bins through the padding.  Normalization is 1/n_fft,
-    which shifts log-log intercepts only, never slopes.
+    The series mean is removed before transforming so a level offset cannot
+    contaminate the low-frequency bins; zero frequency is excluded.  The
+    transform is a real FFT of length n_fft: the sample count n up to 64,
+    zero-padded to the next power of two above, with omega_j =
+    2 pi j / (n_fft * step).  When n_fft is n, the bins are those of the
+    series' memoised ``Series.rfft()``, which is the same transform of the
+    mean-removed values, shared with periodic exact differences.
+    Normalization is 1/n_fft, which shifts log-log intercepts only, never
+    slopes.
     """
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")

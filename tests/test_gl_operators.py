@@ -20,36 +20,18 @@ from fracspec import (
 from fracspec import _kernels, glops
 
 
-def _full(y, coeffs):
-    """Reference full linear convolution that transforms the coefficients on
+def _recomputed(y, coeffs):
+    """Reference causal GL difference that transforms the coefficients on
     every FFT-path call."""
     if min(y.size, coeffs.size) < _kernels.TAPS_FFT_MIN_SIZE:
-        return np.convolve(y, coeffs)
-    full = y.size + coeffs.size - 1
-    size = _kernels._fft_length(full)
-    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(coeffs, size), size)[:full]
-
-
-def _recomputed(y, coeffs, series=True):
-    """Reference causal GL difference on the route ``_kernels`` takes,
-    transforming the series and the coefficients on every call.  A series
-    (not a plain array, ``series=False``) of 5-smooth length n takes the
-    circular route when the rule admits the truncation."""
-    n, span = y.size, coeffs.size - 1
-    if (series and coeffs.size >= _kernels.TAPS_FFT_MIN_SIZE and _kernels._fft_length(n) == n
-            and _kernels.CIRCULAR_SPAN_RATIO * span <= n):
-        z = np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(coeffs, n), n)
-        z[:span] -= _full(y[n - span :], coeffs)[span:]
-        return z
-    return _full(y, coeffs)[:n]
+        return np.convolve(y, coeffs)[: y.size]
+    size = _kernels._fft_length(y.size + coeffs.size - 1)
+    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(coeffs, size), size)[: y.size]
 
 
 # (n, truncation): direct sums, FFT products on both sides of the crossover's
-# short side, a truncation beyond the series length, and the circular route
-# at a truncation of n / CIRCULAR_SPAN_RATIO
-@pytest.mark.parametrize(
-    "n,truncation", [(1000, 64), (4096, 256), (300, 2000), (5000, 4096), (16384, 256)]
-)
+# short side, and a truncation beyond the series length
+@pytest.mark.parametrize("n,truncation", [(1000, 64), (4096, 256), (300, 2000), (5000, 4096)])
 def test_outputs_on_a_hit_are_bit_identical_to_a_miss(n, truncation):
     glops._operator_cache.clear()
     y = white_noise(NoiseSpec(seed=n + truncation), n)
@@ -72,8 +54,7 @@ def test_simulation_on_a_hit_is_bit_identical_to_a_miss():
     assert list(glops._operator_cache) == [(-0.3, 1000)]
     hit = simulate_arfima(spec, NoiseSpec(seed=4)).values
     psi = gl_coefficients(-0.3, 1000)
-    noise = white_noise(NoiseSpec(seed=4), 3000).values
-    assert np.array_equal(miss, _recomputed(noise, psi, series=False))
+    assert np.array_equal(miss, _recomputed(white_noise(NoiseSpec(seed=4), 3000).values, psi))
     assert np.array_equal(hit, miss)
 
 

@@ -194,121 +194,93 @@ def test_ar_recurse_matches_brute_force(rng, p):
 
 
 # The circular route.  A Series of 5-smooth length n and Taps of at least
-# TAPS_FFT_MIN_SIZE weights take it: periodic at any half-width, causal and
-# zero while CIRCULAR_SPAN_RATIO * span <= n (span M - 1, or the largest
-# positive lag).  _AT is the series length at which a span of 256 sits
-# exactly on the ratio.
+# TAPS_FFT_MIN_SIZE weights take it for the periodic boundary, at any
+# half-width; the folded spectrum it memoises under ("folded", n) shows it.
 _MIN = _kernels.TAPS_FFT_MIN_SIZE
-_AT = _kernels.CIRCULAR_SPAN_RATIO * 256
-
-_KERNELS = {
-    "causal": _kernels.causal_apply,
-    "zero": _kernels.two_sided_apply_zero,
-    "periodic": _kernels.two_sided_apply_periodic,
-}
+_periodic = _kernels.two_sided_apply_periodic
 
 
-def _brute(kind, y, w):
-    return _brute_causal(y, w) if kind == "causal" else _brute_two_sided(y, w, kind == "periodic")
-
-
-def _took_circular(kind, taps, n):
-    # the circular route memoises the length-n spectrum: the causal one
-    # under n, which a linear product never uses (its length exceeds n),
-    # and the folded two-sided one under ("folded", n)
-    return (n if kind == "causal" else ("folded", n)) in taps._spectra
+def _took_circular(taps, n):
+    return ("folded", n) in taps._spectra
 
 
 @pytest.mark.parametrize(
-    "kind,n,taps,circular",
+    "n,taps,circular",
     [
         # 5-smooth against not
-        ("periodic", 4096, 513, True), ("periodic", 4099, 513, False),
-        ("periodic", 1000, 225, True), ("periodic", 1009, 225, False),
-        ("causal", _AT, 257, True), ("causal", _AT - 1, 257, False),
-        ("zero", _AT, 513, True), ("zero", _AT + 1, 513, False),
-        # span exactly at the ratio against one above
-        ("causal", _AT, 258, False), ("zero", _AT, 515, False),
-        ("causal", 4096, 257, False), ("zero", 4096, 513, False),
+        (4096, 513, True), (4099, 513, False), (1000, 225, True), (1009, 225, False),
         # one tap below the crossover against at it
-        ("periodic", 4096, _MIN - 1, False), ("periodic", 4096, _MIN, True),
-        ("causal", _AT, _MIN - 1, False), ("causal", _AT, _MIN, True),
-        ("zero", _AT, _MIN - 1, False), ("zero", _AT, _MIN, True),
-        # a periodic half-width beyond the series length
-        ("periodic", 100, 601, True),
+        (4096, _MIN - 1, False), (4096, _MIN, True),
+        # a half-width beyond the series length
+        (100, 601, True),
     ],
 )
-def test_circular_route_on_both_sides_of_each_choice(kind, n, taps, circular):
+def test_circular_route_on_both_sides_of_each_choice(n, taps, circular):
     rng = np.random.default_rng(n + taps)
     y = Series(rng.normal(size=n))
     w = _kernels.Taps(rng.normal(size=taps))
-    got = _KERNELS[kind](y, w)
-    assert _took_circular(kind, w, n) == circular
+    got = _periodic(y, w)
+    assert _took_circular(w, n) == circular
     assert got.shape == (n,)
-    _assert_within_bound(got, _brute(kind, y.values, w.weights), y.values, w.weights, 1e-12)
-
-
-def _steps(window, operator):
-    return {
-        "causal": lambda y: _kernels.causal_apply(y, operator),
-        "zero": lambda y: _kernels.two_sided_apply_zero(y, window),
-        "periodic": lambda y: _kernels.two_sided_apply_periodic(y, window),
-        "periodogram": lambda y: periodogram(y)[1],
-    }
+    _assert_within_bound(got, _brute_two_sided(y.values, w.weights, True), y.values, w.weights,
+                         1e-12)
 
 
 def test_call_order_on_one_series_gives_the_same_bits():
     rng = np.random.default_rng(3)
-    values = rng.normal(size=_AT)
+    values = rng.normal(size=4096)
     window = _kernels.Taps(rng.normal(size=2 * 128 + 1))
-    operator = _kernels.Taps(gl_coefficients(0.4, 256))
-    steps = _steps(window, operator)
     outputs = []
-    for order in (["periodic", "zero", "causal", "periodogram"],
-                  ["periodogram", "causal", "zero", "periodic"]):
+    for first in ("periodic", "periodogram"):
         y = Series(values)
-        outputs.append({name: steps[name](y) for name in order})
-    assert _took_circular("causal", operator, _AT) and _took_circular("zero", window, _AT)
-    for name in steps:
-        assert np.array_equal(outputs[0][name], outputs[1][name])
+        if first == "periodogram":
+            power = periodogram(y)[1]
+        z = _periodic(y, window)
+        if first == "periodic":
+            power = periodogram(y)[1]
+        outputs.append((z, power))
+    assert _took_circular(window, 4096)
+    assert np.array_equal(outputs[0][0], outputs[1][0])
+    assert np.array_equal(outputs[0][1], outputs[1][1])
 
 
-@pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
-def test_memo_hits_are_bit_identical_to_misses(kind):
+def test_memo_hits_are_bit_identical_to_misses():
     rng = np.random.default_rng(5)
-    values, weights = rng.normal(size=_AT), rng.normal(size=257)
-    apply = _KERNELS[kind]
+    values, weights = rng.normal(size=4096), rng.normal(size=257)
     y, w = Series(values), _kernels.Taps(weights)
-    miss = apply(y, w)  # both memos empty
+    miss = _periodic(y, w)  # both memos empty
     spectrum = y.rfft()
-    assert _took_circular(kind, w, _AT) and not spectrum.flags.writeable
+    assert _took_circular(w, 4096) and not spectrum.flags.writeable
     results = [
-        apply(y, w),  # both hit
-        apply(y, _kernels.Taps(weights)),  # the series' memo hits, the operator's misses
-        apply(Series(values), w),  # the operator's memo hits, the series' misses
+        _periodic(y, w),  # both hit
+        _periodic(y, _kernels.Taps(weights)),  # the series' memo hits, the operator's misses
+        _periodic(Series(values), w),  # the operator's memo hits, the series' misses
     ]
     assert y.rfft() is spectrum
-    assert np.array_equal(spectrum, np.fft.rfft(values))
+    assert np.array_equal(spectrum[1:], np.fft.rfft(values - values.mean())[1:])
+    assert spectrum[0] == values.sum()
     assert all(np.array_equal(got, miss) for got in results)
 
 
 def test_threads_sharing_one_series_agree():
-    # more threads than cores, each running the three kernels and the
-    # periodogram on one shared series, window and operator whose memos
-    # start empty, with a short switch interval so the memo fills race
+    # more threads than cores, each running the periodic difference and the
+    # periodogram on one shared series and window whose memos start empty,
+    # with a short switch interval so the memo fills race
     rng = np.random.default_rng(7)
-    values = rng.normal(size=_AT)
-    weights, coeffs = rng.normal(size=2 * 128 + 1), gl_coefficients(0.3, 256)
-    reference = _steps(_kernels.Taps(weights), _kernels.Taps(coeffs))
-    want = {name: step(Series(values)) for name, step in reference.items()}
-    y, steps = Series(values), _steps(_kernels.Taps(weights), _kernels.Taps(coeffs))
+    values, weights = rng.normal(size=4096), rng.normal(size=2 * 128 + 1)
+
+    def steps(y, w):
+        return _periodic(y, w), periodogram(y)[1]
+
+    want = steps(Series(values), _kernels.Taps(weights))
+    y, w = Series(values), _kernels.Taps(weights)
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
 
     def work(slot):
         start.wait()
-        results[slot] = [{name: step(y) for name, step in steps.items()} for _ in range(3)]
+        results[slot] = [steps(y, w) for _ in range(3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -323,8 +295,8 @@ def test_threads_sharing_one_series_agree():
     assert not any(t.is_alive() for t in threads)
     for got in results:
         assert len(got) == 3
-        for outputs in got:
-            assert all(np.array_equal(outputs[k], want[k]) for k in want)
+        for z, power in got:
+            assert np.array_equal(z, want[0]) and np.array_equal(power, want[1])
 
 
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
@@ -332,14 +304,15 @@ def test_plain_arrays_keep_the_linear_route(kind):
     # the sizes of the circular cases above, given as an array: the output
     # is the linear product's, bit for bit, and no length-n spectrum is kept
     rng = np.random.default_rng(11)
-    y = rng.normal(size=_AT)
+    y = rng.normal(size=4096)
     w = _kernels.Taps(rng.normal(size=257))
     half = 128
     if kind == "causal":
-        want = _kernels.convolve(y, w)[:_AT]
+        got, want = _kernels.causal_apply(y, w), _kernels.convolve(y, w)[:4096]
     elif kind == "zero":
-        want = _kernels.convolve(y, w)[half : half + _AT]
+        got, want = _kernels.two_sided_apply_zero(y, w), _kernels.convolve(y, w)[half : half + 4096]
     else:
-        want = _kernels.convolve(np.pad(y, half, mode="wrap"), w)[2 * half : 2 * half + _AT]
-    assert np.array_equal(_KERNELS[kind](y, w), want)
-    assert not _took_circular(kind, w, _AT)
+        got = _periodic(y, w)
+        want = _kernels.convolve(np.pad(y, half, mode="wrap"), w)[2 * half : 2 * half + 4096]
+    assert np.array_equal(got, want)
+    assert not _took_circular(w, 4096)

@@ -66,17 +66,17 @@ def test_periodogram_matches_full_dft_of_centered_series(n):
 
 def test_periodogram_of_a_level_offset_series():
     # at n = n_fft the periodogram reads the series' memoised transform,
-    # taken without removing the mean, which changes only the dropped bin 0;
-    # against the full DFT of the centred series each bin's transform may
-    # then differ by a length-n FFT's rounding of the uncentred series,
-    # 4 eps log2(n) ||y||_2, which the offset raises
+    # which removes the mean first, so an offset far above the fluctuations
+    # leaves it within the centred test's bound of 1e-13 * max S_j; the bins
+    # are bit for bit those of transforming the mean-removed values
     n = 4096
     y = Series(1e6 + white_noise(NoiseSpec(seed=19), n).values)
     omega, power = periodogram(y)
-    want = np.abs(np.fft.fft(y.values - y.values.mean())[1 : n // 2 + 1]) ** 2 / n
-    tol = 4.0 * np.finfo(float).eps * math.log2(n) * np.linalg.norm(y.values)
-    assert np.abs(np.sqrt(power * n) - np.sqrt(want * n)).max() <= tol
-    assert np.array_equal(power, np.abs(y.rfft()[1 : n // 2 + 1]) ** 2 / n)
+    centred = y.values - y.values.mean()
+    want = np.abs(np.fft.fft(centred)[1 : n // 2 + 1]) ** 2 / n
+    assert np.abs(power - want).max() <= 1e-13 * want.max()
+    assert np.array_equal(power, np.abs(np.fft.rfft(centred)[1 : n // 2 + 1]) ** 2 / n)
+    assert y.rfft()[0] == y.values.sum()
 
 
 def test_periodogram_too_short():

@@ -24,26 +24,25 @@ def _recomputed_convolve(y, w):
     return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[:full]
 
 
-def _circular(n, w, span):
-    """The route rule of ``_kernels``, restated for a series and a window."""
-    return (w.size >= _kernels.TAPS_FFT_MIN_SIZE and _kernels._fft_length(n) == n
-            and _kernels.CIRCULAR_SPAN_RATIO * span <= n)
+def _series_rfft(y):
+    """Reference ``Series.rfft``: the transform of the mean-removed values
+    with bin 0 set to their sum, recomputed per call."""
+    spectrum = np.fft.rfft(y - y.mean())
+    spectrum[0] = y.sum()
+    return spectrum
 
 
 def _recomputed(y, w, boundary):
     """Reference exact difference of a series on the route ``_kernels`` takes,
-    transforming the series and the weights on every call."""
+    transforming the series and the weights on every call.  Periodic
+    differences of a 5-smooth series with a window of at least
+    ``TAPS_FFT_MIN_SIZE`` weights take the circular route."""
     n, half = y.size, (w.size - 1) // 2
-    if _circular(n, w, 0 if boundary == "periodic" else half):
-        folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
-        z = np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(folded), n)
-        if boundary == "zero":
-            wrapped = _recomputed_convolve(np.concatenate((y[:half], y[n - half :])), w)
-            z[:half] -= wrapped[3 * half :]
-            z[n - half :] -= wrapped[:half]
-        return z
     if boundary == "zero":
         return _recomputed_convolve(y, w)[half : half + y.size]
+    if w.size >= _kernels.TAPS_FFT_MIN_SIZE and _kernels._fft_length(n) == n:
+        folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
+        return np.fft.irfft(_series_rfft(y) * np.fft.rfft(folded), n)
     padded = np.pad(y, half, mode="wrap")
     return _recomputed_convolve(padded, w)[2 * half : 2 * half + y.size]
 
@@ -63,12 +62,11 @@ _ABOVE = _BELOW + 1
 # half-width beyond the series length on both paths, and windows of 383 and
 # 385 weights, on both sides of the plain-array FFT_MIN_SIZE, which as
 # windows both take the FFT path.  Periodic differences of a 5-smooth series
-# with a window from TAPS_FFT_MIN_SIZE on take the circular route, as does
-# the zero boundary at (8192, 128), whose half-width is n / CIRCULAR_SPAN_RATIO.
+# with a window from TAPS_FFT_MIN_SIZE on take the circular route.
 @pytest.mark.parametrize(
     "n,half",
     [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (1000, 191), (1000, 192), (4096, 256),
-     (150, 400), (20, 30), (8192, 128)],
+     (150, 400), (20, 30)],
 )
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
 def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
@@ -84,7 +82,8 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
     assert all(window._spectra[k] is memo[k] for k in memo)
     operand = n if boundary == "zero" else n + 2 * half
     assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.TAPS_FFT_MIN_SIZE)
-    circular = _circular(n, window.weights, 0 if boundary == "periodic" else half)
+    circular = (boundary == "periodic" and 2 * half + 1 >= _kernels.TAPS_FFT_MIN_SIZE
+                and _kernels._fft_length(n) == n)
     assert (("folded", n) in memo) == circular
 
 
