@@ -72,8 +72,9 @@ class Series:
         spectrum = self.__dict__.get("_rfft")
         if spectrum is None:
             # threads racing here compute equal arrays; all keep the first
-            spectrum = np.fft.rfft(self.values - self.values.mean())
-            spectrum[0] = self.values.sum()
+            total = self.values.sum()
+            spectrum = np.fft.rfft(self.values - total / self.values.size)
+            spectrum[0] = total
             spectrum = self.__dict__.setdefault("_rfft", _kernels._read_only(spectrum))
         return spectrum
 
