@@ -1,14 +1,24 @@
 """Hot inner loops: linear convolution, truncated causal convolution,
 two-sided kernel application, and the AR recursion.
 
-All three convolutions go through ``convolve``.  It sums directly with
-``np.convolve`` while the shorter operand is below a crossover, and otherwise
-multiplies real FFTs zero-padded to a 5-smooth length.  An operand held as
-:class:`Taps` (GL operators and exact-kernel windows, both cached) supplies
-its memoised weight spectrum, so on the FFT path it costs one ``rfft`` of the
-series and one ``irfft``; the values are those of transforming the weights,
-so outputs are bit-identical.  Two plain arrays cost three transforms, as
-does the first call of a :class:`Taps` at an FFT length.  Both crossovers are
+All three convolutions go through ``convolve``, which returns the window
+[start, stop) of the linear product that its caller keeps.  It sums directly
+with ``np.convolve`` while the shorter operand is below a crossover, and
+otherwise multiplies real FFTs zero-padded to L = the smallest 5-smooth
+length from max(stop, full - start), full = len(y) + len(w) - 1.  Entry k of
+the length-L circular product also sums the linear entries k - L and k + L,
+and at that L none of them exists for k in the window.  So the causal sum
+(window [0, n)) transforms at n + M for M + 1 weights, the zero boundary
+([M, M + n) of 2M + 1 weights) at n + M rather than n + 2M, and the
+wrap-padded periodic route below at n + 2M rather than n + 4M.  An operand
+held as :class:`Taps` (GL operators and exact-kernel windows, both cached)
+supplies its memoised weight spectrum, and a series passed as a
+``glops.Series`` its memoised zero-padded spectrum at L, so a GL difference
+of M + 1 weights and a zero-boundary exact difference of half-width M of one
+series share one transform of it.  The values are those of transforming the
+operand, so outputs are bit-identical on a hit and a miss.  Two plain arrays
+cost three transforms, as does the first call of a :class:`Taps` and a
+``glops.Series`` at an FFT length.  Both crossovers are
 measured on a grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU
 x86 host): for two plain arrays ``FFT_MIN_SIZE`` = 384 costs the least over
 the faster path, and for a :class:`Taps` with its spectrum memoised
@@ -24,21 +34,22 @@ at least ``TAPS_FFT_MIN_SIZE`` weights, is convolved as one length-n
 product: the series' spectrum times the weights folded mod n
 (``Taps.folded_spectrum(n)``, memoised), and one ``irfft``.  That is the
 periodic sum exactly, at any half-width, with no padding.  Otherwise the
-series is wrap-padded by the half-width and convolved, keeping the part
-the padding fully covers.  Time per call, circular over wrap-padded, on a
-grid of n = 1024-1e5 (powers of two to 65536, and 1e5) by half-width
-224-2048 (same host, median of per-call times with the routes interleaved,
-two sessions):
+series is wrap-padded by the window's reach on each side and convolved,
+keeping the n entries the padding fully covers.  Time per call, circular
+over wrap-padded (the latter at its alias-free length n + 2M, with the
+window's spectrum memoised), on a grid of n = 1024-1e5 (powers of two to
+65536, and 1e5) by half-width 224, 256, 512, 1024 and 2048 (same host,
+median of per-call times with the routes interleaved, two sessions):
 
     n            single-use    shared
-    1024-4096    0.25-0.97     0.11-0.48
-    8192         0.66-1.04     0.29-0.48
-    16384-1e5    0.54-1.01     0.25-0.46
+    1024-4096    0.36-1.01     0.19-0.51
+    8192         0.75-1.00     0.38-0.49
+    16384-1e5    0.51-0.88     0.24-0.43
 
 Single-use transforms the series for the call (the mean-removed values and
 their sum, as ``Series.rfft`` does); shared finds its spectrum memoised, as
 the second and later uses of one series do.  Single-use breaks even at
-worst (half-width 224-256 at n = 8192), so the route is taken at every
+worst (half-width 224-256 at n = 2048-8192), so the route is taken at every
 half-width.  The causal and zero boundaries stay on ``convolve``: on the
 circular route they would also subtract the sums that wrap round the
 series' ends, which on the same host cost as much as the shorter transform
@@ -49,9 +60,9 @@ output depends only on its inputs.  The AR recursion is inherently
 sequential and runs as a pure-Python loop over floats, which is cheaper
 than indexing numpy scalars.
 
-Exact-kernel windows, GL operators and each :class:`Taps`'s spectra are kept
-in :class:`BoundedCache` instances, each holding its newest ``CACHE_BOUND``
-entries.
+Exact-kernel windows, GL operators and the spectra of each :class:`Taps`
+and each ``glops.Series`` are kept in :class:`BoundedCache` instances, each
+holding its newest ``CACHE_BOUND`` entries.
 """
 
 import functools
@@ -79,7 +90,8 @@ FFT_MIN_SIZE = 384
 TAPS_FFT_MIN_SIZE = 224
 
 # entries every BoundedCache keeps: exact windows, GL operators, and the FFT
-# lengths of one Taps's spectra (a series of fixed length needs one or two)
+# lengths of one Taps's or one Series' spectra (a series of fixed length needs
+# one or two)
 CACHE_BOUND = 8
 
 
@@ -184,41 +196,51 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def convolve(y, w) -> np.ndarray:
-    """Full linear convolution, length len(y) + len(w) - 1.
+def convolve(y, w, start=0, stop=None) -> np.ndarray:
+    """Entries [start, stop) of the full linear convolution of y and w,
+    which has len(y) + len(w) - 1 entries; ``stop`` defaults to that length.
 
-    ``w`` is an array of weights or :class:`Taps`, whose memoised spectrum
-    the FFT path reuses from ``TAPS_FFT_MIN_SIZE`` on.
+    ``y`` is an array or a ``glops.Series`` and ``w`` an array or
+    :class:`Taps`.  The FFT path transforms at the smallest 5-smooth length
+    at which no wrapped sum lands in the window, and reuses the memoised
+    spectrum of a :class:`Taps` (from ``TAPS_FFT_MIN_SIZE`` on) and of a
+    ``glops.Series`` at that length.
     """
+    series_spectrum = getattr(y, "spectrum", None)
     taps = w if isinstance(w, Taps) else None
-    y, w = _as_f8(y), _as_f8(w if taps is None else taps.weights)
-    if min(y.shape[0], w.shape[0]) < (FFT_MIN_SIZE if taps is None else TAPS_FFT_MIN_SIZE):
-        return np.convolve(y, w)
+    y = _as_f8(y if series_spectrum is None else y.values)
+    w = _as_f8(w if taps is None else taps.weights)
     full = y.shape[0] + w.shape[0] - 1
-    size = _fft_length(full)
+    stop = full if stop is None else stop
+    if min(y.shape[0], w.shape[0]) < (FFT_MIN_SIZE if taps is None else TAPS_FFT_MIN_SIZE):
+        return np.convolve(y, w)[start:stop]
+    # circular entry k also sums the linear entries k - size and k + size
+    size = _fft_length(max(stop, full - start))
+    y_hat = np.fft.rfft(y, size) if series_spectrum is None else series_spectrum(size)
     w_hat = np.fft.rfft(w, size) if taps is None else taps.spectrum(size)
-    return np.fft.irfft(np.fft.rfft(y, size) * w_hat, size)[:full]
+    return np.fft.irfft(y_hat * w_hat, size)[start:stop]
 
 
 def causal_apply(y, coeffs) -> np.ndarray:
     """z[t] = sum_{m=0}^{min(t, M)} coeffs[m] * y[t-m] (zero pre-sample).
 
-    ``coeffs`` is an array or :class:`Taps`, as for :func:`convolve`.
+    ``y`` and ``coeffs`` are as for :func:`convolve`; an array of
+    coefficients loses its exact trailing zeros.
     """
-    y = _as_f8(y)
     if not isinstance(coeffs, Taps):
         coeffs = _without_trailing_zeros(_as_f8(coeffs))
-    return convolve(y, coeffs)[: y.shape[0]]
+    return convolve(y, coeffs, 0, len(y))
 
 
 def two_sided_apply_zero(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero.
 
-    ``weights`` is an array or :class:`Taps`, as for :func:`convolve`.
+    ``y`` and ``weights`` are as for :func:`convolve`.  Only the n outputs
+    from lag M on are kept, so the FFT path transforms at the 5-smooth
+    length from n + M, not from n + 2M.
     """
-    y = _as_f8(y)
     half = (len(weights) - 1) // 2
-    return convolve(y, weights)[half : half + y.shape[0]]
+    return convolve(y, weights, half, half + len(y))
 
 
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
@@ -235,13 +257,16 @@ def two_sided_apply_periodic(y, weights) -> np.ndarray:
     if (rfft is not None and isinstance(weights, Taps)
             and len(weights) >= TAPS_FFT_MIN_SIZE and _fft_length(n) == n):
         return np.fft.irfft(rfft() * weights.folded_spectrum(n), n)
-    half = (len(weights) - 1) // 2
-    if half <= n:
-        padded = np.concatenate((y[n - half :], y, y[:half]))
+    span = len(weights) - 1
+    half = span // 2
+    # an even-length window reaches lag half + 1 into the past
+    before = span - half
+    if before <= n:
+        padded = np.concatenate((y[n - before :], y, y[:half]))
     else:
         # the padding repeats the series more than once
-        padded = y[np.arange(-half, n + half) % n]
-    return convolve(padded, weights)[2 * half : 2 * half + n]
+        padded = y[np.arange(-before, n + half) % n]
+    return convolve(padded, weights, span, span + n)
 
 
 def ar_recurse(x, phi) -> np.ndarray:

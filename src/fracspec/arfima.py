@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .glops import Series, _gl_operator, gl_coefficients
-from .spectral import loglog_slope_fit, periodogram
+from .spectral import _lowest_ordinates, loglog_slope_fit
 
 __all__ = [
     "NoiseSpec",
@@ -164,18 +164,27 @@ class MemoryEstimate:
 
 
 def _splitmix64(seed: int, n: int) -> np.ndarray:
-    counters = np.arange(1, n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + counters * _SPLITMIX_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_M1
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_M2
-        z = z ^ (z >> np.uint64(31))
+    """SplitMix64 of the counters 1..n, in one array and one scratch buffer
+    (uint64 arithmetic wraps)."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=shifted)
+    z ^= shifted
+    z *= _SPLITMIX_M1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _SPLITMIX_M2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
     return z
 
 
-def _horner(coeffs, x: np.ndarray) -> np.ndarray:
-    """((coeffs[0] x + coeffs[1]) x + ...) x + coeffs[-1], in one buffer."""
-    acc = coeffs[0] * x
+def _horner(coeffs, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """((coeffs[0] x + coeffs[1]) x + ...) x + coeffs[-1], in one buffer,
+    ``out`` if given."""
+    acc = np.multiply(coeffs[0], x, out=out)
     for k in coeffs[1:-1]:
         acc += k
         acc *= x
@@ -195,12 +204,15 @@ def _norm_ppf(p: np.ndarray) -> np.ndarray:
     r = q * q
     x = _horner(_PPF_A, r)
     x *= q
-    x /= _horner(_PPF_B + (1.0,), r)
+    # q is spent: the denominator takes its buffer
+    x /= _horner(_PPF_B + (1.0,), r, out=q)
 
     tails = np.flatnonzero((p < _PPF_SPLIT) | (p > 1.0 - _PPF_SPLIT))
     pt = p[tails]
     upper = pt > 0.5
-    q = np.sqrt(-2.0 * np.log(np.where(upper, 1.0 - pt, pt)))
+    # 1 - pt is exact above 0.5 (Sterbenz) and rounds to at least 0.5 below,
+    # so the minimum is the tail mass of either side
+    q = np.sqrt(-2.0 * np.log(np.minimum(pt, 1.0 - pt)))
     xt = _horner(_PPF_C, q) / _horner(_PPF_D + (1.0,), q)
     x[tails] = np.where(upper, -xt, xt)
     return x
@@ -214,7 +226,10 @@ def white_noise(spec: NoiseSpec, n: int) -> Series:
         raise ValueError("n must be positive")
     bits = _splitmix64(spec.seed, n)
     # 53 high bits, offset to the open interval (0, 1)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     try:
         return Series(_norm_ppf(u) * spec.sigma, step=1.0, start=0.0)
     except ValueError:
@@ -274,7 +289,7 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
         bandwidth = math.isqrt(n)
     if not (3 <= bandwidth <= n / 2):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
-    omega, power = periodogram(y)
+    omega, power = _lowest_ordinates(y, bandwidth)
     return estimate_memory_from_periodogram(omega, power, bandwidth)
 
 

@@ -273,10 +273,14 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     the frequency axis of the response target.  A periodic difference of a
     series of 5-smooth length with a window of at least
     ``_kernels.TAPS_FFT_MIN_SIZE`` weights takes the circular route of
-    ``_kernels``, which reads the series' memoised ``rfft()``.
+    ``_kernels``, which reads the series' memoised ``rfft()``.  A
+    zero-boundary difference on the FFT path transforms at the 5-smooth
+    length from n + half-width and reads the series' memoised
+    ``spectrum()`` there, which a GL difference of truncation equal to the
+    half-width shares.
     """
     if boundary == "zero":
-        values = _kernels.two_sided_apply_zero(y.values, window)
+        values = _kernels.two_sided_apply_zero(y, window)
     elif boundary == "periodic":
         values = _kernels.two_sided_apply_periodic(y, window)
     else:

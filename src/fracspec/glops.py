@@ -8,7 +8,7 @@ inverses at matching truncation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,14 +33,18 @@ class Series:
     """Uniformly sampled real-valued series.
 
     ``values[i]`` is the sample at time ``start + i * step``.  The series
-    memoises ``rfft()``, the real FFT of its values at their own length, so
-    periodic exact differences and the periodogram that read it transform it
-    once.
+    memoises its transforms: ``rfft()``, the real FFT of its values at their
+    own length, which periodic exact differences and the periodogram read,
+    and ``spectrum(size)``, the zero-padded one, which GL differences and
+    zero-boundary exact differences read whenever their FFT lengths agree.
     """
 
     values: np.ndarray
     step: float = 1.0
     start: float = 0.0
+    _spectra: _kernels.BoundedCache = field(
+        init=False, repr=False, default_factory=_kernels.BoundedCache
+    )
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -62,21 +66,32 @@ class Series:
         return self.start + self.step * np.arange(self.values.size)
 
     def rfft(self) -> np.ndarray:
-        """The real FFT of the values at length n, read-only, computed on the
-        first call and kept on the series (n // 2 + 1 complex values).
+        """The real FFT of the values at length n, read-only (n // 2 + 1
+        complex values).
 
         Bins 1..n // 2 are ``np.fft.rfft`` of the mean-removed values, so
         their rounding scales with the series' fluctuations, not its level;
-        bin 0 is the values' sum.
+        bin 0 is the values' sum.  Kept with the padded spectra, under the
+        key "centred".
         """
-        spectrum = self.__dict__.get("_rfft")
-        if spectrum is None:
-            # threads racing here compute equal arrays; all keep the first
+        def build():
             total = self.values.sum()
             spectrum = np.fft.rfft(self.values - total / self.values.size)
             spectrum[0] = total
-            spectrum = self.__dict__.setdefault("_rfft", _kernels._read_only(spectrum))
-        return spectrum
+            return _kernels._read_only(spectrum)
+
+        return self._spectra.get_or_build("centred", build)
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """``np.fft.rfft(values, size)``, read-only.
+
+        The spectra of the last ``_kernels.CACHE_BOUND`` keys asked for,
+        this and :meth:`rfft` together, are kept on the series, so they go
+        when it does.
+        """
+        return self._spectra.get_or_build(
+            size, lambda: _kernels._read_only(np.fft.rfft(self.values, size))
+        )
 
     def with_values(self, values) -> "Series":
         return Series(values, self.step, self.start)
@@ -136,9 +151,12 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
     positive for 0 < d < 1.  The coefficients come from a
     cache of GL operators keyed by the exact (order, truncation), which also
     memoises their spectra, so repeated differences at one order, truncation
-    and series length transform only the series.  Exact trailing zeros are
-    dropped, so a nonnegative integer order is a short direct sum at any
-    truncation.
+    and series length transform only the series.  On the FFT path the series
+    is transformed at L, the 5-smooth length from n + truncation, and keeps
+    that spectrum (``Series.spectrum``); a zero-boundary exact difference of
+    half-width ``truncation`` transforms at the same L and reuses it.  Exact
+    trailing zeros are dropped, so a nonnegative integer order is a short
+    direct sum at any truncation.
 
     The cache stays alive after the call.  It and each operator's spectra
     keep ``_kernels.CACHE_BOUND`` = 8 entries: at most 8 operators, each
@@ -146,9 +164,10 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
     sample of FFT length L, which is at least the series length plus the
     truncation).  The worst case is 8 * (8 MB + 64 L) bytes at
     TRUNCATION_CAP: about 2.1 GB for series of 3e6 samples (L = 4e6) and
-    0.8 GB for series of 5e5 (L = 1.5e6).
+    0.8 GB for series of 5e5 (L = 1.5e6).  The series' own spectra, kept
+    on it, take at most 8 * 8 (L + 2) bytes more and go with it.
     """
-    return y.with_values(_kernels.causal_apply(y.values, _gl_operator(order, truncation)))
+    return y.with_values(_kernels.causal_apply(y, _gl_operator(order, truncation)))
 
 
 def gl_derivative_approx(

@@ -88,13 +88,18 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")
+    return _lowest_ordinates(y, _fft_size(len(y)) // 2)
+
+
+def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_j, S_j) of :func:`periodogram` for j = 1..count only, each the
+    same bits as there."""
     n_fft = _fft_size(len(y))
-    half = n_fft // 2
     if n_fft == len(y):
-        values = y.rfft()[1 : half + 1]
+        values = y.rfft()[1 : count + 1]
     else:
-        values = np.fft.rfft(y.values - y.values.mean(), n_fft)[1 : half + 1]
-    omega = 2.0 * math.pi * np.arange(1, half + 1) / (n_fft * y.step)
+        values = np.fft.rfft(y.values - y.values.mean(), n_fft)[1 : count + 1]
+    omega = 2.0 * math.pi * np.arange(1, count + 1) / (n_fft * y.step)
     power = np.abs(values) ** 2 / n_fft
     return omega, power
 
@@ -291,12 +296,13 @@ def loglog_slope_fit(xs, ys) -> SlopeFit:
         raise ValueError("log-log fit requires strictly positive values")
     lx = np.log(x)
     ly = np.log(s)
-    xc = lx - lx.mean()
+    lx_mean = lx.mean()
+    xc = lx - lx_mean
     sxx = float(np.dot(xc, xc))
     if sxx == 0.0:
         raise ValueError("x values must not be all equal")
     slope = float(np.dot(xc, ly) / sxx)
-    intercept = float(ly.mean() - slope * lx.mean())
+    intercept = float(ly.mean() - slope * lx_mean)
     resid = ly - (intercept + slope * lx)
     stderr = math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
     return SlopeFit(slope, intercept, stderr)

@@ -1,7 +1,8 @@
 """Brute-force index-convention oracles for the hot kernels: each kernel is
 checked against a loop over lags written straight from its definition, on
-sizes below and above the direct/FFT crossover of ``_kernels.convolve`` and
-on both sides of every choice of the circular (length-n) route."""
+sizes below and above the direct/FFT crossover of ``_kernels.convolve``, at
+the alias-free FFT length of each kept window, and on both sides of every
+choice of the circular (length-n) route."""
 
 import sys
 import threading
@@ -9,7 +10,16 @@ import threading
 import numpy as np
 import pytest
 
-from fracspec import NoiseSpec, Series, gl_coefficients, gl_difference, periodogram, white_noise
+from fracspec import (
+    NoiseSpec,
+    Series,
+    exact_difference,
+    exact_kernel_window,
+    gl_coefficients,
+    gl_difference,
+    periodogram,
+    white_noise,
+)
 from fracspec import _kernels, glops
 
 
@@ -175,9 +185,9 @@ def test_causal_apply_strips_exact_trailing_zeros(rng, monkeypatch):
     seen = []
     real_convolve = _kernels.convolve
 
-    def recording_convolve(a, b):
+    def recording_convolve(a, b, *window):
         seen.append(len(b))
-        return real_convolve(a, b)
+        return real_convolve(a, b, *window)
 
     monkeypatch.setattr(_kernels, "convolve", recording_convolve)
     got = _kernels.causal_apply(y, c)
@@ -302,17 +312,179 @@ def test_threads_sharing_one_series_agree():
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
 def test_plain_arrays_keep_the_linear_route(kind):
     # the sizes of the circular cases above, given as an array: the output
-    # is the linear product's, bit for bit, and no length-n spectrum is kept
+    # is the linear product's at the alias-free length of the kept window,
+    # bit for bit, and no length-n spectrum is kept
     rng = np.random.default_rng(11)
     y = rng.normal(size=4096)
     w = _kernels.Taps(rng.normal(size=257))
     half = 128
+
+    def linear(a, size, start):
+        product = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(w.weights, size), size)
+        return product[start : start + 4096]
+
     if kind == "causal":
-        got, want = _kernels.causal_apply(y, w), _kernels.convolve(y, w)[:4096]
+        got, want = _kernels.causal_apply(y, w), linear(y, _kernels._fft_length(4096 + 2 * half), 0)
     elif kind == "zero":
-        got, want = _kernels.two_sided_apply_zero(y, w), _kernels.convolve(y, w)[half : half + 4096]
+        got = _kernels.two_sided_apply_zero(y, w)
+        want = linear(y, _kernels._fft_length(4096 + half), half)
     else:
         got = _periodic(y, w)
-        want = _kernels.convolve(np.pad(y, half, mode="wrap"), w)[2 * half : 2 * half + 4096]
+        want = linear(np.pad(y, half, mode="wrap"), _kernels._fft_length(4096 + 2 * half), 2 * half)
     assert np.array_equal(got, want)
     assert not _took_circular(w, 4096)
+
+
+# The output window.  Each boundary keeps n entries of the linear product,
+# and the FFT path transforms at the 5-smooth length from the shortest at
+# which no wrapped sum lands in them: n + M for the causal sum, n + M - half
+# for the zero boundary, and n + M for the periodic one, whose operand is
+# the series wrap-padded to n + M samples (M = len(w) - 1, half = M // 2).
+_WINDOW_SIZES = {
+    "causal": lambda n, m, half: n + m,
+    "zero": lambda n, m, half: n + m - half,
+    "periodic": lambda n, m, half: n + m,
+}
+
+
+@pytest.mark.parametrize(
+    "n,taps",
+    # both sides of each crossover, and a half-width beyond every n but 4097
+    [(n, taps) for n in (5, 300, 1000, 4097)
+     for taps in (_kernels.TAPS_FFT_MIN_SIZE - 1, _kernels.TAPS_FFT_MIN_SIZE,
+                  _kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 1001)]
+    # windows alias-free from one past a 5-smooth length, 1281 for the causal
+    # and periodic sums and 1201 for the zero boundary, where a length one
+    # sample short would transform at 1280 or 1200 and wrap into the window
+    + [(1000, 282), (1000, 403)],
+)
+@pytest.mark.parametrize("as_taps", [False, True])
+@pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
+def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
+    rng = np.random.default_rng(n * taps)
+    y, w = rng.normal(size=n), rng.normal(size=taps)
+    sizes = []
+    real_rfft = np.fft.rfft
+
+    def recording_rfft(a, size=None):
+        sizes.append(size)
+        return real_rfft(a, size)
+
+    monkeypatch.setattr(_kernels.np.fft, "rfft", recording_rfft)
+    operand = _kernels.Taps(w) if as_taps else w
+    if kind == "causal":
+        got, want = _kernels.causal_apply(y, operand), _brute_causal(y, w)
+    elif kind == "zero":
+        got, want = _kernels.two_sided_apply_zero(y, operand), _brute_two_sided(y, w, False)
+    else:
+        got, want = _periodic(y, operand), _brute_two_sided(y, w, True)
+    monkeypatch.undo()
+    assert got.shape == (n,)
+    _assert_within_bound(got, want, y, w, 1e-12)
+    half = (taps - 1) // 2
+    longer = n + taps - 1 if kind == "periodic" else n
+    fft = min(longer, taps) >= (_kernels.TAPS_FFT_MIN_SIZE if as_taps else _kernels.FFT_MIN_SIZE)
+    size = _kernels._fft_length(_WINDOW_SIZES[kind](n, taps - 1, half))
+    assert sizes == ([size, size] if fft else [])
+
+
+# The series' padded-spectrum memo, which GL differences and zero-boundary
+# exact differences of a Series read.
+def test_series_spectrum_memo_is_read_only_and_hits_match_misses():
+    rng = np.random.default_rng(13)
+    values, w = rng.normal(size=3000) + 5.0, _kernels.Taps(rng.normal(size=301))
+    y = Series(values)
+    miss = _kernels.causal_apply(y, w)
+    size = _kernels._fft_length(3000 + 300)
+    spectrum = y.spectrum(size)
+    assert list(y._spectra) == [size]
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+    assert np.array_equal(spectrum, np.fft.rfft(values, size))
+    hit = _kernels.causal_apply(y, w)
+    assert y.spectrum(size) is spectrum
+    assert np.array_equal(hit, miss)
+    assert np.array_equal(_kernels.causal_apply(values, w), miss)
+    # the zero boundary of a 601-weight window keeps a window at the same length
+    window = _kernels.Taps(rng.normal(size=601))
+    zero = _kernels.two_sided_apply_zero(y, window)
+    assert list(y._spectra) == [size]
+    assert np.array_equal(zero, _kernels.two_sided_apply_zero(values, window))
+
+
+def _memo_lengths(n):
+    """Taps lengths whose causal sums with an n-sample series need more
+    distinct FFT lengths than the memo keeps."""
+    lengths = [_kernels.TAPS_FFT_MIN_SIZE + 97 * i for i in range(3 * _kernels.CACHE_BOUND)]
+    sizes = [_kernels._fft_length(n + m - 1) for m in lengths]
+    assert len(set(sizes)) > 2 * _kernels.CACHE_BOUND
+    return lengths, sizes
+
+
+def test_series_spectrum_memo_is_bounded():
+    rng = np.random.default_rng(17)
+    y = Series(rng.normal(size=2000))
+    y.rfft()
+    lengths, sizes = _memo_lengths(2000)
+    for m in lengths:
+        _kernels.causal_apply(y, _kernels.Taps(rng.normal(size=m)))
+    # the newest lengths stay; the length-n transform went with the oldest
+    assert list(y._spectra) == list(dict.fromkeys(sizes))[-_kernels.CACHE_BOUND :]
+
+
+def test_threads_sharing_one_series_spectrum_memo_agree():
+    # more threads than cores, each running causal sums at more FFT lengths
+    # than the memo keeps on one shared series, with a short switch interval
+    # so lookups, inserts and evictions interleave
+    rng = np.random.default_rng(19)
+    values = rng.normal(size=2000)
+    lengths, _ = _memo_lengths(2000)
+    operators = [_kernels.Taps(rng.normal(size=m)) for m in lengths]
+    want = [_kernels.causal_apply(values, w) for w in operators]
+    y = Series(values)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(slot):
+        start.wait()
+        order = list(range(slot, len(operators))) + list(range(slot))
+        results[slot] = [(i, _kernels.causal_apply(y, operators[i])) for i in order * 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 2 * len(operators)
+        assert all(np.array_equal(out, want[i]) for i, out in got)
+    assert len(y._spectra) == _kernels.CACHE_BOUND
+    for size, spectrum in y._spectra.items():
+        assert np.array_equal(spectrum, np.fft.rfft(values, size))
+
+
+def test_gl_and_zero_difference_share_one_transform_of_the_series(monkeypatch):
+    # a GL difference of 257 taps and a zero-boundary exact difference of
+    # half-width 256 keep windows that are alias-free at one length, 4374
+    y = white_noise(NoiseSpec(seed=21), 4096)
+    window = exact_kernel_window(0.5, 256)
+    calls = []
+    real_rfft = np.fft.rfft
+
+    def counting_rfft(a, *args, **kwargs):
+        if np.shares_memory(a, y.values):
+            calls.append(args)
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels.np.fft, "rfft", counting_rfft)
+    gl_difference(y, 0.4, 256)
+    exact_difference(y, window, "zero")
+    assert calls == [(4374,)]

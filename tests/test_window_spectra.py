@@ -14,14 +14,14 @@ from fracspec import NoiseSpec, Series, exact_difference, exact_kernel_window, w
 from fracspec import _kernels, exactops
 
 
-def _recomputed_convolve(y, w):
+def _recomputed_convolve(y, w, start, stop):
     """Reference ``convolve`` that transforms the weights on every FFT-path
-    call."""
+    call, at the smallest 5-smooth length that keeps [start, stop) free of
+    wrapped sums."""
     if min(y.size, w.size) < _kernels.TAPS_FFT_MIN_SIZE:
-        return np.convolve(y, w)
-    full = y.size + w.size - 1
-    size = _kernels._fft_length(full)
-    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[:full]
+        return np.convolve(y, w)[start:stop]
+    size = _kernels._fft_length(max(stop, y.size + w.size - 1 - start))
+    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[start:stop]
 
 
 def _series_rfft(y):
@@ -39,12 +39,12 @@ def _recomputed(y, w, boundary):
     ``TAPS_FFT_MIN_SIZE`` weights take the circular route."""
     n, half = y.size, (w.size - 1) // 2
     if boundary == "zero":
-        return _recomputed_convolve(y, w)[half : half + y.size]
+        return _recomputed_convolve(y, w, half, half + n)
     if w.size >= _kernels.TAPS_FFT_MIN_SIZE and _kernels._fft_length(n) == n:
         folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
         return np.fft.irfft(_series_rfft(y) * np.fft.rfft(folded), n)
     padded = np.pad(y, half, mode="wrap")
-    return _recomputed_convolve(padded, w)[2 * half : 2 * half + y.size]
+    return _recomputed_convolve(padded, w, 2 * half, 2 * half + n)
 
 
 def _fresh_window(order, half_width):
@@ -100,7 +100,7 @@ def test_memoised_spectra_are_read_only():
 def test_memo_is_bounded_over_many_lengths():
     window = _fresh_window(0.7, 256)
     lengths = [400 + 97 * i for i in range(50)]
-    sizes = [_kernels._fft_length(n + 2 * 256) for n in lengths]
+    sizes = [_kernels._fft_length(n + 256) for n in lengths]
     assert len(set(sizes)) > 2 * _kernels.CACHE_BOUND
     # the stated bound: a full memo of the largest spectra, plus 64 KiB
     largest = (max(sizes) // 2 + 1) * 16
