@@ -1,40 +1,37 @@
 """Hot inner loops: linear convolution, truncated causal convolution,
-two-sided kernel application, and the AR recursion.
+two-sided kernel application and the AR recursion, and the one place the
+transforms they multiply are formed.
 
 All three convolutions go through ``convolve``, which returns the window
 [start, stop) of the linear product that its caller keeps.  It sums directly
-with ``np.convolve`` while the shorter operand is below a crossover, and
-otherwise multiplies real FFTs zero-padded to L = the smallest 5-smooth
+with ``np.convolve`` while the shorter operand is below ``FFT_MIN_SIZE``,
+and otherwise multiplies real FFTs zero-padded to L = the smallest 5-smooth
 length from max(stop, full - start), full = len(y) + len(w) - 1.  Entry k of
 the length-L circular product also sums the linear entries k - L and k + L,
 and at that L none of them exists for k in the window.  So the causal sum
 (window [0, n)) transforms at n + M for M + 1 weights, the zero boundary
 ([M, M + n) of 2M + 1 weights) at n + M rather than n + 2M, and the
-wrap-padded periodic route below at n + 2M rather than n + 4M.  An operand
-held as :class:`Taps` (GL operators and exact-kernel windows, both cached)
-supplies its memoised weight spectrum, and a series passed as a
-``glops.Series`` its memoised zero-padded spectrum at L, so a GL difference
-of M + 1 weights and a zero-boundary exact difference of half-width M of one
-series share one transform of it.  The values are those of transforming the
-operand, so outputs are bit-identical on a hit and a miss.  Two plain arrays
-cost three transforms, as does the first call of a :class:`Taps` and a
-``glops.Series`` at an FFT length.  Both crossovers are
-measured on a grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU
-x86 host): for two plain arrays ``FFT_MIN_SIZE`` = 384 costs the least over
-the faster path, and for a :class:`Taps` with its spectrum memoised
-``TAPS_FFT_MIN_SIZE`` = 224 does.  The direct path keeps ``np.convolve``'s
-rounding bit for bit.  The FFT path is within 1e-13 * sum|w| * max|y| of the
-exact sum; measured against the direct sum it is within ~1.2e-16 times that
-scale up to n = M = 1e5.
+wrap-padded periodic route below at n + 2M rather than n + 4M.  The weights
+are held as :class:`Taps` (plain weights in a throwaway one), whose
+spectrum is memoised, and a series passed as a ``glops.Series`` supplies its
+memoised zero-padded spectrum at L, so a GL difference of M + 1 weights and
+a zero-boundary exact difference of half-width M of one series share one
+transform of it.  The crossover was measured for memoised weights, as GL
+operators and exact-kernel windows are, on a grid of shorter side 128-512
+by longer side 512-1e5 (2-vCPU x86 host); README "Kernels" gives the grid
+and what it costs the one caller with two plain arrays, the sample
+autocovariance.  The direct path keeps ``np.convolve``'s rounding bit for
+bit.  The FFT path is within 1e-13 * sum|w| * max|y| of the exact sum;
+measured against the direct sum it is within ~1.2e-16 times that scale up
+to n = M = 1e5.
 
-The periodic boundary has a second, circular route.  A series passed as a
-``glops.Series``, which memoises ``rfft()`` of its values at their own
-length n, of 5-smooth n (``_fft_length(n) == n``), with a :class:`Taps` of
-at least ``TAPS_FFT_MIN_SIZE`` weights, is convolved as one length-n
-product: the series' spectrum times the weights folded mod n
-(``Taps.folded_spectrum(n)``, memoised), and one ``irfft``.  That is the
-periodic sum exactly, at any half-width, with no padding.  Otherwise the
-series is wrap-padded by the window's reach on each side and convolved,
+The periodic boundary has a second, circular route: a series of 5-smooth
+length n (``_fft_length(n) == n``) with at least ``FFT_MIN_SIZE`` weights
+is convolved as one length-n product, its :func:`centred_rfft` (memoised as
+``Series.rfft()`` on a ``glops.Series``) times the weights' :func:`folded_rfft`
+mod n (memoised as ``Taps.folded_spectrum(n)``), and one ``irfft``.  That
+is the periodic sum exactly, at any half-width, with no padding.  Otherwise
+the series is wrap-padded by the window's reach on each side and convolved,
 keeping the n entries the padding fully covers.  Time per call, circular
 over wrap-padded (the latter at its alias-free length n + 2M, with the
 window's spectrum memoised), on a grid of n = 1024-1e5 (powers of two to
@@ -46,19 +43,18 @@ median of per-call times with the routes interleaved, two sessions):
     8192         0.75-1.00     0.38-0.49
     16384-1e5    0.51-0.88     0.24-0.43
 
-Single-use transforms the series for the call (the mean-removed values and
-their sum, as ``Series.rfft`` does); shared finds its spectrum memoised, as
-the second and later uses of one series do.  Single-use breaks even at
-worst (half-width 224-256 at n = 2048-8192), so the route is taken at every
-half-width.  The causal and zero boundaries stay on ``convolve``: on the
-circular route they would also subtract the sums that wrap round the
-series' ends, which on the same host cost as much as the shorter transform
-saves up to n = 8192, and no benchmark workload runs them on a longer
-5-smooth series with a short operator.  The choice reads the operand types
-and sizes only, never whether a spectrum is memoised yet, so a call's
-output depends only on its inputs.  The AR recursion is inherently
-sequential and runs as a pure-Python loop over floats, which is cheaper
-than indexing numpy scalars.
+Single-use transforms the series for the call, as an array does; shared
+finds its spectrum memoised, as later uses of one ``glops.Series`` do.
+Single-use breaks even at worst (half-width 224-256 at n = 2048-8192), so
+the route is taken at every half-width.  The causal and zero boundaries
+stay on ``convolve``: on the circular route they would also subtract the
+sums that wrap round the series' ends, which on the same host cost as much
+as the shorter transform saves up to n = 8192, and no benchmark workload
+runs them on a longer 5-smooth series with a short operator.  Every route
+is chosen by the operands' sizes only, never by their types nor by whether
+a spectrum is memoised yet, so a hit gives the bits of a miss.  The AR
+recursion is inherently sequential and runs as a pure-Python loop over
+floats, which is cheaper than indexing numpy scalars.
 
 Exact-kernel windows, GL operators and the spectra of each :class:`Taps`
 and each ``glops.Series`` are kept in :class:`BoundedCache` instances, each
@@ -73,7 +69,6 @@ import numpy as np
 
 __all__ = [
     "FFT_MIN_SIZE",
-    "TAPS_FFT_MIN_SIZE",
     "CACHE_BOUND",
     "BoundedCache",
     "Taps",
@@ -84,10 +79,9 @@ __all__ = [
     "ar_recurse",
 ]
 
-# direct np.convolve while the shorter operand is below this many samples;
-# the second applies when the weights are Taps, whose spectrum is memoised
-FFT_MIN_SIZE = 384
-TAPS_FFT_MIN_SIZE = 224
+# direct np.convolve while the shorter operand is below this many samples,
+# and the fewest weights the circular periodic route takes
+FFT_MIN_SIZE = 224
 
 # entries every BoundedCache keeps: exact windows, GL operators, and the FFT
 # lengths of one Taps's or one Series' spectra (a series of fixed length needs
@@ -170,16 +164,28 @@ class Taps:
         )
 
     def folded_spectrum(self, n: int) -> np.ndarray:
-        """``np.fft.rfft`` at length n of the weights as a two-sided kernel,
-        weight k at lag k - (len - 1) // 2, with the lags folded mod n;
-        read-only.
-
-        Kept with the linear spectra, under the key ("folded", n).
-        """
+        """:func:`folded_rfft` at length n of the weights as a two-sided
+        kernel, weight k at lag k - (len - 1) // 2; kept with the linear
+        spectra under the key ("folded", n)."""
         lags = np.arange(self.weights.size) - (self.weights.size - 1) // 2
-        return self._spectra.get_or_build(("folded", n), lambda: _read_only(
-            np.fft.rfft(np.bincount(lags % n, weights=self.weights, minlength=n))
-        ))
+        return self._spectra.get_or_build(("folded", n), lambda: folded_rfft(lags, self.weights, n))
+
+
+def folded_rfft(lags, weights, n: int) -> np.ndarray:
+    """Bins j = 0..n // 2 of sum_m weights[m] e^{-2 pi i j lags[m] / n}: the
+    weights summed by their integer lag mod n, then ``np.fft.rfft``; read-only."""
+    return _read_only(np.fft.rfft(np.bincount(lags % n, weights=weights, minlength=n), n))
+
+
+def centred_rfft(values: np.ndarray, size: int) -> np.ndarray:
+    """``np.fft.rfft`` at length ``size`` of the values less their mean (the
+    sum over n, bit for bit ``values.mean()``), so that the rounding of bins
+    1..size // 2 scales with the fluctuations, not the level; bin 0 is the
+    sum.  Read-only."""
+    total = values.sum()
+    spectrum = np.fft.rfft(values - total / values.size, size)
+    spectrum[0] = total
+    return _read_only(spectrum)
 
 
 @functools.lru_cache(maxsize=64)
@@ -201,24 +207,22 @@ def convolve(y, w, start=0, stop=None) -> np.ndarray:
     which has len(y) + len(w) - 1 entries; ``stop`` defaults to that length.
 
     ``y`` is an array or a ``glops.Series`` and ``w`` an array or
-    :class:`Taps`.  The FFT path transforms at the smallest 5-smooth length
-    at which no wrapped sum lands in the window, and reuses the memoised
-    spectrum of a :class:`Taps` (from ``TAPS_FFT_MIN_SIZE`` on) and of a
+    :class:`Taps`.  The FFT path, from ``FFT_MIN_SIZE`` on, transforms at
+    the smallest 5-smooth length at which no wrapped sum lands in the
+    window, and reuses the memoised spectra of a :class:`Taps` and of a
     ``glops.Series`` at that length.
     """
     series_spectrum = getattr(y, "spectrum", None)
-    taps = w if isinstance(w, Taps) else None
+    taps = w if isinstance(w, Taps) else Taps(w)
     y = _as_f8(y if series_spectrum is None else y.values)
-    w = _as_f8(w if taps is None else taps.weights)
-    full = y.shape[0] + w.shape[0] - 1
+    full = y.shape[0] + len(taps) - 1
     stop = full if stop is None else stop
-    if min(y.shape[0], w.shape[0]) < (FFT_MIN_SIZE if taps is None else TAPS_FFT_MIN_SIZE):
-        return np.convolve(y, w)[start:stop]
+    if min(y.shape[0], len(taps)) < FFT_MIN_SIZE:
+        return np.convolve(y, taps.weights)[start:stop]
     # circular entry k also sums the linear entries k - size and k + size
     size = _fft_length(max(stop, full - start))
     y_hat = np.fft.rfft(y, size) if series_spectrum is None else series_spectrum(size)
-    w_hat = np.fft.rfft(w, size) if taps is None else taps.spectrum(size)
-    return np.fft.irfft(y_hat * w_hat, size)[start:stop]
+    return np.fft.irfft(y_hat * taps.spectrum(size), size)[start:stop]
 
 
 def causal_apply(y, coeffs) -> np.ndarray:
@@ -246,18 +250,19 @@ def two_sided_apply_zero(y, weights) -> np.ndarray:
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n].
 
-    ``y`` is an array or a ``glops.Series``, ``weights`` an array or
-    :class:`Taps`; a series of 5-smooth length with :class:`Taps` of at least
-    ``TAPS_FFT_MIN_SIZE`` weights takes the circular route of the module
-    docstring.
+    ``y`` and ``weights`` are as for :func:`convolve`; a series of 5-smooth
+    length with at least ``FFT_MIN_SIZE`` weights takes the circular route
+    of the module docstring, reading the memoised ``rfft()`` of a
+    ``glops.Series``.
     """
-    rfft = getattr(y, "rfft", None)
-    y = _as_f8(y if rfft is None else y.values)
-    n = y.shape[0]
-    if (rfft is not None and isinstance(weights, Taps)
-            and len(weights) >= TAPS_FFT_MIN_SIZE and _fft_length(n) == n):
-        return np.fft.irfft(rfft() * weights.folded_spectrum(n), n)
-    span = len(weights) - 1
+    taps = weights if isinstance(weights, Taps) else Taps(weights)
+    n = len(y)
+    if len(taps) >= FFT_MIN_SIZE and _fft_length(n) == n:
+        rfft = getattr(y, "rfft", None)
+        y_hat = centred_rfft(_as_f8(y), n) if rfft is None else rfft()
+        return np.fft.irfft(y_hat * taps.folded_spectrum(n), n)
+    y = _as_f8(getattr(y, "values", y))
+    span = len(taps) - 1
     half = span // 2
     # an even-length window reaches lag half + 1 into the past
     before = span - half
@@ -266,7 +271,7 @@ def two_sided_apply_periodic(y, weights) -> np.ndarray:
     else:
         # the padding repeats the series more than once
         padded = y[np.arange(-before, n + half) % n]
-    return convolve(padded, weights, span, span + n)
+    return convolve(padded, taps, span, span + n)
 
 
 def ar_recurse(x, phi) -> np.ndarray:

@@ -243,17 +243,19 @@ def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
 
     Pipeline: white noise -> MA(q) filter -> fractional integration of
     order d (truncated at spec.truncation) -> AR(p) recursion; the first
-    burn_in samples are then discarded.
+    burn_in samples are then discarded.  Raises ValueError if the path
+    leaves the double-precision range.
     """
     total = spec.n + spec.burn_in
-    values = white_noise(noise, total).values
+    shocks = white_noise(noise, total)
+    values = shocks.values
     if spec.ma:
         values = _kernels.causal_apply(values, np.concatenate(([1.0], spec.ma)))
     if spec.d != 0.0:
         values = _kernels.causal_apply(values, _gl_operator(-spec.d, spec.truncation))
     if spec.ar:
         values = _kernels.ar_recurse(values, np.asarray(spec.ar))
-    return Series(values[spec.burn_in :], step=1.0, start=0.0)
+    return shocks.with_values(values[spec.burn_in :])
 
 
 def estimate_memory_from_periodogram(

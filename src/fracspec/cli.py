@@ -139,7 +139,7 @@ def _series_from_columns(t: np.ndarray, values: np.ndarray) -> glops.Series:
 
 def _check_finite(*values) -> None:
     if not all(np.isfinite(v).all() for v in values):
-        raise ValueError("result is not finite: values exceed the double-precision range")
+        raise ValueError(glops._RESULT_NOT_FINITE)
 
 
 def _csv(header: list[str], *columns: np.ndarray) -> str:

@@ -250,8 +250,8 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     the exact (order, half_width) in a :class:`_kernels.BoundedCache`, which
     keeps the last ``_kernels.CACHE_BOUND`` = 8 built.  Each window memoises
     its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`
-    and, for periodic differences on the circular route,
-    :meth:`KernelWindow.folded_spectrum`), so dropping it drops them too.
+    and, on the circular periodic route, :meth:`KernelWindow.folded_spectrum`,
+    both from ``_kernels.FFT_MIN_SIZE`` weights on), so they go with it.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -272,12 +272,13 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     The operator carries no step^order factor; the step enters only through
     the frequency axis of the response target.  A periodic difference of a
     series of 5-smooth length with a window of at least
-    ``_kernels.TAPS_FFT_MIN_SIZE`` weights takes the circular route of
-    ``_kernels``, which reads the series' memoised ``rfft()``.  A
-    zero-boundary difference on the FFT path transforms at the 5-smooth
-    length from n + half-width and reads the series' memoised
-    ``spectrum()`` there, which a GL difference of truncation equal to the
-    half-width shares.
+    ``_kernels.FFT_MIN_SIZE`` weights takes the circular route of
+    ``_kernels``, chosen by those sizes alone, which reads the series'
+    memoised ``rfft()``.  A zero-boundary difference on the FFT path
+    transforms at the 5-smooth length from n + half-width and reads the
+    series' memoised ``spectrum()`` there, which a GL difference of
+    truncation equal to the half-width shares.  ValueError if an output
+    leaves the double-precision range.
     """
     if boundary == "zero":
         values = _kernels.two_sided_apply_zero(y, window)

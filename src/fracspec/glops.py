@@ -25,6 +25,8 @@ __all__ = [
 
 TRUNCATION_CAP = 10**6
 
+_RESULT_NOT_FINITE = "result is not finite: values exceed the double-precision range"
+
 _operator_cache = _kernels.BoundedCache()  # (order, truncation) -> Taps
 
 
@@ -33,10 +35,10 @@ class Series:
     """Uniformly sampled real-valued series.
 
     ``values[i]`` is the sample at time ``start + i * step``.  The series
-    memoises its transforms: ``rfft()``, the real FFT of its values at their
-    own length, which periodic exact differences and the periodogram read,
-    and ``spectrum(size)``, the zero-padded one, which GL differences and
-    zero-boundary exact differences read whenever their FFT lengths agree.
+    memoises its transforms: ``rfft(size)``, the centred one, which periodic
+    exact differences and the periodogram read, and ``spectrum(size)``, the
+    zero-padded one, which GL differences and zero-boundary exact
+    differences read whenever their FFT lengths agree.
     """
 
     values: np.ndarray
@@ -65,22 +67,13 @@ class Series:
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.values.size)
 
-    def rfft(self) -> np.ndarray:
-        """The real FFT of the values at length n, read-only (n // 2 + 1
-        complex values).
-
-        Bins 1..n // 2 are ``np.fft.rfft`` of the mean-removed values, so
-        their rounding scales with the series' fluctuations, not its level;
-        bin 0 is the values' sum.  Kept with the padded spectra, under the
-        key "centred".
-        """
-        def build():
-            total = self.values.sum()
-            spectrum = np.fft.rfft(self.values - total / self.values.size)
-            spectrum[0] = total
-            return _kernels._read_only(spectrum)
-
-        return self._spectra.get_or_build("centred", build)
+    def rfft(self, size: int | None = None) -> np.ndarray:
+        """``_kernels.centred_rfft`` of the values at length ``size``, n by
+        default; kept with the padded spectra under the key ("centred", size)."""
+        size = self.values.size if size is None else size
+        return self._spectra.get_or_build(
+            ("centred", size), lambda: _kernels.centred_rfft(self.values, size)
+        )
 
     def spectrum(self, size: int) -> np.ndarray:
         """``np.fft.rfft(values, size)``, read-only.
@@ -94,7 +87,12 @@ class Series:
         )
 
     def with_values(self, values) -> "Series":
-        return Series(values, self.step, self.start)
+        """An operator's output sampled like this series; ValueError if it overflowed."""
+        try:
+            return Series(values, self.step, self.start)
+        except ValueError:
+            # the output is one-dimensional and nonempty: only finiteness fails
+            raise ValueError(_RESULT_NOT_FINITE) from None
 
 
 def gl_coefficients(order: float, truncation: int) -> np.ndarray:
@@ -151,12 +149,13 @@ def gl_difference(y: Series, order: float, truncation: int) -> Series:
     positive for 0 < d < 1.  The coefficients come from a
     cache of GL operators keyed by the exact (order, truncation), which also
     memoises their spectra, so repeated differences at one order, truncation
-    and series length transform only the series.  On the FFT path the series
-    is transformed at L, the 5-smooth length from n + truncation, and keeps
+    and series length transform only the series.  On the FFT path (both
+    from ``_kernels.FFT_MIN_SIZE`` = 224 samples) the series is transformed
+    at L, the 5-smooth length from n + truncation, and keeps
     that spectrum (``Series.spectrum``); a zero-boundary exact difference of
     half-width ``truncation`` transforms at the same L and reuses it.  Exact
     trailing zeros are dropped, so a nonnegative integer order is a short
-    direct sum at any truncation.
+    direct sum at any truncation.  ValueError if an output overflows.
 
     The cache stays alive after the call.  It and each operator's spectra
     keep ``_kernels.CACHE_BOUND`` = 8 entries: at most 8 operators, each

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .exactops import KernelWindow, cospi, exact_kernel_window, sinpi
-from .glops import Series, gl_coefficients
+from .glops import _RESULT_NOT_FINITE, Series, gl_coefficients
 
 __all__ = [
     "ResponseReport",
@@ -80,9 +80,9 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     contaminate the low-frequency bins; zero frequency is excluded.  The
     transform is a real FFT of length n_fft: the sample count n up to 64,
     zero-padded to the next power of two above, with omega_j =
-    2 pi j / (n_fft * step).  When n_fft is n, the bins are those of the
-    series' memoised ``Series.rfft()``, which is the same transform of the
-    mean-removed values, shared with periodic exact differences.
+    2 pi j / (n_fft * step).  The bins are those of the series' memoised
+    ``Series.rfft(n_fft)``, the transform of the mean-removed values; at
+    n_fft = n it is the one periodic exact differences read.
     Normalization is 1/n_fft, which shifts log-log intercepts only, never
     slopes.
     """
@@ -95,10 +95,7 @@ def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(omega_j, S_j) of :func:`periodogram` for j = 1..count only, each the
     same bits as there."""
     n_fft = _fft_size(len(y))
-    if n_fft == len(y):
-        values = y.rfft()[1 : count + 1]
-    else:
-        values = np.fft.rfft(y.values - y.values.mean(), n_fft)[1 : count + 1]
+    values = y.rfft(n_fft)[1 : count + 1]
     omega = 2.0 * math.pi * np.arange(1, count + 1) / (n_fft * y.step)
     power = np.abs(values) ** 2 / n_fft
     return omega, power
@@ -174,22 +171,13 @@ def _fold_grid(grid: np.ndarray, cost: int) -> tuple[int, np.ndarray] | None:
         n = lcm
 
 
-def _folded_response(offsets: np.ndarray, w: np.ndarray, n: int, k: np.ndarray) -> np.ndarray:
-    """sum_m w_m e^{-i pi k m / n} for integers 1 <= k <= n in O(M + n log n).
-
-    The phase depends on m only mod 2n, so the weights are summed into 2n
-    bins by their lag mod 2n (exact integer arithmetic) and the bins' length-2n
-    DFT is read at k.
-    """
-    folded = np.bincount(offsets % (2 * n), weights=w, minlength=2 * n)
-    return np.fft.rfft(folded)[k]
-
-
 def _response_values(offsets: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     fold = _fold_grid(grid, grid.size * w.size)
     if fold is None:
         return _direct_response(offsets, w, grid)
-    return _folded_response(offsets, w, *fold)
+    # e^{-i pi k m / n} depends on the lag m only mod 2n
+    n, k = fold
+    return _kernels.folded_rfft(offsets, w, 2 * n)[k]
 
 
 def operator_response(weights, grid: Sequence[float]) -> np.ndarray:
@@ -276,14 +264,18 @@ def response_report(
 def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:
     """Biased-normalization sample autocovariance for lags 0..max_lag.
 
-    rho(k) = (1/n) sum_t (y_t - ybar)(y_{t+k} - ybar).
+    rho(k) = (1/n) sum_t (y_t - ybar)(y_{t+k} - ybar), of which only these
+    lags are formed: the FFT path transforms at the 5-smooth length from
+    n + max_lag, not 2n - 1.  ValueError if the centring overflows.
     """
     n = len(y)
     max_lag = int(max_lag)
     if not (0 <= max_lag < n):
         raise ValueError("max_lag must satisfy 0 <= max_lag < len(y)")
     centered = y.values - y.values.mean()
-    return _kernels.convolve(centered, centered[::-1])[n - 1 : n + max_lag] / n
+    if not np.isfinite(centered).all():
+        raise ValueError(_RESULT_NOT_FINITE)
+    return _kernels.convolve(centered, centered[::-1], n - 1, n + max_lag) / n
 
 
 def loglog_slope_fit(xs, ys) -> SlopeFit:

@@ -249,12 +249,23 @@ _NOT_FINITE = "result is not finite: values exceed the double-precision range"
          "theoretical ACF overflows at sigma=1e+200"),
         (["acf", "--d", "0.3", "--max-lag", "5", "--sigma", "1.2e154", "--truncation", "100000"],
          "theoretical ACF overflows at sigma=1.2e+154"),
+        # differences and simulations whose output overflows, not their input
+        (["difference", "--input", "HUGE", "--order", "3", "--truncation", "4"], _NOT_FINITE),
+        (["difference", "--input", "HUGE", "--family", "exact", "--order", "3",
+          "--half-width", "3"], _NOT_FINITE),
+        (["difference", "--input", "HUGE", "--family", "exact", "--boundary", "periodic",
+          "--order", "0.5", "--half-width", "3"], _NOT_FINITE),
+        (["simulate", "--d", "0.9", "--n", "2000", "--sigma", "1e306"], _NOT_FINITE),
+        (["simulate", "--d", "0.3", "--n", "100", "--ma", "10", "--sigma", "1e307"], _NOT_FINITE),
+        # four samples of 1e308, whose mean overflows
+        (["acf", "--input", "LEVEL", "--max-lag", "2"], _NOT_FINITE),
     ],
 )
 def test_finite_input_with_non_finite_result_is_one_line(argv, message, tmp_path, capsys):
-    path = tmp_path / "huge.csv"
-    path.write_text("t,value\n" + "".join(f"{t},{s * 1e308}\n" for t, s in enumerate(_HUGE_SIGNS)))
-    argv = [str(path) if a == "HUGE" else a for a in argv]
+    huge, level = tmp_path / "huge.csv", tmp_path / "level.csv"
+    huge.write_text("t,value\n" + "".join(f"{t},{s * 1e308}\n" for t, s in enumerate(_HUGE_SIGNS)))
+    level.write_text("t,value\n" + "".join(f"{t},1e308\n" for t in range(4)))
+    argv = [{"HUGE": str(huge), "LEVEL": str(level)}.get(a, a) for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
         code, out, err = run_cli(argv, capsys)

@@ -23,7 +23,7 @@ from fracspec import _kernels, glops
 def _recomputed(y, coeffs):
     """Reference causal GL difference that transforms the coefficients on
     every FFT-path call."""
-    if min(y.size, coeffs.size) < _kernels.TAPS_FFT_MIN_SIZE:
+    if min(y.size, coeffs.size) < _kernels.FFT_MIN_SIZE:
         return np.convolve(y, coeffs)[: y.size]
     size = _kernels._fft_length(y.size + coeffs.size - 1)
     return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(coeffs, size), size)[: y.size]
@@ -44,7 +44,7 @@ def test_outputs_on_a_hit_are_bit_identical_to_a_miss(n, truncation):
     assert np.array_equal(hit, miss)
     assert operator._spectra.keys() == memo.keys()
     assert all(operator._spectra[k] is memo[k] for k in memo)
-    assert bool(memo) == (min(n, truncation + 1) >= _kernels.TAPS_FFT_MIN_SIZE)
+    assert bool(memo) == (min(n, truncation + 1) >= _kernels.FFT_MIN_SIZE)
 
 
 def test_simulation_on_a_hit_is_bit_identical_to_a_miss():

@@ -1,7 +1,7 @@
 """Brute-force index-convention oracles for the hot kernels: each kernel is
 checked against a loop over lags written straight from its definition, on
-sizes below and above the direct/FFT crossover of ``_kernels.convolve``, at
-the alias-free FFT length of each kept window, and on both sides of every
+sizes below and above the one direct/FFT crossover, ``FFT_MIN_SIZE``, at the
+alias-free FFT length of each kept window, and on both sides of every
 choice of the circular (length-n) route."""
 
 import sys
@@ -62,7 +62,9 @@ def _assert_within_bound(got, want, y, w, atol):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
 
 
-# sizes whose convolutions have both operands at or above FFT_MIN_SIZE
+# sizes whose convolutions have both operands at or above FFT_MIN_SIZE, and
+# whose periodic sums take each route, wrap-padded (n = 700) and circular
+# (n = 300, 5-smooth)
 _FFT_CAUSAL = [(600, 700), (1500, 400)]
 _FFT_TWO_SIDED = [(700, 350), (300, 900)]
 
@@ -93,15 +95,15 @@ def test_two_sided_apply_matches_brute_force(rng, n, half, periodic):
 
 def test_fft_cases_are_above_the_crossover():
     sizes = [min(n, k) for n, k in _FFT_CAUSAL]
-    # the periodic boundary convolves the series wrap-padded by half
-    sizes += [min(n + 2 * half, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
-    # the zero boundary at (300, 900) stays direct, a 300-sample series
-    n, half = _FFT_TWO_SIDED[0]
-    sizes.append(min(n, 2 * half + 1))
+    # the zero boundary convolves the series with the weights; the periodic
+    # one folds the weights mod n or convolves them with the series
+    # wrap-padded by half, so the weights are its shorter operand
+    sizes += [min(n, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
     assert min(sizes) >= _kernels.FFT_MIN_SIZE
+    assert [_kernels._fft_length(n) == n for n, _ in _FFT_TWO_SIDED] == [False, True]
 
 
-@pytest.mark.parametrize("taps", [_kernels.TAPS_FFT_MIN_SIZE - 1, _kernels.TAPS_FFT_MIN_SIZE])
+@pytest.mark.parametrize("taps", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE])
 def test_gl_difference_on_both_sides_of_the_crossover(taps):
     glops._operator_cache.clear()
     y = white_noise(NoiseSpec(seed=taps), 3000)
@@ -109,43 +111,19 @@ def test_gl_difference_on_both_sides_of_the_crossover(taps):
     got = gl_difference(y, 0.4, taps - 1).values
     # the operator memoises a spectrum only on the FFT path
     operator = glops._operator_cache[(0.4, taps - 1)]
-    assert bool(operator._spectra) == (taps >= _kernels.TAPS_FFT_MIN_SIZE)
+    assert bool(operator._spectra) == (taps >= _kernels.FFT_MIN_SIZE)
     _assert_within_bound(got, _brute_causal(y.values, c), y.values, c, 1e-13)
 
 
-@pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE])
+# both sides of the crossover, and both sides of 384, from which a product of
+# two plain arrays (three transforms) beats the direct sum on the crossover grid
+@pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383, 384])
 @pytest.mark.parametrize("short_first", [False, True])
 def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
+    # plain weights and Taps take the same route, on a spectrum miss and a
+    # hit alike, and give the same bits
     long_, short_ = rng.normal(size=2000), rng.normal(size=short)
     y, w = (short_, long_) if short_first else (long_, short_)
-    want = np.convolve(y, w)
-    direct_calls = []
-    real_convolve = np.convolve
-
-    def counting_convolve(*args):
-        direct_calls.append(args)
-        return real_convolve(*args)
-
-    monkeypatch.setattr(_kernels.np, "convolve", counting_convolve)
-    got = _kernels.convolve(y, w)
-    assert got.shape == want.shape
-    if short < _kernels.FFT_MIN_SIZE:
-        assert len(direct_calls) == 1
-        assert np.array_equal(got, want)
-    else:
-        assert direct_calls == []
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
-
-
-@pytest.mark.parametrize(
-    "short", [_kernels.TAPS_FFT_MIN_SIZE - 1, _kernels.TAPS_FFT_MIN_SIZE, _kernels.FFT_MIN_SIZE - 1]
-)
-@pytest.mark.parametrize("taps_short", [False, True])
-def test_taps_have_their_own_crossover(rng, monkeypatch, short, taps_short):
-    # between the two crossovers the same weights take the direct sum as a
-    # plain array and the FFT path as Taps, on a miss and on a hit alike
-    long_, short_ = rng.normal(size=2000), rng.normal(size=short)
-    y, w = (long_, short_) if taps_short else (short_, long_)
     taps = _kernels.Taps(w)
     want = np.convolve(y, w)
     direct_calls = []
@@ -156,15 +134,17 @@ def test_taps_have_their_own_crossover(rng, monkeypatch, short, taps_short):
         return real_convolve(*args)
 
     monkeypatch.setattr(_kernels.np, "convolve", counting_convolve)
-    assert np.array_equal(_kernels.convolve(y, w), want)
-    assert len(direct_calls) == 1
-    miss = _kernels.convolve(y, taps)
-    hit = _kernels.convolve(y, taps)
-    fft = short >= _kernels.TAPS_FFT_MIN_SIZE
-    assert len(direct_calls) == (1 if fft else 3)
+    got, miss, hit = (_kernels.convolve(y, op) for op in (w, taps, taps))
+    assert got.shape == want.shape
+    assert np.array_equal(miss, got) and np.array_equal(hit, got)
+    fft = short >= _kernels.FFT_MIN_SIZE
     assert bool(taps._spectra) == fft
-    assert np.array_equal(hit, miss)
-    assert np.abs(miss - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
+    if fft:
+        assert direct_calls == []
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
+    else:
+        assert len(direct_calls) == 3
+        assert np.array_equal(got, want)
 
 
 def test_fft_length_is_smallest_5_smooth():
@@ -203,10 +183,10 @@ def test_ar_recurse_matches_brute_force(rng, p):
     assert np.allclose(_kernels.ar_recurse(x, phi), _brute_ar(x, phi), atol=1e-12)
 
 
-# The circular route.  A Series of 5-smooth length n and Taps of at least
-# TAPS_FFT_MIN_SIZE weights take it for the periodic boundary, at any
-# half-width; the folded spectrum it memoises under ("folded", n) shows it.
-_MIN = _kernels.TAPS_FFT_MIN_SIZE
+# The circular route.  A series of 5-smooth length n and at least
+# FFT_MIN_SIZE weights take it for the periodic boundary, at any half-width;
+# the folded spectrum it memoises under ("folded", n) on Taps shows it.
+_MIN = _kernels.FFT_MIN_SIZE
 _periodic = _kernels.two_sided_apply_periodic
 
 
@@ -309,30 +289,24 @@ def test_threads_sharing_one_series_agree():
             assert np.array_equal(z, want[0]) and np.array_equal(power, want[1])
 
 
+@pytest.mark.parametrize("n", [4096, 4099])
+@pytest.mark.parametrize("taps", [_MIN - 1, _MIN])
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
-def test_plain_arrays_keep_the_linear_route(kind):
-    # the sizes of the circular cases above, given as an array: the output
-    # is the linear product's at the alias-free length of the kept window,
-    # bit for bit, and no length-n spectrum is kept
-    rng = np.random.default_rng(11)
-    y = rng.normal(size=4096)
-    w = _kernels.Taps(rng.normal(size=257))
-    half = 128
-
-    def linear(a, size, start):
-        product = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(w.weights, size), size)
-        return product[start : start + 4096]
-
-    if kind == "causal":
-        got, want = _kernels.causal_apply(y, w), linear(y, _kernels._fft_length(4096 + 2 * half), 0)
-    elif kind == "zero":
-        got = _kernels.two_sided_apply_zero(y, w)
-        want = linear(y, _kernels._fft_length(4096 + half), half)
-    else:
-        got = _periodic(y, w)
-        want = linear(np.pad(y, half, mode="wrap"), _kernels._fft_length(4096 + 2 * half), 2 * half)
-    assert np.array_equal(got, want)
-    assert not _took_circular(w, 4096)
+def test_arrays_and_series_take_one_route(kind, taps, n):
+    # the routes read sizes only: the values as an array or a Series, with
+    # the weights as an array or Taps, give the same bits, memo or not
+    rng = np.random.default_rng(n + taps)
+    values, weights = rng.normal(size=n), rng.normal(size=taps)
+    apply = {"causal": _kernels.causal_apply, "zero": _kernels.two_sided_apply_zero,
+             "periodic": _periodic}[kind]
+    want = apply(values, weights)
+    y, w = Series(values), _kernels.Taps(weights)
+    outputs = [apply(y, w), apply(y, w), apply(values, w), apply(y, weights)]
+    assert all(np.array_equal(got, want) for got in outputs)
+    assert _took_circular(w, n) == (kind == "periodic" and n == 4096 and taps >= _MIN)
+    brute = _brute_causal(values, weights) if kind == "causal" else _brute_two_sided(
+        values, weights, kind == "periodic")
+    _assert_within_bound(want, brute, values, weights, 1e-12)
 
 
 # The output window.  Each boundary keeps n entries of the linear product,
@@ -340,6 +314,7 @@ def test_plain_arrays_keep_the_linear_route(kind):
 # which no wrapped sum lands in them: n + M for the causal sum, n + M - half
 # for the zero boundary, and n + M for the periodic one, whose operand is
 # the series wrap-padded to n + M samples (M = len(w) - 1, half = M // 2).
+# A periodic sum on the circular route transforms at n instead.
 _WINDOW_SIZES = {
     "causal": lambda n, m, half: n + m,
     "zero": lambda n, m, half: n + m - half,
@@ -349,10 +324,11 @@ _WINDOW_SIZES = {
 
 @pytest.mark.parametrize(
     "n,taps",
-    # both sides of each crossover, and a half-width beyond every n but 4097
+    # both sides of the crossover, two lengths above it, and a half-width
+    # beyond every n but 4097; the periodic sums at n = 5, 300 and 1000
+    # (5-smooth) from the crossover on take the circular route
     [(n, taps) for n in (5, 300, 1000, 4097)
-     for taps in (_kernels.TAPS_FFT_MIN_SIZE - 1, _kernels.TAPS_FFT_MIN_SIZE,
-                  _kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 1001)]
+     for taps in (_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383, 384, 1001)]
     # windows alias-free from one past a 5-smooth length, 1281 for the causal
     # and periodic sums and 1201 for the zero boundary, where a length one
     # sample short would transform at 1280 or 1200 and wrap into the window
@@ -383,8 +359,10 @@ def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
     _assert_within_bound(got, want, y, w, 1e-12)
     half = (taps - 1) // 2
     longer = n + taps - 1 if kind == "periodic" else n
-    fft = min(longer, taps) >= (_kernels.TAPS_FFT_MIN_SIZE if as_taps else _kernels.FFT_MIN_SIZE)
+    fft = min(longer, taps) >= _kernels.FFT_MIN_SIZE
     size = _kernels._fft_length(_WINDOW_SIZES[kind](n, taps - 1, half))
+    if kind == "periodic" and fft and _kernels._fft_length(n) == n:
+        size = n
     assert sizes == ([size, size] if fft else [])
 
 
@@ -416,7 +394,7 @@ def test_series_spectrum_memo_is_read_only_and_hits_match_misses():
 def _memo_lengths(n):
     """Taps lengths whose causal sums with an n-sample series need more
     distinct FFT lengths than the memo keeps."""
-    lengths = [_kernels.TAPS_FFT_MIN_SIZE + 97 * i for i in range(3 * _kernels.CACHE_BOUND)]
+    lengths = [_kernels.FFT_MIN_SIZE + 97 * i for i in range(3 * _kernels.CACHE_BOUND)]
     sizes = [_kernels._fft_length(n + m - 1) for m in lengths]
     assert len(set(sizes)) > 2 * _kernels.CACHE_BOUND
     return lengths, sizes

@@ -79,6 +79,27 @@ def test_periodogram_of_a_level_offset_series():
     assert y.rfft()[0] == y.values.sum()
 
 
+@pytest.mark.parametrize("n", [65, 101, 1000, 4097, 50000])
+def test_padded_periodogram_reads_the_centred_memo(monkeypatch, n):
+    # n_fft is the next power of two: the bins are those of the mean-removed
+    # values zero-padded to it, bit for bit, memoised on the series
+    y = white_noise(NoiseSpec(seed=n), n)
+    n_fft = 1 << (n - 1).bit_length()
+    omega, power = periodogram(y)
+    v = y.values
+    want = np.abs(np.fft.rfft(v - v.mean(), n_fft)[1 : n_fft // 2 + 1]) ** 2 / n_fft
+    assert np.array_equal(power, want)
+    assert np.array_equal(omega, 2.0 * math.pi * np.arange(1, n_fft // 2 + 1) / n_fft)
+    assert list(y._spectra) == [("centred", n_fft)]
+    memo = y.rfft(n_fft)
+    assert not memo.flags.writeable and memo[0] == v.sum()
+    calls = []
+    monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(args))
+    again = periodogram(y)
+    assert calls == [] and y.rfft(n_fft) is memo
+    assert np.array_equal(again[1], power)
+
+
 def test_periodogram_too_short():
     with pytest.raises(ValueError):
         periodogram(Series(np.array([1.0, 2.0, 3.0])))
@@ -351,6 +372,32 @@ def test_sample_autocovariance_matches_brute_force_sum():
     want = np.array([math.fsum(c[k:] * c[: c.size - k]) / c.size for k in range(201)])
     assert acov.shape == (201,)
     assert np.abs(acov - want).max() <= 1e-12 * want[0]
+
+
+@pytest.mark.parametrize(
+    "n,max_lag",
+    # both sides of the crossover, and lags from none to n - 1
+    [(n, lag) for n in (5, 223, 224, 300, 3000) for lag in (0, 1, 40) if lag < n]
+    + [(224, 223), (3000, 2999)],
+)
+def test_sample_autocovariance_transforms_only_the_kept_lags(monkeypatch, n, max_lag):
+    y = white_noise(NoiseSpec(seed=n + max_lag), n)
+    sizes = []
+    real_rfft = np.fft.rfft
+
+    def recording_rfft(a, size=None):
+        sizes.append(size)
+        return real_rfft(a, size)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    acov = sample_autocovariance(y, max_lag)
+    monkeypatch.undo()
+    c = y.values - y.values.mean()
+    want = np.array([math.fsum(c[k:] * c[: n - k]) / n for k in range(max_lag + 1)])
+    assert acov.shape == (max_lag + 1,)
+    assert np.abs(acov - want).max() <= 1e-13 * np.abs(c).sum() * np.abs(c).max() / n
+    size = spectral._kernels._fft_length(n + max_lag)
+    assert sizes == ([size, size] if n >= spectral._kernels.FFT_MIN_SIZE else [])
 
 
 def test_sample_autocovariance_lag_validation():

@@ -18,14 +18,14 @@ def _recomputed_convolve(y, w, start, stop):
     """Reference ``convolve`` that transforms the weights on every FFT-path
     call, at the smallest 5-smooth length that keeps [start, stop) free of
     wrapped sums."""
-    if min(y.size, w.size) < _kernels.TAPS_FFT_MIN_SIZE:
+    if min(y.size, w.size) < _kernels.FFT_MIN_SIZE:
         return np.convolve(y, w)[start:stop]
     size = _kernels._fft_length(max(stop, y.size + w.size - 1 - start))
     return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[start:stop]
 
 
 def _series_rfft(y):
-    """Reference ``Series.rfft``: the transform of the mean-removed values
+    """Reference ``Series.rfft()``: the transform of the mean-removed values
     with bin 0 set to their sum, recomputed per call."""
     spectrum = np.fft.rfft(y - y.mean())
     spectrum[0] = y.sum()
@@ -34,13 +34,14 @@ def _series_rfft(y):
 
 def _recomputed(y, w, boundary):
     """Reference exact difference of a series on the route ``_kernels`` takes,
-    transforming the series and the weights on every call.  Periodic
-    differences of a 5-smooth series with a window of at least
-    ``TAPS_FFT_MIN_SIZE`` weights take the circular route."""
+    transforming the series and the weights on every call.  The route reads
+    sizes only: periodic differences of a 5-smooth series with a window of
+    at least ``FFT_MIN_SIZE`` weights take the circular route, whether the
+    series is an array or a ``Series``."""
     n, half = y.size, (w.size - 1) // 2
     if boundary == "zero":
         return _recomputed_convolve(y, w, half, half + n)
-    if w.size >= _kernels.TAPS_FFT_MIN_SIZE and _kernels._fft_length(n) == n:
+    if w.size >= _kernels.FFT_MIN_SIZE and _kernels._fft_length(n) == n:
         folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
         return np.fft.irfft(_series_rfft(y) * np.fft.rfft(folded), n)
     padded = np.pad(y, half, mode="wrap")
@@ -52,17 +53,16 @@ def _fresh_window(order, half_width):
     return exact_kernel_window(order, half_width)
 
 
-# half-widths whose windows are the longest below TAPS_FFT_MIN_SIZE and the
+# half-widths whose windows are the longest below FFT_MIN_SIZE and the
 # shortest at or above it
-_BELOW = (_kernels.TAPS_FFT_MIN_SIZE - 2) // 2
+_BELOW = (_kernels.FFT_MIN_SIZE - 2) // 2
 _ABOVE = _BELOW + 1
 
 
-# (n, half): direct sums (window below TAPS_FFT_MIN_SIZE), FFT products, a
-# half-width beyond the series length on both paths, and windows of 383 and
-# 385 weights, on both sides of the plain-array FFT_MIN_SIZE, which as
-# windows both take the FFT path.  Periodic differences of a 5-smooth series
-# with a window from TAPS_FFT_MIN_SIZE on take the circular route.
+# (n, half): direct sums (window below FFT_MIN_SIZE), FFT products, among
+# them windows of 383 and 385 weights, and a half-width beyond the series
+# length on both paths.  Periodic differences of a 5-smooth series with a
+# window from FFT_MIN_SIZE on take the circular route.
 @pytest.mark.parametrize(
     "n,half",
     [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (1000, 191), (1000, 192), (4096, 256),
@@ -81,8 +81,8 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
     assert window._spectra.keys() == memo.keys()
     assert all(window._spectra[k] is memo[k] for k in memo)
     operand = n if boundary == "zero" else n + 2 * half
-    assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.TAPS_FFT_MIN_SIZE)
-    circular = (boundary == "periodic" and 2 * half + 1 >= _kernels.TAPS_FFT_MIN_SIZE
+    assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.FFT_MIN_SIZE)
+    circular = (boundary == "periodic" and 2 * half + 1 >= _kernels.FFT_MIN_SIZE
                 and _kernels._fft_length(n) == n)
     assert (("folded", n) in memo) == circular
 
