@@ -120,12 +120,40 @@ def test_gl_difference_on_both_sides_of_the_crossover(taps):
 @pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383, 384])
 @pytest.mark.parametrize("short_first", [False, True])
 def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
-    # plain weights and Taps take the same route, on a spectrum miss and a
-    # hit alike, and give the same bits
     long_, short_ = rng.normal(size=2000), rng.normal(size=short)
     y, w = (short_, long_) if short_first else (long_, short_)
-    taps = _kernels.Taps(w)
     want = np.convolve(y, w)
+    direct_calls = _count_direct_calls(monkeypatch)
+    got = _kernels.convolve(y, w)
+    assert got.shape == want.shape
+    if short < _kernels.FFT_MIN_SIZE:
+        assert len(direct_calls) == 1
+        assert np.array_equal(got, want)
+    else:
+        assert direct_calls == []
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
+
+
+# The crossover Taps once had alone is now every product's: on both sides of
+# it, and at 383, where plain weights took the direct sum until they shared
+# it, Taps take the plain weights' route and give their bits, on a spectrum
+# miss and a hit alike.
+@pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383])
+@pytest.mark.parametrize("taps_short", [False, True])
+def test_taps_have_their_own_crossover(rng, monkeypatch, short, taps_short):
+    long_, short_ = rng.normal(size=2000), rng.normal(size=short)
+    y, w = (long_, short_) if taps_short else (short_, long_)
+    taps = _kernels.Taps(w)
+    direct_calls = _count_direct_calls(monkeypatch)
+    got, miss, hit = (_kernels.convolve(y, op) for op in (w, taps, taps))
+    fft = short >= _kernels.FFT_MIN_SIZE
+    assert len(direct_calls) == (0 if fft else 3)
+    assert bool(taps._spectra) == fft
+    assert np.array_equal(miss, got) and np.array_equal(hit, got)
+
+
+def _count_direct_calls(monkeypatch):
+    """Record each call of the direct sum, np.convolve, made by _kernels."""
     direct_calls = []
     real_convolve = np.convolve
 
@@ -134,17 +162,7 @@ def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
         return real_convolve(*args)
 
     monkeypatch.setattr(_kernels.np, "convolve", counting_convolve)
-    got, miss, hit = (_kernels.convolve(y, op) for op in (w, taps, taps))
-    assert got.shape == want.shape
-    assert np.array_equal(miss, got) and np.array_equal(hit, got)
-    fft = short >= _kernels.FFT_MIN_SIZE
-    assert bool(taps._spectra) == fft
-    if fft:
-        assert direct_calls == []
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
-    else:
-        assert len(direct_calls) == 3
-        assert np.array_equal(got, want)
+    return direct_calls
 
 
 def test_fft_length_is_smallest_5_smooth():
