@@ -2,57 +2,42 @@
 two-sided kernel application and the AR recursion, and the one place the
 transforms they multiply are formed.
 
-All three convolutions go through ``convolve``, which returns the window
-[start, stop) of the linear product that its caller keeps.  It sums directly
-with ``np.convolve`` while the shorter operand is below ``FFT_MIN_SIZE``,
-and otherwise multiplies real FFTs zero-padded to L = the smallest 5-smooth
-length from max(stop, full - start), full = len(y) + len(w) - 1.  Entry k of
-the length-L circular product also sums the linear entries k - L and k + L,
-and at that L none of them exists for k in the window.  So the causal sum
-(window [0, n)) transforms at n + M for M + 1 weights, the zero boundary
-([M, M + n) of 2M + 1 weights) at n + M rather than n + 2M, and the
-wrap-padded periodic route below at n + 2M rather than n + 4M.  The weights
-are held as :class:`Taps` (plain weights in a throwaway one), whose
-spectrum is memoised, and a series passed as a ``glops.Series`` supplies its
-memoised zero-padded spectrum at L, so a GL difference of M + 1 weights and
-a zero-boundary exact difference of half-width M of one series share one
-transform of it.  The crossover was measured for memoised weights, as GL
-operators and exact-kernel windows are, on a grid of shorter side 128-512
-by longer side 512-1e5 (2-vCPU x86 host); README "Kernels" gives the grid
-and what it costs the one caller with two plain arrays, the sample
-autocovariance.  The direct path keeps ``np.convolve``'s rounding bit for
-bit.  The FFT path is within 1e-13 * sum|w| * max|y| of the exact sum;
-measured against the direct sum it is within ~1.2e-16 times that scale up
-to n = M = 1e5.
+The causal and zero-boundary convolutions go through ``convolve``, which
+returns the window [start, stop) of the linear product that its caller
+keeps.  It sums directly with ``np.convolve`` while the shorter operand is
+below ``FFT_MIN_SIZE``, and otherwise multiplies real FFTs zero-padded to
+L = the smallest 5-smooth length from max(stop, full - start), full =
+len(y) + len(w) - 1.  Entry k of the length-L circular product also sums
+the linear entries k - L and k + L, and at that L none of them exists for k
+in the window.  So the causal sum (window [0, n)) transforms at n + M for
+M + 1 weights and the zero boundary ([M, M + n) of 2M + 1 weights) at n + M
+rather than n + 2M.  The weights are held as :class:`Taps` (plain weights
+in a throwaway one), whose spectrum is memoised, and a series passed as a
+``glops.Series`` supplies its memoised zero-padded spectrum at L, so a GL
+difference of M + 1 weights and a zero-boundary exact difference of
+half-width M of one series share one transform of it.  The crossover was
+measured for memoised weights, as GL operators and exact-kernel windows
+are, on a grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU x86
+host); README "Kernels" gives the grid and what it costs the one caller
+with two plain arrays, the sample autocovariance.  The direct path keeps
+``np.convolve``'s rounding bit for bit.  The FFT path is within
+1e-13 * sum|w| * max|y| of the exact sum; measured against the direct sum
+it is within ~1.2e-16 times that scale up to n = M = 1e5.
 
-The periodic boundary has a second, circular route: a series of 5-smooth
-length n (``_fft_length(n) == n``) with at least ``FFT_MIN_SIZE`` weights
-is convolved as one length-n product, its :func:`centred_rfft` (memoised as
-``Series.rfft()`` on a ``glops.Series``) times the weights' :func:`folded_rfft`
-mod n (memoised as ``Taps.folded_spectrum(n)``), and one ``irfft``.  That
-is the periodic sum exactly, at any half-width, with no padding.  Otherwise
-the series is wrap-padded by the window's reach on each side and convolved,
-keeping the n entries the padding fully covers.  Time per call, circular
-over wrap-padded (the latter at its alias-free length n + 2M, with the
-window's spectrum memoised), on a grid of n = 1024-1e5 (powers of two to
-65536, and 1e5) by half-width 224, 256, 512, 1024 and 2048 (same host,
-median of per-call times with the routes interleaved, two sessions):
-
-    n            single-use    shared
-    1024-4096    0.36-1.01     0.19-0.51
-    8192         0.75-1.00     0.38-0.49
-    16384-1e5    0.51-0.88     0.24-0.43
-
-Single-use transforms the series for the call, as an array does; shared
-finds its spectrum memoised, as later uses of one ``glops.Series`` do.
-Single-use breaks even at worst (half-width 224-256 at n = 2048-8192), so
-the route is taken at every half-width.  The causal and zero boundaries
-stay on ``convolve``: on the circular route they would also subtract the
-sums that wrap round the series' ends, which on the same host cost as much
-as the shorter transform saves up to n = 8192, and no benchmark workload
-runs them on a longer 5-smooth series with a short operator.  Every route
-is chosen by the operands' sizes only, never by their types nor by whether
-a spectrum is memoised yet, so a hit gives the bits of a miss.  The AR
+The periodic boundary is one circular product at every n and every window
+length: the series' :func:`centred_rfft` at n (memoised as
+``Series.rfft()`` on a ``glops.Series``) times the weights'
+:func:`folded_rfft` mod n (memoised as ``Taps.folded_spectrum(n)``), and
+one ``irfft`` at n.  That is the periodic sum exactly, at any half-width,
+with no padding.  It costs O(n log n) at every n; at a length with a large
+prime factor numpy's transform is several times slower than at a 5-smooth
+one (README "Kernels" gives the cost).  The causal and zero boundaries stay
+on ``convolve``: on the circular route they would also subtract the sums
+that wrap round the series' ends, which on the same host cost as much as
+the shorter transform saves up to n = 8192, and no benchmark workload runs
+them on a longer 5-smooth series with a short operator.  Every route is
+chosen by the operands' sizes only, never by their types nor by whether a
+spectrum is memoised yet, so a hit gives the bits of a miss.  The AR
 recursion is inherently sequential and runs as a pure-Python loop over
 floats, which is cheaper than indexing numpy scalars.
 
@@ -79,8 +64,7 @@ __all__ = [
     "ar_recurse",
 ]
 
-# direct np.convolve while the shorter operand is below this many samples,
-# and the fewest weights the circular periodic route takes
+# convolve sums directly while the shorter operand is below this many samples
 FFT_MIN_SIZE = 224
 
 # entries every BoundedCache keeps: exact windows, GL operators, and the FFT
@@ -210,7 +194,9 @@ def convolve(y, w, start=0, stop=None) -> np.ndarray:
     :class:`Taps`.  The FFT path, from ``FFT_MIN_SIZE`` on, transforms at
     the smallest 5-smooth length at which no wrapped sum lands in the
     window, and reuses the memoised spectra of a :class:`Taps` and of a
-    ``glops.Series`` at that length.
+    ``glops.Series`` at that length.  The causal and zero boundaries, the MA
+    filter and the sample autocovariance call it; the periodic boundary
+    does not.
     """
     series_spectrum = getattr(y, "spectrum", None)
     taps = w if isinstance(w, Taps) else Taps(w)
@@ -250,28 +236,17 @@ def two_sided_apply_zero(y, weights) -> np.ndarray:
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n].
 
-    ``y`` and ``weights`` are as for :func:`convolve`; a series of 5-smooth
-    length with at least ``FFT_MIN_SIZE`` weights takes the circular route
-    of the module docstring, reading the memoised ``rfft()`` of a
-    ``glops.Series``.
+    ``y`` is an array or a ``glops.Series`` and ``weights`` an array or
+    :class:`Taps`.  At every n and window length this is the circular
+    product of the module docstring: the series' centred transform at n
+    (the memoised ``rfft()`` of a ``glops.Series``) times the weights'
+    memoised ``folded_spectrum(n)``, and one ``irfft`` at n.
     """
     taps = weights if isinstance(weights, Taps) else Taps(weights)
     n = len(y)
-    if len(taps) >= FFT_MIN_SIZE and _fft_length(n) == n:
-        rfft = getattr(y, "rfft", None)
-        y_hat = centred_rfft(_as_f8(y), n) if rfft is None else rfft()
-        return np.fft.irfft(y_hat * taps.folded_spectrum(n), n)
-    y = _as_f8(getattr(y, "values", y))
-    span = len(taps) - 1
-    half = span // 2
-    # an even-length window reaches lag half + 1 into the past
-    before = span - half
-    if before <= n:
-        padded = np.concatenate((y[n - before :], y, y[:half]))
-    else:
-        # the padding repeats the series more than once
-        padded = y[np.arange(-before, n + half) % n]
-    return convolve(padded, taps, span, span + n)
+    rfft = getattr(y, "rfft", None)
+    y_hat = centred_rfft(_as_f8(y), n) if rfft is None else rfft()
+    return np.fft.irfft(y_hat * taps.folded_spectrum(n), n)
 
 
 def ar_recurse(x, phi) -> np.ndarray:

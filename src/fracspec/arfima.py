@@ -98,9 +98,9 @@ class ArfimaSpec:
 
     |d| < 1 is enforced; the classical stationarity range is |d| < 0.5 and
     simulations outside it are flagged via :attr:`classical_stationary`.
-    The AR polynomial must be stable (all roots of the reversed polynomial
-    strictly inside the unit circle, tolerance 1e-6).  ``n + burn_in`` may
-    not exceed ``SAMPLE_CAP``.
+    The AR and MA coefficients must be finite, and the AR polynomial stable
+    (all roots of the reversed polynomial strictly inside the unit circle,
+    tolerance 1e-6).  ``n + burn_in`` may not exceed ``SAMPLE_CAP``.
     """
 
     d: float
@@ -121,15 +121,18 @@ class ArfimaSpec:
             raise ValueError(f"n + burn_in exceeds cap {SAMPLE_CAP}")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        object.__setattr__(self, "ar", tuple(float(v) for v in self.ar))
-        object.__setattr__(self, "ma", tuple(float(v) for v in self.ma))
+        for name in ("ar", "ma"):
+            coeffs = tuple(float(v) for v in getattr(self, name))
+            if not all(math.isfinite(v) for v in coeffs):
+                raise ValueError(f"{name.upper()} coefficients must be finite")
+            object.__setattr__(self, name, coeffs)
         if self.ar:
             # roots of z^p - phi_1 z^(p-1) - ... - phi_p
             roots = np.roots(np.concatenate(([1.0], -np.asarray(self.ar))))
             if roots.size and np.abs(roots).max() > 1.0 - 1e-6:
                 raise ValueError(
                     "unstable AR polynomial: root magnitude "
-                    f"{np.abs(roots).max():.6f} reaches the unit circle"
+                    f"{np.abs(roots).max():.6g} reaches the unit circle"
                 )
 
     @property

@@ -250,8 +250,9 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     the exact (order, half_width) in a :class:`_kernels.BoundedCache`, which
     keeps the last ``_kernels.CACHE_BOUND`` = 8 built.  Each window memoises
     its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`
-    and, on the circular periodic route, :meth:`KernelWindow.folded_spectrum`,
-    both from ``_kernels.FFT_MIN_SIZE`` weights on), so they go with it.
+    on the FFT path of the zero boundary, from ``_kernels.FFT_MIN_SIZE``
+    weights on, and :meth:`KernelWindow.folded_spectrum` at every periodic
+    difference), so they go with it.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -270,11 +271,11 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     ``boundary`` resolves samples outside the observed range: ``"zero"``
     treats them as zero, ``"periodic"`` wraps indices modulo the length.
     The operator carries no step^order factor; the step enters only through
-    the frequency axis of the response target.  A periodic difference of a
-    series of 5-smooth length with a window of at least
-    ``_kernels.FFT_MIN_SIZE`` weights takes the circular route of
-    ``_kernels``, chosen by those sizes alone, which reads the series'
-    memoised ``rfft()``.  A zero-boundary difference on the FFT path
+    the frequency axis of the response target.  A periodic difference is
+    the length-n circular product of ``_kernels`` at every n and
+    half-width, which reads the series' memoised ``rfft()``; at a length
+    with a large prime factor that transform costs several times one at a
+    5-smooth length.  A zero-boundary difference on the FFT path
     transforms at the 5-smooth length from n + half-width and reads the
     series' memoised ``spectrum()`` there, which a GL difference of
     truncation equal to the half-width shares.  ValueError if an output

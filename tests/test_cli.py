@@ -273,6 +273,23 @@ def test_finite_input_with_non_finite_result_is_one_line(argv, message, tmp_path
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--ar", "nan"], "AR coefficients must be finite"),
+        (["--ar", "0.5,inf"], "AR coefficients must be finite"),
+        (["--ma", "nan"], "MA coefficients must be finite"),
+        (["--ar", "1e308,1e308"], "unstable AR polynomial: root magnitude 1e+308 reaches the "
+                                  "unit circle"),
+    ],
+)
+def test_bad_arma_coefficients_are_one_line_naming_them(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+        code, out, err = run_cli(["simulate", "--d", "0.3", "--n", "10"] + argv, capsys)
+    assert (code, out, err) == (1, "", f"fracspec: {message}\n")
+
+
+@pytest.mark.parametrize(
     "max_lag,want",
     [(200, 100_000), (1000, 100_000), (1001, 100_100), (9900, 990_000), (9950, 990_050),
      (10_000, 990_000)],

@@ -1,11 +1,13 @@
-"""Generated command lines for ``kernel``, ``coeffs``, ``response`` and
-``acf --d``: every run ends in exit 0 with a finite CSV, or in exit 1 or 3
-with exactly one ``fracspec:`` line on stderr, never in a traceback or a
-numpy warning.  Sizes stay below a few thousand so each run is quick; the
-caps are tried one past their bound."""
+"""Generated command lines for ``kernel``, ``coeffs``, ``response``,
+``acf --d`` and ``simulate``, and generated CSV text for ``difference``:
+every run ends in exit 0 with a finite CSV, or in exit 1 or 3 with exactly
+one ``fracspec:`` line on stderr, never in a traceback or a numpy warning.
+Sizes stay below a few thousand so each run is quick; the caps are tried
+one past their bound."""
 
 import contextlib
 import io
+import sys
 import warnings
 
 import numpy as np
@@ -56,17 +58,75 @@ _acf = st.tuples(
 ).map(lambda a: ["acf", f"--d={a[0]}", f"--max-lag={a[1]}", *a[2], *a[3]])
 
 
-def _run(argv):
+# series lengths: primes and other lengths that are not 5-smooth among them
+_LENGTHS = st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3, 7, 97, 1009, 2048, 2999,
+                                                            3000]))
+
+
+@st.composite
+def _series_csv(draw):
+    """CSV text of a series: noise, a constant or alternating signs, at a
+    scale from denormal to near the double-precision limit, on integral or
+    half-step times."""
+    n = draw(_LENGTHS)
+    kind = draw(st.sampled_from(["noise", "constant", "signs"]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 5e-324, 1e300, 1e308, -1e308, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = {"noise": rng.normal(size=n), "constant": np.ones(n),
+              "signs": np.resize([1.0, -1.0], n)}[kind]
+    with np.errstate(over="ignore"):  # noise times 1e308 overflows
+        values = np.clip(values * scale, -1.7e308, 1.7e308).tolist()
+    step = draw(st.sampled_from([1.0, 0.5]))
+    return "t,value\n" + "".join(f"{i * step!r},{v!r}\n" for i, v in enumerate(values)), n
+
+
+@st.composite
+def _difference(draw):
+    text, n = draw(_series_csv())
+    family = draw(st.sampled_from(["gl", "exact"]))
+    # truncations and half-widths from 1 to beyond the series length
+    width = draw(st.one_of(st.integers(1, n + 20), st.sampled_from([1, n, 2 * n + 1])))
+    argv = ["difference", f"--order={draw(_float(-2.0, 5.0, *_NON_FINITE, 0.0, 3.0))}",
+            f"--family={family}"]
+    if family == "gl":
+        argv.append(f"--truncation={width}")
+    else:
+        argv += [f"--half-width={width}",
+                 f"--boundary={draw(st.sampled_from(['zero', 'periodic']))}"]
+    return argv, text
+
+
+_coefficients = st.lists(
+    _float(-2.0, 2.0, *_NON_FINITE, 0.0, 0.999, -0.999, 1e308, -1e308), max_size=3,
+).map(",".join)
+
+_simulate = st.tuples(
+    _float(-0.999, 0.999, *_NON_FINITE, -1.0, 1.0, 0.0, 0.5, -0.5),
+    _int(-1, 2000, 0, 1, arfima.SAMPLE_CAP + 1),
+    _optional("--ar", _coefficients),
+    _optional("--ma", _coefficients),
+    _optional("--burn-in", _int(-1, 1000, 0, arfima.SAMPLE_CAP)),
+    _optional("--sigma", _float(1e-3, 1e3, *_NON_FINITE, 0.0, -1.0, 5e-324, 1e-300, 1e300,
+                                1e308)),
+    _optional("--seed", _int(0, 2**32, -1, 2**64 - 1, 2**64)),
+).map(lambda a: ["simulate", f"--d={a[0]}", f"--n={a[1]}", *a[2], *a[3], *a[4], *a[5], *a[6]])
+
+
+def _run(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning would reach stderr
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+    real_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+    finally:
+        sys.stdin = real_stdin
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_contract(argv):
-    code, out, err = _run(argv)
+def _assert_contract(argv, stdin=""):
+    code, out, err = _run(argv, stdin)
     if code == 0:
         assert err == ""
         lines = [line for line in out.splitlines() if not line.startswith("#")]
@@ -102,4 +162,17 @@ def test_response_ends_in_csv_or_one_error_line(argv):
 @settings(max_examples=40, deadline=None)
 @given(_acf)
 def test_theoretical_acf_ends_in_csv_or_one_error_line(argv):
+    _assert_contract(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_difference())
+def test_difference_of_csv_ends_in_csv_or_one_error_line(case):
+    argv, text = case
+    _assert_contract(argv, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simulate)
+def test_simulate_ends_in_csv_or_one_error_line(argv):
     _assert_contract(argv)

@@ -7,16 +7,25 @@ four exact-kernel files (``kernel_half``, ``exact_zero``, ``exact_periodic``,
 ``response_exact``), rewritten when the window's lags 0-4 moved from the 1F2
 series to quadrature, and all but ``kernel_half`` again, in the last printed
 digit of a few rows, when quadrature began to form node phases exactly and
-the asymptotic sum moved to real arithmetic.  A failure here means a
+the asymptotic sum moved to real arithmetic.  Row t = 317 of
+``exact_periodic`` moved from 3.8826599841e-05 to 3.88265998409e-05 when
+every periodic difference became one length-n circular product: the exact
+sum of the double products there is 3.882659984098834e-05, so the row sits
+on a 12-digit rounding tie that either route's last bit decides, and
+``test_exact_differences_are_within_their_bound_of_exact_sums`` checks both
+exact-difference files against exact sums.  A failure here means a
 command's bytes changed.
 Inputs are golden files of earlier cases (``y.csv``) or small hand-written
 series.
 """
 
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from fracspec import exact_kernel_window
 from fracspec.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -62,3 +71,48 @@ def test_cli_output_matches_golden(name, argv, tmp_path):
     out = tmp_path / name
     assert run_case(argv, out) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _values(name):
+    """The value column of a golden CSV file, parsed as the CLI parses it."""
+    lines = (GOLDEN / name).read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    return [float(row.split(",")[1]) for row in rows]
+
+
+def _exact_sums(y, w, periodic):
+    """sum_m w[m + half] y[t - m] for each t as an exact Fraction of the
+    double inputs: each double is an integer over a power of two, so the sums
+    are formed in integers over one common denominator."""
+    def integers(xs):
+        ratios = [x.as_integer_ratio() for x in xs]
+        scale = max(d for _, d in ratios)
+        return [p * (scale // d) for p, d in ratios], scale
+
+    (yi, y_scale), (wi, w_scale) = integers(y), integers(w)
+    n, half = len(y), (len(w) - 1) // 2
+    sums = []
+    for t in range(n):
+        lags = [(k, t - (k - half)) for k in range(len(w))]
+        if periodic:
+            total = sum(wi[k] * yi[i % n] for k, i in lags)
+        else:
+            total = sum(wi[k] * yi[i] for k, i in lags if 0 <= i < n)
+        sums.append(Fraction(total, y_scale * w_scale))
+    return sums
+
+
+@pytest.mark.parametrize("name,periodic", [("exact_zero.csv", False),
+                                           ("exact_periodic.csv", True)])
+def test_exact_differences_are_within_their_bound_of_exact_sums(name, periodic):
+    # both files difference y.csv at order 0.5, half-width 64; each row is
+    # within the convolution bound 1e-13 * sum|w| * max|y| of the exact sum,
+    # plus half a unit in the 12th significant digit the CSV prints
+    y = _values("y.csv")
+    w = [float(x) for x in exact_kernel_window(0.5, 64).weights]
+    scale = 1e-13 * math.fsum(abs(x) for x in w) * max(abs(x) for x in y)
+    got = _values(name)
+    assert len(got) == len(y)
+    for t, (value, exact) in enumerate(zip(got, _exact_sums(y, w, periodic))):
+        rounding = 0.5 * 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
+        assert abs(Fraction(value) - exact) <= scale + rounding, t

@@ -1,8 +1,8 @@
 """Brute-force index-convention oracles for the hot kernels: each kernel is
 checked against a loop over lags written straight from its definition, on
 sizes below and above the one direct/FFT crossover, ``FFT_MIN_SIZE``, at the
-alias-free FFT length of each kept window, and on both sides of every
-choice of the circular (length-n) route."""
+alias-free FFT length of each kept window, and, for the periodic boundary,
+on its one circular (length-n) route at every n and window length."""
 
 import sys
 import threading
@@ -62,9 +62,8 @@ def _assert_within_bound(got, want, y, w, atol):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * np.abs(y).max()
 
 
-# sizes whose convolutions have both operands at or above FFT_MIN_SIZE, and
-# whose periodic sums take each route, wrap-padded (n = 700) and circular
-# (n = 300, 5-smooth)
+# sizes whose convolutions have both operands at or above FFT_MIN_SIZE; the
+# periodic sums are length-n products at n = 700 and n = 300 (5-smooth) alike
 _FFT_CAUSAL = [(600, 700), (1500, 400)]
 _FFT_TWO_SIDED = [(700, 350), (300, 900)]
 
@@ -95,12 +94,9 @@ def test_two_sided_apply_matches_brute_force(rng, n, half, periodic):
 
 def test_fft_cases_are_above_the_crossover():
     sizes = [min(n, k) for n, k in _FFT_CAUSAL]
-    # the zero boundary convolves the series with the weights; the periodic
-    # one folds the weights mod n or convolves them with the series
-    # wrap-padded by half, so the weights are its shorter operand
+    # the zero boundary convolves the series with the weights
     sizes += [min(n, 2 * half + 1) for n, half in _FFT_TWO_SIDED]
     assert min(sizes) >= _kernels.FFT_MIN_SIZE
-    assert [_kernels._fft_length(n) == n for n, _ in _FFT_TWO_SIDED] == [False, True]
 
 
 @pytest.mark.parametrize("taps", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE])
@@ -201,9 +197,9 @@ def test_ar_recurse_matches_brute_force(rng, p):
     assert np.allclose(_kernels.ar_recurse(x, phi), _brute_ar(x, phi), atol=1e-12)
 
 
-# The circular route.  A series of 5-smooth length n and at least
-# FFT_MIN_SIZE weights take it for the periodic boundary, at any half-width;
-# the folded spectrum it memoises under ("folded", n) on Taps shows it.
+# The circular route.  Every periodic sum is one length-n product, at any n
+# and window length; the folded spectrum it memoises under ("folded", n) on
+# Taps shows it.
 _MIN = _kernels.FFT_MIN_SIZE
 _periodic = _kernels.two_sided_apply_periodic
 
@@ -212,26 +208,74 @@ def _took_circular(taps, n):
     return ("folded", n) in taps._spectra
 
 
+def _record_transforms(monkeypatch):
+    """Lists that collect the length of every ``np.fft.rfft`` and
+    ``np.fft.irfft`` call until ``monkeypatch.undo()``."""
+    rffts, irffts = [], []
+    real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
+
+    def recording_rfft(a, n=None, *args, **kwargs):
+        rffts.append(np.shape(a)[-1] if n is None else n)
+        return real_rfft(a, n, *args, **kwargs)
+
+    def recording_irfft(a, n=None, *args, **kwargs):
+        irffts.append(n)
+        return real_irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels.np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(_kernels.np.fft, "irfft", recording_irfft)
+    return rffts, irffts
+
+
 @pytest.mark.parametrize(
-    "n,taps,circular",
+    "n,taps,was_circular",
     [
+        # the sizes on both sides of each choice the periodic boundary used to
+        # make, named by the route it took (wrap-padded when False)
         # 5-smooth against not
         (4096, 513, True), (4099, 513, False), (1000, 225, True), (1009, 225, False),
-        # one tap below the crossover against at it
+        # one tap below the former crossover against at it
         (4096, _MIN - 1, False), (4096, _MIN, True),
         # a half-width beyond the series length
         (100, 601, True),
     ],
 )
-def test_circular_route_on_both_sides_of_each_choice(n, taps, circular):
+def test_circular_route_on_both_sides_of_each_choice(n, taps, was_circular):
     rng = np.random.default_rng(n + taps)
     y = Series(rng.normal(size=n))
     w = _kernels.Taps(rng.normal(size=taps))
     got = _periodic(y, w)
-    assert _took_circular(w, n) == circular
+    assert _took_circular(w, n)
     assert got.shape == (n,)
     _assert_within_bound(got, _brute_two_sided(y.values, w.weights, True), y.values, w.weights,
                          1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 4097, 4099])
+# odd and even lengths on both sides of the crossover, and 2n + 2 weights,
+# whose even window reaches beyond the series on both sides
+@pytest.mark.parametrize("taps", [1, 2, 7, 8, _MIN - 1, _MIN, "2n + 2"])
+@pytest.mark.parametrize("as_series", [False, True])
+@pytest.mark.parametrize("as_taps", [False, True])
+def test_periodic_is_one_length_n_product(monkeypatch, n, taps, as_series, as_taps):
+    taps = 2 * n + 2 if taps == "2n + 2" else taps
+    rng = np.random.default_rng(n * 1000 + taps)
+    values, weights = rng.normal(size=n), rng.normal(size=taps)
+    y = Series(values) if as_series else values
+    w = _kernels.Taps(weights) if as_taps else weights
+    rffts, irffts = _record_transforms(monkeypatch)
+    got = _periodic(y, w)
+    first = (list(rffts), list(irffts))
+    again = _periodic(y, w)
+    monkeypatch.undo()
+    # the series' centred rfft and the weights' folded rfft, then one irfft,
+    # all at n; a second call transforms only the operands without a memo
+    assert first == ([n, n], [n])
+    assert rffts[2:] == [n] * ((not as_series) + (not as_taps))
+    assert irffts == [n, n]
+    assert np.array_equal(again, got)
+    assert got.shape == (n,)
+    _assert_within_bound(got, _brute_two_sided(values, weights, True), values, weights, 1e-12)
 
 
 def test_call_order_on_one_series_gives_the_same_bits():
@@ -321,34 +365,31 @@ def test_arrays_and_series_take_one_route(kind, taps, n):
     y, w = Series(values), _kernels.Taps(weights)
     outputs = [apply(y, w), apply(y, w), apply(values, w), apply(y, weights)]
     assert all(np.array_equal(got, want) for got in outputs)
-    assert _took_circular(w, n) == (kind == "periodic" and n == 4096 and taps >= _MIN)
+    assert _took_circular(w, n) == (kind == "periodic")
     brute = _brute_causal(values, weights) if kind == "causal" else _brute_two_sided(
         values, weights, kind == "periodic")
     _assert_within_bound(want, brute, values, weights, 1e-12)
 
 
-# The output window.  Each boundary keeps n entries of the linear product,
-# and the FFT path transforms at the 5-smooth length from the shortest at
-# which no wrapped sum lands in them: n + M for the causal sum, n + M - half
-# for the zero boundary, and n + M for the periodic one, whose operand is
-# the series wrap-padded to n + M samples (M = len(w) - 1, half = M // 2).
-# A periodic sum on the circular route transforms at n instead.
+# The output window.  The causal and zero boundaries keep n entries of the
+# linear product, and the FFT path transforms at the 5-smooth length from
+# the shortest at which no wrapped sum lands in them: n + M for the causal
+# sum and n + M - half for the zero boundary (M = len(w) - 1, half = M // 2).
+# A periodic sum transforms at n, on both sides of the crossover.
 _WINDOW_SIZES = {
     "causal": lambda n, m, half: n + m,
     "zero": lambda n, m, half: n + m - half,
-    "periodic": lambda n, m, half: n + m,
 }
 
 
 @pytest.mark.parametrize(
     "n,taps",
     # both sides of the crossover, two lengths above it, and a half-width
-    # beyond every n but 4097; the periodic sums at n = 5, 300 and 1000
-    # (5-smooth) from the crossover on take the circular route
+    # beyond every n but 4097
     [(n, taps) for n in (5, 300, 1000, 4097)
      for taps in (_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383, 384, 1001)]
     # windows alias-free from one past a 5-smooth length, 1281 for the causal
-    # and periodic sums and 1201 for the zero boundary, where a length one
+    # sum and 1201 for the zero boundary, where a length one
     # sample short would transform at 1280 or 1200 and wrap into the window
     + [(1000, 282), (1000, 403)],
 )
@@ -357,14 +398,7 @@ _WINDOW_SIZES = {
 def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
     rng = np.random.default_rng(n * taps)
     y, w = rng.normal(size=n), rng.normal(size=taps)
-    sizes = []
-    real_rfft = np.fft.rfft
-
-    def recording_rfft(a, size=None):
-        sizes.append(size)
-        return real_rfft(a, size)
-
-    monkeypatch.setattr(_kernels.np.fft, "rfft", recording_rfft)
+    sizes, _ = _record_transforms(monkeypatch)
     operand = _kernels.Taps(w) if as_taps else w
     if kind == "causal":
         got, want = _kernels.causal_apply(y, operand), _brute_causal(y, w)
@@ -375,12 +409,11 @@ def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
     monkeypatch.undo()
     assert got.shape == (n,)
     _assert_within_bound(got, want, y, w, 1e-12)
-    half = (taps - 1) // 2
-    longer = n + taps - 1 if kind == "periodic" else n
-    fft = min(longer, taps) >= _kernels.FFT_MIN_SIZE
-    size = _kernels._fft_length(_WINDOW_SIZES[kind](n, taps - 1, half))
-    if kind == "periodic" and fft and _kernels._fft_length(n) == n:
-        size = n
+    if kind == "periodic":
+        assert sizes == [n, n]
+        return
+    fft = min(n, taps) >= _kernels.FFT_MIN_SIZE
+    size = _kernels._fft_length(_WINDOW_SIZES[kind](n, taps - 1, (taps - 1) // 2))
     assert sizes == ([size, size] if fft else [])
 
 

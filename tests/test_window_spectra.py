@@ -1,7 +1,8 @@
-"""The weight spectra a kernel window memoises for ``_kernels.convolve``: the
-outputs they give are bit-identical to transforming the weights on every
-call, the memo is read-only and bounded, it goes with the window cache, and
-one window can be shared between threads."""
+"""The weight spectra a kernel window memoises for ``_kernels.convolve`` and
+the circular periodic product: the outputs they give are bit-identical to
+transforming the weights on every call, the memo is read-only and bounded,
+it goes with the window cache, and one window can be shared between
+threads."""
 
 import sys
 import threading
@@ -34,18 +35,14 @@ def _series_rfft(y):
 
 def _recomputed(y, w, boundary):
     """Reference exact difference of a series on the route ``_kernels`` takes,
-    transforming the series and the weights on every call.  The route reads
-    sizes only: periodic differences of a 5-smooth series with a window of
-    at least ``FFT_MIN_SIZE`` weights take the circular route, whether the
-    series is an array or a ``Series``."""
+    transforming the series and the weights on every call.  Every periodic
+    difference is the circular product at n, whether the series is an array
+    or a ``Series``."""
     n, half = y.size, (w.size - 1) // 2
     if boundary == "zero":
         return _recomputed_convolve(y, w, half, half + n)
-    if w.size >= _kernels.FFT_MIN_SIZE and _kernels._fft_length(n) == n:
-        folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
-        return np.fft.irfft(_series_rfft(y) * np.fft.rfft(folded), n)
-    padded = np.pad(y, half, mode="wrap")
-    return _recomputed_convolve(padded, w, 2 * half, 2 * half + n)
+    folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
+    return np.fft.irfft(_series_rfft(y) * np.fft.rfft(folded), n)
 
 
 def _fresh_window(order, half_width):
@@ -61,8 +58,8 @@ _ABOVE = _BELOW + 1
 
 # (n, half): direct sums (window below FFT_MIN_SIZE), FFT products, among
 # them windows of 383 and 385 weights, and a half-width beyond the series
-# length on both paths.  Periodic differences of a 5-smooth series with a
-# window from FFT_MIN_SIZE on take the circular route.
+# length on both paths.  Periodic differences take the circular route at
+# every n and half-width, so their memo holds the folded spectrum at n only.
 @pytest.mark.parametrize(
     "n,half",
     [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (1000, 191), (1000, 192), (4096, 256),
@@ -80,11 +77,10 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
     assert np.array_equal(second, want)
     assert window._spectra.keys() == memo.keys()
     assert all(window._spectra[k] is memo[k] for k in memo)
-    operand = n if boundary == "zero" else n + 2 * half
-    assert bool(memo) == (min(operand, 2 * half + 1) >= _kernels.FFT_MIN_SIZE)
-    circular = (boundary == "periodic" and 2 * half + 1 >= _kernels.FFT_MIN_SIZE
-                and _kernels._fft_length(n) == n)
-    assert (("folded", n) in memo) == circular
+    if boundary == "periodic":
+        assert list(memo) == [("folded", n)]
+    else:
+        assert bool(memo) == (min(n, 2 * half + 1) >= _kernels.FFT_MIN_SIZE)
 
 
 def test_memoised_spectra_are_read_only():
@@ -136,8 +132,7 @@ def test_cleared_window_cache_builds_cold():
 def test_threads_sharing_a_window_agree():
     # more threads than cores and more lengths than the memo keeps, with a
     # short switch interval, so lookups, inserts and evictions interleave;
-    # the threads share each length's series, so its spectrum memo races too,
-    # and the 5-smooth lengths (900, 1500, 2500, 2700) take the circular route
+    # the threads share each length's series, so its spectrum memo races too
     window = _fresh_window(0.5, 300)
     lengths = [700 + 200 * i for i in range(_kernels.CACHE_BOUND + 4)]
     y = white_noise(NoiseSpec(seed=9), max(lengths)).values
