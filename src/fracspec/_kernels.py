@@ -1,49 +1,45 @@
-"""Hot inner loops: linear convolution, truncated causal convolution,
-two-sided kernel application and the AR recursion, and the one place the
-transforms they multiply are formed.
+"""Hot inner loops: convolution with a kernel, the causal, zero and periodic
+boundaries, the AR recursion, and the one place the transforms they
+multiply are formed.
 
-The causal and zero-boundary convolutions go through ``convolve``, which
-returns the window [start, stop) of the linear product that its caller
-keeps.  It sums directly with ``np.convolve`` while the shorter operand is
-below ``FFT_MIN_SIZE``, and otherwise multiplies real FFTs zero-padded to
-L = the smallest 5-smooth length from max(stop, full - start), full =
-len(y) + len(w) - 1.  Entry k of the length-L circular product also sums
-the linear entries k - L and k + L, and at that L none of them exists for k
-in the window.  So the causal sum (window [0, n)) transforms at n + M for
-M + 1 weights and the zero boundary ([M, M + n) of 2M + 1 weights) at n + M
-rather than n + 2M.  The weights are held as :class:`Taps` (plain weights
-in a throwaway one), whose spectrum is memoised, and a series passed as a
-``glops.Series`` supplies its memoised zero-padded spectrum at L, so a GL
-difference of M + 1 weights and a zero-boundary exact difference of
-half-width M of one series share one transform of it.  The crossover was
-measured for memoised weights, as GL operators and exact-kernel windows
-are, on a grid of shorter side 128-512 by longer side 512-1e5 (2-vCPU x86
-host); README "Kernels" gives the grid and what it costs the one caller
-with two plain arrays, the sample autocovariance.  The direct path keeps
-``np.convolve``'s rounding bit for bit.  The FFT path is within
-1e-13 * sum|w| * max|y| of the exact sum; measured against the direct sum
-it is within ~1.2e-16 times that scale up to n = M = 1e5.
+A kernel is weights at integer lags, and its type fixes the lags:
+:class:`Taps` are causal, weight k at lag k (a GL operator, an MA filter),
+and a :class:`KernelWindow` is centred, its 2M + 1 weights at lags -M..M
+(an exact-difference window).  Each kernel has one memoised transform,
+``spectrum(size)``: the weights summed by lag mod size, then ``rfft``.  The
+causal, zero and periodic boundaries multiply by it, and so does the
+response fold of ``spectral.operator_response``.
 
-The periodic boundary is one circular product at every n and every window
-length: the series' :func:`centred_rfft` at n (memoised as
-``Series.rfft()`` on a ``glops.Series``) times the weights'
-:func:`folded_rfft` mod n (memoised as ``Taps.folded_spectrum(n)``), and
-one ``irfft`` at n.  That is the periodic sum exactly, at any half-width,
-with no padding.  It costs O(n log n) at every n; at a length with a large
-prime factor numpy's transform is several times slower than at a 5-smooth
-one (README "Kernels" gives the cost).  The causal and zero boundaries stay
+The causal sum and the zero boundary are both ``convolve(y, kernel, 0, n)``,
+z[t] = sum_k w_k y[t - lag_k] at the times [start, stop).  It sums directly
+with ``np.convolve`` while the shorter operand is below ``FFT_MIN_SIZE``,
+and otherwise multiplies real FFTs at L = the smallest 5-smooth length from
+max(stop - first lag, n + last lag - start): entry t of the circular
+product also sums the times t - L and t + L, and at that L neither is in
+z's support.  So M + 1 causal weights and 2M + 1 centred ones both
+transform at n + M, and a ``glops.Series`` supplies its memoised
+zero-padded spectrum at L, which a GL difference and a zero-boundary exact
+difference of one series share.  Plain weights go in a throwaway kernel.
+The crossover was measured for memoised weights on a grid of shorter side
+128-512 by longer side 512-1e5 (2-vCPU x86 host; README "Kernels").  The
+direct path keeps ``np.convolve``'s rounding bit for bit; the FFT path is
+within 1e-13 * sum|w| * max|y| of the exact sum, and measured against the
+direct sum within ~1.2e-16 times that scale up to n = M = 1e5.
+
+The periodic boundary is one circular product at every n and window
+length: the series' :func:`centred_rfft` at n (memoised as ``Series.rfft()``)
+times the kernel's ``spectrum(n)``, and one ``irfft`` at n.  It costs
+O(n log n), several times more at a length with a large prime factor than
+at a 5-smooth one (README "Kernels").  The causal and zero boundaries stay
 on ``convolve``: on the circular route they would also subtract the sums
 that wrap round the series' ends, which on the same host cost as much as
-the shorter transform saves up to n = 8192, and no benchmark workload runs
-them on a longer 5-smooth series with a short operator.  Every route is
-chosen by the operands' sizes only, never by their types nor by whether a
-spectrum is memoised yet, so a hit gives the bits of a miss.  The AR
-recursion is inherently sequential and runs as a pure-Python loop over
-floats, which is cheaper than indexing numpy scalars.
+the shorter transform saves up to n = 8192.  The direct/FFT choice reads
+the operands' sizes only, never whether a spectrum is memoised yet, so a
+hit gives the bits of a miss.  The AR recursion is sequential, a
+pure-Python loop over floats, cheaper than indexing numpy scalars.
 
-Exact-kernel windows, GL operators and the spectra of each :class:`Taps`
-and each ``glops.Series`` are kept in :class:`BoundedCache` instances, each
-holding its newest ``CACHE_BOUND`` entries.
+Exact-kernel windows, GL operators and the spectra of each kernel and each
+``glops.Series`` are kept in :class:`BoundedCache` instances.
 """
 
 import functools
@@ -57,6 +53,7 @@ __all__ = [
     "CACHE_BOUND",
     "BoundedCache",
     "Taps",
+    "KernelWindow",
     "convolve",
     "causal_apply",
     "two_sided_apply_zero",
@@ -68,8 +65,8 @@ __all__ = [
 FFT_MIN_SIZE = 224
 
 # entries every BoundedCache keeps: exact windows, GL operators, and the FFT
-# lengths of one Taps's or one Series' spectra (a series of fixed length needs
-# one or two)
+# lengths of one kernel's or one Series' spectra (a series of fixed length
+# needs one or two)
 CACHE_BOUND = 8
 
 
@@ -117,7 +114,8 @@ class BoundedCache(dict):
 
 @dataclass(frozen=True, eq=False)
 class Taps:
-    """Convolution weights, read-only, with their memoised spectra.
+    """Causal convolution weights, ``weights[k]`` at lag k, read-only, with
+    their memoised spectra.
 
     ``weights`` must be one-dimensional, nonempty and finite; they are
     copied.
@@ -137,28 +135,44 @@ class Taps:
     def __len__(self) -> int:
         return self.weights.size
 
+    def _first_lag(self) -> int:
+        return 0
+
+    @property
+    def lags(self) -> np.ndarray:
+        """The integer lag of each weight, in order."""
+        return np.arange(self.weights.size) + self._first_lag()
+
     def spectrum(self, size: int) -> np.ndarray:
-        """``np.fft.rfft(weights, size)``, read-only.
+        """Bins j = 0..size // 2 of sum_k weights[k] e^{-2 pi i j lags[k] / size}:
+        the weights summed by lag mod ``size``, then ``np.fft.rfft``;
+        read-only.  For causal weights at ``size >= len`` it is
+        ``np.fft.rfft(weights, size)``.
 
-        The spectra of the last ``CACHE_BOUND`` lengths asked for are kept
-        on the object, so they go when it does.
+        The spectra of the last ``CACHE_BOUND`` sizes asked for are kept on
+        the object, so they go when it does.
         """
-        return self._spectra.get_or_build(
-            size, lambda: _read_only(np.fft.rfft(self.weights, size))
-        )
-
-    def folded_spectrum(self, n: int) -> np.ndarray:
-        """:func:`folded_rfft` at length n of the weights as a two-sided
-        kernel, weight k at lag k - (len - 1) // 2; kept with the linear
-        spectra under the key ("folded", n)."""
-        lags = np.arange(self.weights.size) - (self.weights.size - 1) // 2
-        return self._spectra.get_or_build(("folded", n), lambda: folded_rfft(lags, self.weights, n))
+        return self._spectra.get_or_build(size, lambda: _read_only(np.fft.rfft(
+            np.bincount(self.lags % size, weights=self.weights, minlength=size), size)))
 
 
-def folded_rfft(lags, weights, n: int) -> np.ndarray:
-    """Bins j = 0..n // 2 of sum_m weights[m] e^{-2 pi i j lags[m] / n}: the
-    weights summed by their integer lag mod n, then ``np.fft.rfft``; read-only."""
-    return _read_only(np.fft.rfft(np.bincount(lags % n, weights=weights, minlength=n), n))
+class KernelWindow(Taps):
+    """Weights K(-M)..K(+M) of a two-sided kernel, ``weights[k]`` at lag
+    k - M, read-only, with their memoised spectra.
+
+    ``weights`` must be one-dimensional, finite and of odd length 2M + 1 >= 3;
+    the middle one is K(0).  The window holds no labels: an exact fractional
+    difference comes from ``exactops.exact_kernel_window``, which alone
+    knows the order.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.weights.size < 3 or self.weights.size % 2 == 0:
+            raise ValueError("kernel weights must be one-dimensional of odd length >= 3")
+
+    def _first_lag(self) -> int:
+        return -(self.weights.size // 2)
 
 
 def centred_rfft(values: np.ndarray, size: int) -> np.ndarray:
@@ -187,28 +201,36 @@ def _fft_length(target: int) -> int:
 
 
 def convolve(y, w, start=0, stop=None) -> np.ndarray:
-    """Entries [start, stop) of the full linear convolution of y and w,
-    which has len(y) + len(w) - 1 entries; ``stop`` defaults to that length.
+    """z[t] = sum_k weights[k] * y[t - lags[k]] at t = start..stop - 1, with
+    samples outside y zero; 0 <= start, and ``stop`` defaults to
+    len(y) + the last lag, the end of z's support.
 
-    ``y`` is an array or a ``glops.Series`` and ``w`` an array or
-    :class:`Taps`.  The FFT path, from ``FFT_MIN_SIZE`` on, transforms at
-    the smallest 5-smooth length at which no wrapped sum lands in the
-    window, and reuses the memoised spectra of a :class:`Taps` and of a
-    ``glops.Series`` at that length.  The causal and zero boundaries, the MA
-    filter and the sample autocovariance call it; the periodic boundary
-    does not.
+    ``y`` is an array or a ``glops.Series`` and ``w`` a :class:`Taps` or a
+    :class:`KernelWindow`, or an array taken as causal weights.  The FFT
+    path, from ``FFT_MIN_SIZE`` on, transforms at the smallest 5-smooth
+    length from max(stop - first lag, len(y) + last lag - start), at which
+    no wrapped sum lands in the window, and reuses the memoised spectra of
+    the kernel and of a ``glops.Series`` at that length.  The causal and
+    zero boundaries, the MA filter and the sample autocovariance call it;
+    the periodic boundary does not.
     """
     series_spectrum = getattr(y, "spectrum", None)
-    taps = w if isinstance(w, Taps) else Taps(w)
+    kernel = w if isinstance(w, Taps) else Taps(w)
     y = _as_f8(y if series_spectrum is None else y.values)
-    full = y.shape[0] + len(taps) - 1
-    stop = full if stop is None else stop
-    if min(y.shape[0], len(taps)) < FFT_MIN_SIZE:
-        return np.convolve(y, taps.weights)[start:stop]
-    # circular entry k also sums the linear entries k - size and k + size
-    size = _fft_length(max(stop, full - start))
+    n, first = y.shape[0], kernel._first_lag()
+    last = first + len(kernel) - 1
+    stop = n + last if stop is None else stop
+    if min(n, len(kernel)) < FFT_MIN_SIZE:
+        # entry i of the linear product is time i + first
+        return np.convolve(y, kernel.weights)[start - first : stop - first]
+    # circular entry t also sums the times t - size and t + size
+    size = _fft_length(max(stop - first, n + last - start))
     y_hat = np.fft.rfft(y, size) if series_spectrum is None else series_spectrum(size)
-    return np.fft.irfft(y_hat * taps.spectrum(size), size)[start:stop]
+    return np.fft.irfft(y_hat * kernel.spectrum(size), size)[start:stop]
+
+
+def _two_sided(weights) -> Taps:
+    return weights if isinstance(weights, Taps) else KernelWindow(weights)
 
 
 def causal_apply(y, coeffs) -> np.ndarray:
@@ -223,30 +245,29 @@ def causal_apply(y, coeffs) -> np.ndarray:
 
 
 def two_sided_apply_zero(y, weights) -> np.ndarray:
-    """z[t] = sum_{m=-M}^{M} weights[m+M] * y[t-m], out-of-range samples zero.
+    """z[t] = sum_{m=-M}^{M} K(m) * y[t-m], out-of-range samples zero.
 
-    ``y`` and ``weights`` are as for :func:`convolve`.  Only the n outputs
-    from lag M on are kept, so the FFT path transforms at the 5-smooth
-    length from n + M, not from n + 2M.
+    ``y`` is as for :func:`convolve`; ``weights`` is a kernel, applied at
+    its own lags, or an array taken as a :class:`KernelWindow`.  The FFT
+    path transforms at the 5-smooth length from n + M, not from n + 2M.
     """
-    half = (len(weights) - 1) // 2
-    return convolve(y, weights, half, half + len(y))
+    return convolve(y, _two_sided(weights), 0, len(y))
 
 
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
-    """z[t] = sum_{m=-M}^{M} weights[m+M] * y[(t-m) mod n].
+    """z[t] = sum_{m=-M}^{M} K(m) * y[(t-m) mod n].
 
-    ``y`` is an array or a ``glops.Series`` and ``weights`` an array or
-    :class:`Taps`.  At every n and window length this is the circular
-    product of the module docstring: the series' centred transform at n
-    (the memoised ``rfft()`` of a ``glops.Series``) times the weights'
-    memoised ``folded_spectrum(n)``, and one ``irfft`` at n.
+    ``y`` and ``weights`` are as for :func:`two_sided_apply_zero`.  At
+    every n and window length this is the circular product of the module
+    docstring: the series' centred transform at n (the memoised ``rfft()``
+    of a ``glops.Series``) times the kernel's memoised ``spectrum(n)``, and
+    one ``irfft`` at n.
     """
-    taps = weights if isinstance(weights, Taps) else Taps(weights)
+    kernel = _two_sided(weights)
     n = len(y)
     rfft = getattr(y, "rfft", None)
     y_hat = centred_rfft(_as_f8(y), n) if rfft is None else rfft()
-    return np.fft.irfft(y_hat * taps.folded_spectrum(n), n)
+    return np.fft.irfft(y_hat * kernel.spectrum(n), n)
 
 
 def ar_recurse(x, phi) -> np.ndarray:

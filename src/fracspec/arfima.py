@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .glops import Series, _gl_operator, gl_coefficients
+from .glops import _RESULT_NOT_FINITE, Series, _gl_operator, gl_coefficients
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
 __all__ = [
@@ -288,13 +288,19 @@ def estimate_memory_from_periodogram(
 
 def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     """Estimate the memory order of a series from its lowest periodogram
-    frequencies.  Default bandwidth is floor(sqrt(n))."""
+    frequencies.  Default bandwidth is floor(sqrt(n)), which needs n >= 9.
+    ValueError if a periodogram value overflows."""
     n = len(y)
     if bandwidth is None:
+        if n < 9:
+            raise ValueError(
+                f"series needs at least 9 samples for the default bandwidth, got n={n}")
         bandwidth = math.isqrt(n)
     if not (3 <= bandwidth <= n / 2):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
     omega, power = _lowest_ordinates(y, bandwidth)
+    if not np.isfinite(power).all():
+        raise ValueError(_RESULT_NOT_FINITE)
     return estimate_memory_from_periodogram(omega, power, bandwidth)
 
 

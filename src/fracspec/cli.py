@@ -179,7 +179,7 @@ def _series_csv(series: glops.Series, meta_lines: list[str]) -> str:
 def _cmd_kernel(args) -> str:
     window = exactops.exact_kernel_window(args.order, args.half_width)
     header = [f"# order={_fmt(args.order)}, half_width={args.half_width}", "m,weight"]
-    return _csv(header, np.arange(-args.half_width, args.half_width + 1), window.weights)
+    return _csv(header, window.lags, window.weights)
 
 
 def _cmd_coeffs(args) -> str:

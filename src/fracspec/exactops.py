@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._kernels import KernelWindow
 from .errors import ConsistencyError
 from .glops import Series
 
@@ -93,22 +94,6 @@ def _check_order(order: float) -> float:
     if order > ORDER_MAX:
         raise ValueError(f"kernel order must not exceed {ORDER_MAX}, got {order:g}")
     return order
-
-
-class KernelWindow(_kernels.Taps):
-    """Weights K(-M)..K(+M) of a two-sided kernel, read-only, with their
-    memoised spectra.
-
-    ``weights`` must be one-dimensional, finite and of odd length 2M + 1 >= 3;
-    the middle one is K(0).  The window holds no labels: an exact fractional
-    difference comes from :func:`exact_kernel_window`, which alone knows the
-    order.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.weights.size < 3 or self.weights.size % 2 == 0:
-            raise ValueError("kernel weights must be one-dimensional of odd length >= 3")
 
 
 def sinpi(x: float) -> float:
@@ -249,10 +234,9 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     ``half_width`` ``HALF_WIDTH_CAP``.  Windows are immutable and cached by
     the exact (order, half_width) in a :class:`_kernels.BoundedCache`, which
     keeps the last ``_kernels.CACHE_BOUND`` = 8 built.  Each window memoises
-    its weight spectra in a cache of its own (:meth:`KernelWindow.spectrum`
-    on the FFT path of the zero boundary, from ``_kernels.FFT_MIN_SIZE``
-    weights on, and :meth:`KernelWindow.folded_spectrum` at every periodic
-    difference), so they go with it.
+    its one transform, :meth:`KernelWindow.spectrum`, by size, so the
+    spectra go with it: the zero boundary's FFT path, every periodic
+    difference and ``spectral.operator_response``'s fold read it.
     """
     order = _check_order(order)
     half_width = int(half_width)
@@ -272,14 +256,11 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     treats them as zero, ``"periodic"`` wraps indices modulo the length.
     The operator carries no step^order factor; the step enters only through
     the frequency axis of the response target.  A periodic difference is
-    the length-n circular product of ``_kernels`` at every n and
-    half-width, which reads the series' memoised ``rfft()``; at a length
-    with a large prime factor that transform costs several times one at a
-    5-smooth length.  A zero-boundary difference on the FFT path
-    transforms at the 5-smooth length from n + half-width and reads the
-    series' memoised ``spectrum()`` there, which a GL difference of
-    truncation equal to the half-width shares.  ValueError if an output
-    leaves the double-precision range.
+    the length-n circular product of ``_kernels``, which reads the series'
+    memoised ``rfft()``; a zero-boundary one on the FFT path reads its
+    memoised ``spectrum()`` at the 5-smooth length from n + half-width,
+    which a GL difference of that truncation shares.  ValueError if an
+    output leaves the double-precision range.
     """
     if boundary == "zero":
         values = _kernels.two_sided_apply_zero(y, window)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .exactops import KernelWindow, cospi, exact_kernel_window, sinpi
+from .exactops import cospi, exact_kernel_window, sinpi
 from .glops import _RESULT_NOT_FINITE, Series, gl_coefficients
 
 __all__ = [
@@ -101,17 +101,6 @@ def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
     return omega, power
 
 
-def _window_arrays(weights) -> tuple[np.ndarray, np.ndarray]:
-    """Integer lag offsets and weights of a window."""
-    if isinstance(weights, KernelWindow):
-        half = weights.weights.size // 2
-        return np.arange(-half, half + 1), weights.weights
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a one-dimensional coefficient window")
-    return np.arange(w.size), w
-
-
 def _validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size == 0:
@@ -130,14 +119,15 @@ _BLOCK = 2**22
 _FOLD_TOL = 16 * np.finfo(np.float64).eps
 
 
-def _direct_response(offsets: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """sum_m w_m e^{-i wT m} at every grid point, O(G M); evaluated in
+def _direct_response(kernel: _kernels.Taps, grid: np.ndarray) -> np.ndarray:
+    """sum_m K(m) e^{-i wT m} at every grid point, O(G M); evaluated in
     frequency blocks to bound memory."""
+    lags, w = kernel.lags, kernel.weights
     out = np.empty(grid.size, dtype=np.complex128)
-    block = max(1, _BLOCK // max(w.size, 1))
+    block = max(1, _BLOCK // w.size)
     for i in range(0, grid.size, block):
         g = grid[i : i + block]
-        out[i : i + block] = np.exp(-1j * np.outer(g, offsets)) @ w
+        out[i : i + block] = np.exp(-1j * np.outer(g, lags)) @ w
     return out
 
 
@@ -171,27 +161,26 @@ def _fold_grid(grid: np.ndarray, cost: int) -> tuple[int, np.ndarray] | None:
         n = lcm
 
 
-def _response_values(offsets: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    fold = _fold_grid(grid, grid.size * w.size)
-    if fold is None:
-        return _direct_response(offsets, w, grid)
-    # e^{-i pi k m / n} depends on the lag m only mod 2n
-    n, k = fold
-    return _kernels.folded_rfft(offsets, w, 2 * n)[k]
-
-
 def operator_response(weights, grid: Sequence[float]) -> np.ndarray:
     """Measured response H(wT) = sum_m K(m) e^{-i wT m} at each grid point.
 
-    ``weights`` may be a two-sided :class:`KernelWindow` or a causal
-    coefficient array such as :func:`gl_coefficients` returns.  A grid
+    ``weights`` is a kernel of ``_kernels``, read at its own lags: a
+    two-sided :class:`KernelWindow` or causal ``_kernels.Taps``; an array,
+    such as :func:`gl_coefficients` returns, is taken as causal.  A grid
     whose values are all multiples k pi / N, with 2N no larger than either
-    the grid size times the window length or 2^22, is evaluated by folding
-    the lags mod 2N and one FFT, O(M + N log N); any other grid by direct
-    summation, O(G M).  Targets are computed by :func:`response_report`.
+    the grid size times the window length or 2^22, reads bins k of the
+    kernel's memoised ``spectrum(2N)``, its lags folded mod 2N, in
+    O(M + N log N); any other grid is summed directly, O(G M).  Targets are
+    computed by :func:`response_report`.
     """
-    offsets, w = _window_arrays(weights)
-    return _response_values(offsets, w, _validate_grid(grid))
+    kernel = weights if isinstance(weights, _kernels.Taps) else _kernels.Taps(weights)
+    grid = _validate_grid(grid)
+    fold = _fold_grid(grid, grid.size * len(kernel))
+    if fold is None:
+        return _direct_response(kernel, grid)
+    # e^{-i pi k m / N} depends on the lag m only mod 2N
+    n, k = fold
+    return kernel.spectrum(2 * n)[k]
 
 
 def _polar(mag, phase_cos, phase_sin) -> complex | np.ndarray:

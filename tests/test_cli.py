@@ -1,10 +1,8 @@
 import math
 import os
-import shlex
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +153,22 @@ def test_estimate_command(tmp_path, capsys):
     assert 0.0 <= d_hat <= 0.65
     assert fields[2] == "64" and fields[3] == "4096"
     assert fields[4] in ("long", "short", "none")
+
+
+@pytest.mark.parametrize(
+    "n,flags,message",
+    [
+        # the default bandwidth floor(sqrt(n)) is 2 below 9 samples
+        (5, [], "series needs at least 9 samples for the default bandwidth, got n=5"),
+        (8, [], "series needs at least 9 samples for the default bandwidth, got n=8"),
+        (8, ["--bandwidth", "2"], "bandwidth must satisfy 3 <= bandwidth <= n/2"),
+    ],
+)
+def test_estimate_of_a_short_series_names_its_cause(n, flags, message, tmp_path, capsys):
+    path = tmp_path / "y.csv"
+    path.write_text("t,value\n" + "".join(f"{t},{(-1) ** t + 0.1 * t}\n" for t in range(n)))
+    code, out, err = run_cli(["estimate", "--input", str(path), *flags], capsys)
+    assert (code, out, err) == (1, "", f"fracspec: {message}\n")
 
 
 def test_acf_sample_and_theoretical(tmp_path, capsys):
@@ -475,37 +489,6 @@ def test_pipeline_subprocess():
     assert est.returncode == 0, est.stderr.decode()
     lines = est.stdout.decode().splitlines()
     assert lines[0] == "d_hat,std_err,bandwidth,n,classification"
-
-
-def _readme_cli_commands():
-    """The command lines of README's ``sh`` block that runs ``fracspec``,
-    continuations joined, comments dropped, each split into pipe stages."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
-    (block,) = [b for b in blocks if "\nfracspec " in "\n" + b]
-    commands = []
-    for line in block.replace("\\\n", " ").splitlines():
-        tokens = shlex.split(line, comments=True)
-        if tokens:
-            stages = " ".join(tokens).split(" | ")
-            commands.append([shlex.split(stage) for stage in stages])
-    return commands
-
-
-def test_readme_cli_block_runs(tmp_path):
-    # every line of the README's CLI example in order, in one directory (later
-    # lines read the files earlier ones write), each pipe stage a
-    # `python -m fracspec` process fed the previous stage's output
-    commands = _readme_cli_commands()
-    assert len(commands) >= 10
-    for stages in commands:
-        data = None
-        for stage in stages:
-            assert stage[0] == "fracspec", stage
-            proc = subprocess.run([sys.executable, "-m", *stage], input=data, cwd=tmp_path,
-                                  capture_output=True, timeout=300)
-            assert proc.returncode == 0, (stage, proc.stderr.decode())
-            data = proc.stdout
 
 
 def test_estimate_row_reads_the_series_length(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fracspec import (
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
+    loglog_slope_fit,
     white_noise,
 )
 
@@ -217,3 +218,27 @@ def test_derivative_approx_exponential_closed_form():
 def test_derivative_approx_rejects_bad_provider():
     with pytest.raises(ValueError):
         gl_derivative_approx(lambda t: math.inf, 0.5, 0.0, 0.1, 4)
+
+
+def test_derivative_approx_converges_at_first_order_in_the_step():
+    # f = sin 3t + cos(7t) / 2 has the Weyl derivative
+    # sum_k a_k k^alpha (its trig function at kt + alpha pi / 2); the GL
+    # quotient at step T = 2 pi / n, truncated at 50 n lags (50 periods),
+    # converges to it like T
+    alpha = 0.5
+    phase = alpha * math.pi / 2
+
+    def f(t):
+        return math.sin(3 * t) + 0.5 * math.cos(7 * t)
+
+    def weyl(t):
+        return 3**alpha * math.sin(3 * t + phase) + 0.5 * 7**alpha * math.cos(7 * t + phase)
+
+    steps, errors = [], []
+    for n in (64, 128, 256, 512, 1024, 2048):
+        step = 2 * math.pi / n
+        steps.append(step)
+        errors.append(max(abs(gl_derivative_approx(f, alpha, t, step, 50 * n) - weyl(t))
+                          for t in (0.3, 1.1, 2.0, 4.4)))
+    assert errors == sorted(errors, reverse=True)
+    assert abs(loglog_slope_fit(steps, errors).slope - 1.0) <= 0.05

@@ -2,7 +2,9 @@
 checked against a loop over lags written straight from its definition, on
 sizes below and above the one direct/FFT crossover, ``FFT_MIN_SIZE``, at the
 alias-free FFT length of each kept window, and, for the periodic boundary,
-on its one circular (length-n) route at every n and window length."""
+on its one circular (length-n) route at every n and window length.  A
+kernel's type fixes its lags: ``Taps`` are causal and a ``KernelWindow``
+centred, at every boundary."""
 
 import sys
 import threading
@@ -31,14 +33,14 @@ def _brute_causal(y, c):
     return out
 
 
-def _brute_two_sided(y, w, periodic):
-    # weight k sits at lag k - half, so an even length reaches lag half + 1
+def _brute_two_sided(y, w, periodic, first=None):
+    # weight k sits at lag first + k; a centred window's first lag is -half
     n = len(y)
-    half = (len(w) - 1) // 2
+    first = -(len(w) // 2) if first is None else first
     t = np.arange(n)
     out = np.zeros(n)
     for k, wk in enumerate(w):
-        i = t - (k - half)
+        i = t - (first + k)
         if periodic:
             out += wk * y[i % n]
         else:
@@ -198,14 +200,21 @@ def test_ar_recurse_matches_brute_force(rng, p):
 
 
 # The circular route.  Every periodic sum is one length-n product, at any n
-# and window length; the folded spectrum it memoises under ("folded", n) on
-# Taps shows it.
+# and window length; the kernel's spectrum it memoises at n shows it (the
+# causal and zero boundaries transform at n plus the last lag at least).
 _MIN = _kernels.FFT_MIN_SIZE
 _periodic = _kernels.two_sided_apply_periodic
+_Window = _kernels.KernelWindow
 
 
-def _took_circular(taps, n):
-    return ("folded", n) in taps._spectra
+def _took_circular(kernel, n):
+    return n in kernel._spectra
+
+
+def _odd(taps):
+    """The odd window length at or above ``taps``: a two-sided case of an
+    even number of weights takes one more."""
+    return taps | 1
 
 
 def _record_transforms(monkeypatch):
@@ -243,7 +252,7 @@ def _record_transforms(monkeypatch):
 def test_circular_route_on_both_sides_of_each_choice(n, taps, was_circular):
     rng = np.random.default_rng(n + taps)
     y = Series(rng.normal(size=n))
-    w = _kernels.Taps(rng.normal(size=taps))
+    w = _Window(rng.normal(size=_odd(taps)))
     got = _periodic(y, w)
     assert _took_circular(w, n)
     assert got.shape == (n,)
@@ -253,16 +262,22 @@ def test_circular_route_on_both_sides_of_each_choice(n, taps, was_circular):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 300, 4097, 4099])
 # odd and even lengths on both sides of the crossover, and 2n + 2 weights,
-# whose even window reaches beyond the series on both sides
+# which reach beyond the series
 @pytest.mark.parametrize("taps", [1, 2, 7, 8, _MIN - 1, _MIN, "2n + 2"])
 @pytest.mark.parametrize("as_series", [False, True])
 @pytest.mark.parametrize("as_taps", [False, True])
 def test_periodic_is_one_length_n_product(monkeypatch, n, taps, as_series, as_taps):
+    # causal Taps are summed at lags 0..taps - 1; an array is a centred
+    # window, which has an odd length of at least 3
     taps = 2 * n + 2 if taps == "2n + 2" else taps
     rng = np.random.default_rng(n * 1000 + taps)
     values, weights = rng.normal(size=n), rng.normal(size=taps)
     y = Series(values) if as_series else values
     w = _kernels.Taps(weights) if as_taps else weights
+    if not as_taps and (taps < 3 or taps % 2 == 0):
+        with pytest.raises(ValueError, match="odd length >= 3"):
+            _periodic(y, w)
+        return
     rffts, irffts = _record_transforms(monkeypatch)
     got = _periodic(y, w)
     first = (list(rffts), list(irffts))
@@ -275,13 +290,27 @@ def test_periodic_is_one_length_n_product(monkeypatch, n, taps, as_series, as_ta
     assert irffts == [n, n]
     assert np.array_equal(again, got)
     assert got.shape == (n,)
-    _assert_within_bound(got, _brute_two_sided(values, weights, True), values, weights, 1e-12)
+    want = _brute_two_sided(values, weights, True, 0 if as_taps else None)
+    _assert_within_bound(got, want, values, weights, 1e-12)
+
+
+@pytest.mark.parametrize("n,taps", [(50, 8), (1000, 300)])
+def test_zero_boundary_takes_kernels_at_their_own_lags(n, taps):
+    # causal Taps are summed at lags 0..taps - 1 on the direct and the FFT
+    # path alike; an array of even length is no window
+    rng = np.random.default_rng(n)
+    y, w = rng.normal(size=n), rng.normal(size=taps)
+    got = _kernels.two_sided_apply_zero(y, _kernels.Taps(w))
+    _assert_within_bound(got, _brute_two_sided(y, w, False, 0), y, w, 1e-12)
+    assert np.array_equal(got, _kernels.causal_apply(y, _kernels.Taps(w)))
+    with pytest.raises(ValueError, match="odd length >= 3"):
+        _kernels.two_sided_apply_zero(y, w)
 
 
 def test_call_order_on_one_series_gives_the_same_bits():
     rng = np.random.default_rng(3)
     values = rng.normal(size=4096)
-    window = _kernels.Taps(rng.normal(size=2 * 128 + 1))
+    window = _Window(rng.normal(size=2 * 128 + 1))
     outputs = []
     for first in ("periodic", "periodogram"):
         y = Series(values)
@@ -299,13 +328,13 @@ def test_call_order_on_one_series_gives_the_same_bits():
 def test_memo_hits_are_bit_identical_to_misses():
     rng = np.random.default_rng(5)
     values, weights = rng.normal(size=4096), rng.normal(size=257)
-    y, w = Series(values), _kernels.Taps(weights)
+    y, w = Series(values), _Window(weights)
     miss = _periodic(y, w)  # both memos empty
     spectrum = y.rfft()
     assert _took_circular(w, 4096) and not spectrum.flags.writeable
     results = [
         _periodic(y, w),  # both hit
-        _periodic(y, _kernels.Taps(weights)),  # the series' memo hits, the operator's misses
+        _periodic(y, _Window(weights)),  # the series' memo hits, the operator's misses
         _periodic(Series(values), w),  # the operator's memo hits, the series' misses
     ]
     assert y.rfft() is spectrum
@@ -324,8 +353,8 @@ def test_threads_sharing_one_series_agree():
     def steps(y, w):
         return _periodic(y, w), periodogram(y)[1]
 
-    want = steps(Series(values), _kernels.Taps(weights))
-    y, w = Series(values), _kernels.Taps(weights)
+    want = steps(Series(values), _Window(weights))
+    y, w = Series(values), _Window(weights)
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -356,13 +385,15 @@ def test_threads_sharing_one_series_agree():
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
 def test_arrays_and_series_take_one_route(kind, taps, n):
     # the routes read sizes only: the values as an array or a Series, with
-    # the weights as an array or Taps, give the same bits, memo or not
+    # the weights as an array or the kernel the function takes an array as
+    # (causal Taps or a centred window), give the same bits, memo or not
     rng = np.random.default_rng(n + taps)
-    values, weights = rng.normal(size=n), rng.normal(size=taps)
+    causal = kind == "causal"
+    values, weights = rng.normal(size=n), rng.normal(size=taps if causal else _odd(taps))
     apply = {"causal": _kernels.causal_apply, "zero": _kernels.two_sided_apply_zero,
              "periodic": _periodic}[kind]
     want = apply(values, weights)
-    y, w = Series(values), _kernels.Taps(weights)
+    y, w = Series(values), (_kernels.Taps if causal else _Window)(weights)
     outputs = [apply(y, w), apply(y, w), apply(values, w), apply(y, weights)]
     assert all(np.array_equal(got, want) for got in outputs)
     assert _took_circular(w, n) == (kind == "periodic")
@@ -371,15 +402,12 @@ def test_arrays_and_series_take_one_route(kind, taps, n):
     _assert_within_bound(want, brute, values, weights, 1e-12)
 
 
-# The output window.  The causal and zero boundaries keep n entries of the
-# linear product, and the FFT path transforms at the 5-smooth length from
-# the shortest at which no wrapped sum lands in them: n + M for the causal
-# sum and n + M - half for the zero boundary (M = len(w) - 1, half = M // 2).
-# A periodic sum transforms at n, on both sides of the crossover.
-_WINDOW_SIZES = {
-    "causal": lambda n, m, half: n + m,
-    "zero": lambda n, m, half: n + m - half,
-}
+# The output window.  The causal and zero boundaries keep the times 0..n - 1
+# of the product, and the FFT path transforms at the 5-smooth length from
+# the shortest at which no wrapped sum lands in them: n + the last lag, n + M
+# for causal Taps of M + 1 weights and n + half for a centred window of
+# 2 half + 1.  A periodic sum transforms at n, on both sides of the
+# crossover.
 
 
 @pytest.mark.parametrize(
@@ -396,11 +424,14 @@ _WINDOW_SIZES = {
 @pytest.mark.parametrize("as_taps", [False, True])
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
 def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
+    # two-sided kinds take a centred window, as an array or a KernelWindow
+    causal = kind == "causal"
+    taps = taps if causal else _odd(taps)
     rng = np.random.default_rng(n * taps)
     y, w = rng.normal(size=n), rng.normal(size=taps)
     sizes, _ = _record_transforms(monkeypatch)
-    operand = _kernels.Taps(w) if as_taps else w
-    if kind == "causal":
+    operand = (_kernels.Taps if causal else _Window)(w) if as_taps else w
+    if causal:
         got, want = _kernels.causal_apply(y, operand), _brute_causal(y, w)
     elif kind == "zero":
         got, want = _kernels.two_sided_apply_zero(y, operand), _brute_two_sided(y, w, False)
@@ -413,7 +444,7 @@ def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
         assert sizes == [n, n]
         return
     fft = min(n, taps) >= _kernels.FFT_MIN_SIZE
-    size = _kernels._fft_length(_WINDOW_SIZES[kind](n, taps - 1, (taps - 1) // 2))
+    size = _kernels._fft_length(n + (taps - 1 if causal else taps // 2))
     assert sizes == ([size, size] if fft else [])
 
 
@@ -436,7 +467,7 @@ def test_series_spectrum_memo_is_read_only_and_hits_match_misses():
     assert np.array_equal(hit, miss)
     assert np.array_equal(_kernels.causal_apply(values, w), miss)
     # the zero boundary of a 601-weight window keeps a window at the same length
-    window = _kernels.Taps(rng.normal(size=601))
+    window = _Window(rng.normal(size=601))
     zero = _kernels.two_sided_apply_zero(y, window)
     assert list(y._spectra) == [size]
     assert np.array_equal(zero, _kernels.two_sided_apply_zero(values, window))

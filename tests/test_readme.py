@@ -1,8 +1,12 @@
 """The README quotes constants as `NAME` = value or `module.NAME` = value;
-each quote must equal the attribute it names, and every `module.name` or
-`Class.attr` it quotes must exist, so the docs cannot drift from the code."""
+each quote must equal the attribute it names, every `module.name` or
+`Class.attr` it quotes must exist, and every command of its CLI example
+must run, so the docs cannot drift from the code."""
 
+import io
 import re
+import shlex
+import sys
 from pathlib import Path
 
 import fracspec
@@ -47,3 +51,38 @@ def test_readme_names_exist():
     # a name that does not exist is caught, within a span that breaks lines
     assert _quoted_names("`_kernels._gone(n) ==\nn`, `Taps.x`") == [("_kernels", "_gone"),
                                                                      ("Taps", "x")]
+
+
+def _cli_commands():
+    """The command lines of the ``sh`` block under "## CLI", continuations
+    joined and comments dropped, each split into its pipe stages."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if tokens:
+            commands.append([shlex.split(stage) for stage in " ".join(tokens).split(" | ")])
+    return commands
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every line in order, in one directory (later lines read the files
+    # earlier ones write), each pipe stage reading the previous one's output
+    monkeypatch.chdir(tmp_path)
+    commands = _cli_commands()
+    assert len(commands) >= 10 and sum(len(stages) > 1 for stages in commands) == 1
+    for stages in commands:
+        text = None
+        for stage in stages:
+            assert stage[0] == "fracspec", stage
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text or ""))
+            code = cli.main(stage[1:])
+            text, err = capsys.readouterr()
+            assert (code, err) == (0, ""), stage
+            if "-o" in stage:
+                text = (tmp_path / stage[stage.index("-o") + 1]).read_text(encoding="utf-8")
+            # a header and at least one row, all of one width
+            rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+            assert len(rows) >= 2 and len(rows[0]) >= 2, stage
+            assert all(len(row) == len(rows[0]) for row in rows), stage

@@ -225,6 +225,11 @@ def _window(family, order, size):
     return exact_kernel_window(order, size)
 
 
+def _kernel(window):
+    """The kernel operator_response reads: GL coefficients as causal Taps."""
+    return window if isinstance(window, spectral._kernels.Taps) else spectral._kernels.Taps(window)
+
+
 @pytest.mark.parametrize(
     "family,order,size,grid,n",
     [
@@ -240,14 +245,15 @@ def _window(family, order, size):
 )
 def test_folded_response_matches_direct_sum(family, order, size, grid, n):
     window = _window(family, order, size)
-    offsets, w = spectral._window_arrays(window)
+    kernel = _kernel(window)
     grid = np.asarray(grid)
-    fold = spectral._fold_grid(grid, grid.size * w.size)
+    fold = spectral._fold_grid(grid, grid.size * len(kernel))
     assert fold is not None and fold[0] == n
     got = operator_response(window, grid)
-    want = spectral._direct_response(offsets, w, grid)
+    want = spectral._direct_response(kernel, grid)
     # the direct sum's phase error is about |wT m| eps at lag m
-    tol = 16 * np.finfo(np.float64).eps * np.sum((1 + np.abs(offsets)) * np.abs(w))
+    scale = np.sum((1 + np.abs(kernel.lags)) * np.abs(kernel.weights))
+    tol = 16 * np.finfo(np.float64).eps * scale
     assert np.abs(got - want).max() <= tol
 
 
@@ -268,9 +274,20 @@ def test_folded_response_matches_extended_precision_oracle():
     for (family, order, size, k, n), want in cases.items():
         window = _window(family, order, size)
         grid = np.array([k * math.pi / n])
-        assert spectral._fold_grid(grid, spectral._window_arrays(window)[1].size) is not None
+        assert spectral._fold_grid(grid, len(window)) is not None
         got = operator_response(window, grid)[0]
         assert abs(got - want) <= 1e-14 * abs(want), (family, size, k, n)
+
+
+def test_folded_response_reads_the_window_spectrum_memo():
+    # the fold of a cached exact window is its memoised spectrum at 2N
+    window = exact_kernel_window(0.5, 300)
+    grid = _cli_grid(64)
+    first = operator_response(window, grid)
+    spectrum = window.spectrum(128)
+    assert np.array_equal(first, spectrum[1:65])
+    assert np.array_equal(operator_response(window, grid), first)
+    assert window.spectrum(128) is spectrum
 
 
 @pytest.mark.parametrize(
@@ -284,9 +301,8 @@ def test_folded_response_matches_extended_precision_oracle():
 )
 def test_other_grids_take_the_direct_sum(grid):
     window = gl_coefficients(0.4, 2048)
-    offsets, w = spectral._window_arrays(window)
-    assert spectral._fold_grid(grid, grid.size * w.size) is None
-    want = spectral._direct_response(offsets, w, grid)
+    assert spectral._fold_grid(grid, grid.size * window.size) is None
+    want = spectral._direct_response(_kernel(window), grid)
     assert np.array_equal(operator_response(window, grid), want)
 
 

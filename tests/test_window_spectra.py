@@ -1,8 +1,8 @@
-"""The weight spectra a kernel window memoises for ``_kernels.convolve`` and
-the circular periodic product: the outputs they give are bit-identical to
-transforming the weights on every call, the memo is read-only and bounded,
-it goes with the window cache, and one window can be shared between
-threads."""
+"""The one weight spectrum a kernel window memoises by size, which
+``_kernels.convolve``, the circular periodic product and the response fold
+read: the outputs it gives are bit-identical to transforming the weights on
+every call, the memo is read-only and bounded, it goes with the window
+cache, and one window can be shared between threads."""
 
 import sys
 import threading
@@ -15,14 +15,11 @@ from fracspec import NoiseSpec, Series, exact_difference, exact_kernel_window, w
 from fracspec import _kernels, exactops
 
 
-def _recomputed_convolve(y, w, start, stop):
-    """Reference ``convolve`` that transforms the weights on every FFT-path
-    call, at the smallest 5-smooth length that keeps [start, stop) free of
-    wrapped sums."""
-    if min(y.size, w.size) < _kernels.FFT_MIN_SIZE:
-        return np.convolve(y, w)[start:stop]
-    size = _kernels._fft_length(max(stop, y.size + w.size - 1 - start))
-    return np.fft.irfft(np.fft.rfft(y, size) * np.fft.rfft(w, size), size)[start:stop]
+def _window_spectrum(w, size):
+    """Reference ``KernelWindow.spectrum``: the weights, at lags -half..half,
+    summed by lag mod ``size``, then transformed; recomputed per call."""
+    half = (w.size - 1) // 2
+    return np.fft.rfft(np.bincount(np.arange(-half, half + 1) % size, weights=w, minlength=size))
 
 
 def _series_rfft(y):
@@ -35,14 +32,18 @@ def _series_rfft(y):
 
 def _recomputed(y, w, boundary):
     """Reference exact difference of a series on the route ``_kernels`` takes,
-    transforming the series and the weights on every call.  Every periodic
-    difference is the circular product at n, whether the series is an array
-    or a ``Series``."""
+    transforming the series and the weights on every call.  A zero-boundary
+    difference on the FFT path is the circular product at the smallest
+    5-smooth length from n + half, which keeps the times 0..n - 1 free of
+    wrapped sums; every periodic difference is the circular product at n,
+    whether the series is an array or a ``Series``."""
     n, half = y.size, (w.size - 1) // 2
-    if boundary == "zero":
-        return _recomputed_convolve(y, w, half, half + n)
-    folded = np.bincount(np.arange(-half, half + 1) % n, weights=w, minlength=n)
-    return np.fft.irfft(_series_rfft(y) * np.fft.rfft(folded), n)
+    if boundary == "periodic":
+        return np.fft.irfft(_series_rfft(y) * _window_spectrum(w, n), n)
+    if min(n, w.size) < _kernels.FFT_MIN_SIZE:
+        return np.convolve(y, w)[half : half + n]
+    size = _kernels._fft_length(n + half)
+    return np.fft.irfft(np.fft.rfft(y, size) * _window_spectrum(w, size), size)[:n]
 
 
 def _fresh_window(order, half_width):
@@ -59,7 +60,7 @@ _ABOVE = _BELOW + 1
 # (n, half): direct sums (window below FFT_MIN_SIZE), FFT products, among
 # them windows of 383 and 385 weights, and a half-width beyond the series
 # length on both paths.  Periodic differences take the circular route at
-# every n and half-width, so their memo holds the folded spectrum at n only.
+# every n and half-width, so their memo holds the spectrum at n only.
 @pytest.mark.parametrize(
     "n,half",
     [(1000, 100), (1000, _BELOW), (1000, _ABOVE), (1000, 191), (1000, 192), (4096, 256),
@@ -78,7 +79,7 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
     assert window._spectra.keys() == memo.keys()
     assert all(window._spectra[k] is memo[k] for k in memo)
     if boundary == "periodic":
-        assert list(memo) == [("folded", n)]
+        assert list(memo) == [n]
     else:
         assert bool(memo) == (min(n, 2 * half + 1) >= _kernels.FFT_MIN_SIZE)
 
@@ -86,7 +87,7 @@ def test_outputs_bit_identical_to_recomputed_spectra(n, half, boundary):
 def test_memoised_spectra_are_read_only():
     window = _fresh_window(0.3, 300)
     spectrum = window.spectrum(2048)
-    assert np.array_equal(spectrum, np.fft.rfft(window.weights, 2048))
+    assert np.array_equal(spectrum, _window_spectrum(window.weights, 2048))
     assert not spectrum.flags.writeable
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
@@ -163,12 +164,5 @@ def test_threads_sharing_a_window_agree():
         assert len(got) == 3 * len(lengths)
         assert all(np.array_equal(out, want[n]) for n, out in got)
     assert len(window._spectra) == _kernels.CACHE_BOUND
-    half = (window.weights.size - 1) // 2
-    for key, spectrum in window._spectra.items():
-        if isinstance(key, tuple):
-            n = key[1]
-            folded = np.bincount(np.arange(-half, half + 1) % n, weights=window.weights,
-                                 minlength=n)
-            assert np.array_equal(spectrum, np.fft.rfft(folded))
-        else:
-            assert np.array_equal(spectrum, np.fft.rfft(window.weights, key))
+    for size, spectrum in window._spectra.items():
+        assert np.array_equal(spectrum, _window_spectrum(window.weights, size))
