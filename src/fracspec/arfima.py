@@ -289,7 +289,8 @@ def estimate_memory_from_periodogram(
 def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     """Estimate the memory order of a series from its lowest periodogram
     frequencies.  Default bandwidth is floor(sqrt(n)), which needs n >= 9.
-    ValueError if a periodogram value overflows."""
+    The estimate does not depend on scale.  ValueError if the series is
+    constant or a periodogram amplitude overflows."""
     n = len(y)
     if bandwidth is None:
         if n < 9:
@@ -298,9 +299,14 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
         bandwidth = math.isqrt(n)
     if not (3 <= bandwidth <= n / 2):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
-    omega, power = _lowest_ordinates(y, bandwidth)
-    if not np.isfinite(power).all():
+    if (y.values == y.values[0]).all():
+        raise ValueError("series is constant: its memory cannot be estimated")
+    omega, amplitude = _lowest_ordinates(y, bandwidth)
+    top = amplitude.max()
+    if not np.isfinite(top):
         raise ValueError(_RESULT_NOT_FINITE)
+    # the fit is scale-free, so square relative to the largest: |yhat|^2 underflows near 1e-160
+    power = (amplitude / top) ** 2 if top > 0.0 else amplitude
     return estimate_memory_from_periodogram(omega, power, bandwidth)
 
 

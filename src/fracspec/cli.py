@@ -257,6 +257,9 @@ def _cmd_response(args) -> str:
         raise _UsageError(f"--grid must be at least 1, got {args.grid}")
     if args.grid > GRID_CAP:
         raise ValueError(f"grid exceeds cap {GRID_CAP}")
+    if args.family == "exact" and not 1 <= args.truncation <= exactops.HALF_WIDTH_CAP:
+        # the window's own message would name half_width, a flag response lacks
+        raise ValueError(f"truncation must be 1..{exactops.HALF_WIDTH_CAP} for --family exact")
     # j * (pi / G) rounds above pi at j = G for some G (25, 100, 301, ...)
     grid = np.minimum(np.arange(1, args.grid + 1) * (math.pi / args.grid), math.pi)
     report = spectral.response_report(args.order, args.family, args.truncation, grid)

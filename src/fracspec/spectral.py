@@ -88,17 +88,17 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")
-    return _lowest_ordinates(y, _fft_size(len(y)) // 2)
+    n_fft = _fft_size(len(y))
+    omega, amplitude = _lowest_ordinates(y, n_fft // 2)
+    return omega, amplitude**2 / n_fft
 
 
 def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(omega_j, S_j) of :func:`periodogram` for j = 1..count only, each the
-    same bits as there."""
+    """omega_j of :func:`periodogram` and the amplitudes |yhat_j| behind its
+    S_j = |yhat_j|^2 / n_fft, for j = 1..count only."""
     n_fft = _fft_size(len(y))
-    values = y.rfft(n_fft)[1 : count + 1]
     omega = 2.0 * math.pi * np.arange(1, count + 1) / (n_fft * y.step)
-    power = np.abs(values) ** 2 / n_fft
-    return omega, power
+    return omega, np.abs(y.rfft(n_fft)[1 : count + 1])
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -132,33 +132,23 @@ def _direct_response(kernel: _kernels.Taps, grid: np.ndarray) -> np.ndarray:
 
 
 def _fold_grid(grid: np.ndarray, cost: int) -> tuple[int, np.ndarray] | None:
-    """The least N and integers k with grid = k pi / N, if 2N is at most
-    ``cost`` and ``_BLOCK``; None otherwise.
-
-    Each pass reads the denominator of one value not yet a multiple of
-    pi / N off its best rational approximation and raises N to the least
-    common multiple, so N at least doubles per pass.
-    """
-    # imported here: fractions loads decimal, about 1 ms that every other
-    # command would pay at import
-    from fractions import Fraction
-
+    """(N, k) with grid = k pi / N for integers k, where N = round(pi / g)
+    for the least positive gap g of the sorted values, the first counting
+    from 0; None unless those k exist and 2N is at most ``cost`` and
+    ``_BLOCK``.  No smaller N holds: a gap of pi / N between multiples of
+    pi / N' forces N' >= N."""
     limit = int(min(cost, _BLOCK)) // 2
-    if limit < 1:
+    gaps = np.diff(np.sort(grid), prepend=0.0)
+    g = gaps[gaps > 0.0].min()
+    # no gap below pi / (limit + 1) folds, and pi over a subnormal gap is inf
+    if g * (limit + 1) < math.pi:
         return None
-    r = grid / math.pi
-    n = 1
-    while True:
-        x = r * n
-        k = np.rint(x)
-        off = np.abs(x - k) > _FOLD_TOL * k
-        if not off.any():
-            return n, k.astype(np.int64)
-        q = Fraction(float(r[off.argmax()])).limit_denominator(limit).denominator
-        lcm = math.lcm(n, q)
-        if lcm == n or lcm > limit:
-            return None
-        n = lcm
+    n = round(math.pi / g)
+    x = grid / math.pi * n
+    k = np.rint(x)
+    if n > limit or (np.abs(x - k) > _FOLD_TOL * k).any():
+        return None
+    return n, k.astype(np.int64)
 
 
 def operator_response(weights, grid: Sequence[float]) -> np.ndarray:
@@ -166,12 +156,12 @@ def operator_response(weights, grid: Sequence[float]) -> np.ndarray:
 
     ``weights`` is a kernel of ``_kernels``, read at its own lags: a
     two-sided :class:`KernelWindow` or causal ``_kernels.Taps``; an array,
-    such as :func:`gl_coefficients` returns, is taken as causal.  A grid
-    whose values are all multiples k pi / N, with 2N no larger than either
-    the grid size times the window length or 2^22, reads bins k of the
-    kernel's memoised ``spectrum(2N)``, its lags folded mod 2N, in
-    O(M + N log N); any other grid is summed directly, O(G M).  Targets are
-    computed by :func:`response_report`.
+    such as :func:`gl_coefficients` returns, is taken as causal.  With N =
+    round(pi / g) for the grid's least gap g, a grid of multiples k pi / N,
+    2N no larger than either the grid size times the window length or 2^22,
+    reads bins k of the kernel's memoised ``spectrum(2N)``, its lags folded
+    mod 2N, in O(M + N log N); any other grid, such as [37 pi / 256], is
+    summed directly, O(G M).  Targets are computed by :func:`response_report`.
     """
     kernel = weights if isinstance(weights, _kernels.Taps) else _kernels.Taps(weights)
     grid = _validate_grid(grid)

@@ -8,6 +8,7 @@ from fracspec import (
     ArfimaSpec,
     MemoryEstimate,
     NoiseSpec,
+    Series,
     estimate_memory,
     estimate_memory_from_periodogram,
     gl_difference,
@@ -183,6 +184,24 @@ def test_estimate_memory_validation():
     flat = y.with_values(np.zeros(64))
     with pytest.raises(ValueError):
         estimate_memory(flat, 8)
+
+
+@pytest.mark.parametrize("n", [16, 100, 4096])
+@pytest.mark.parametrize("c", [0.01, 0.1, 1 / 3, 7.3, 10.0, -2.5, 0.0])
+def test_estimate_memory_refuses_a_constant_series(n, c):
+    # the mean sum / n is not exactly c, so the periodogram is rounding noise
+    with pytest.raises(ValueError, match="^series is constant: its memory cannot be estimated$"):
+        estimate_memory(Series(np.full(n, c)))
+
+
+@pytest.mark.parametrize("k", [-1000, -900, -500, 500, 1000])
+def test_estimate_memory_does_not_depend_on_scale(k):
+    # 2^k scales every amplitude exactly; |yhat|^2 itself would underflow or
+    # overflow at |k| of 500 and more
+    y = simulate_arfima(ArfimaSpec(d=0.3, n=4096, truncation=4096), NoiseSpec(seed=3))
+    want = estimate_memory(y)
+    got = estimate_memory(y.with_values(np.ldexp(y.values, k)))
+    assert (got.d_hat, got.std_err) == (want.d_hat, want.std_err)
 
 
 def test_memory_estimate_classification_rule():

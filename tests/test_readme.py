@@ -4,8 +4,11 @@ each quote must equal the attribute it names, every `module.name` or
 must run, so the docs cannot drift from the code."""
 
 import io
+import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +89,38 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
             rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
             assert len(rows) >= 2 and len(rows[0]) >= 2, stage
             assert all(len(row) == len(rows[0]) for row in rows), stage
+
+
+# what no CLI process needs: fractions and decimal (about 4 ms of import),
+# numpy.polynomial (3-7 ms; exactops freezes its Gauss-Legendre rule),
+# scipy (about a second) and the tests' own mpmath and hypothesis
+_HEAVY_MODULES = ["fractions", "decimal", "numpy.polynomial", "scipy", "mpmath", "hypothesis"]
+
+_RUN_BLOCK = """
+import contextlib, io, json, sys
+from fracspec import cli
+codes = []
+for stages in json.loads(sys.argv[1]):
+    text = ""
+    for stage in stages:
+        sys.stdin, out = io.StringIO(text), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(cli.main(stage[1:]))
+        text = out.getvalue()
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def test_readme_cli_block_imports_no_heavy_module(tmp_path):
+    # a fresh interpreter, so what the tests import cannot hide what the
+    # commands import; each one costs every CLI process its import time
+    commands = _cli_commands()
+    src = str(Path(fracspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_BLOCK, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, modules = json.loads(run.stdout)
+    assert codes == [0] * sum(map(len, commands))
+    assert set(_HEAVY_MODULES).isdisjoint(modules), set(_HEAVY_MODULES) & set(modules)

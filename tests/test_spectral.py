@@ -2,9 +2,12 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspec import spectral
 from fracspec import (
@@ -272,10 +275,11 @@ def test_folded_response_matches_extended_precision_oracle():
         ("exact", 0.5, 100000, 1, 3): complex(0.72360126347882155795, 0.72360586112401007594),
     }
     for (family, order, size, k, n), want in cases.items():
+        # entry k - 1 of the CLI grid j pi / n is bin k of the spectrum at 2n
         window = _window(family, order, size)
-        grid = np.array([k * math.pi / n])
-        assert spectral._fold_grid(grid, len(window)) is not None
-        got = operator_response(window, grid)[0]
+        grid = _cli_grid(n)
+        assert spectral._fold_grid(grid, grid.size * len(window))[0] == n
+        got = operator_response(window, grid)[k - 1]
         assert abs(got - want) <= 1e-14 * abs(want), (family, size, k, n)
 
 
@@ -297,6 +301,8 @@ def test_folded_response_reads_the_window_spectrum_memo():
         np.array([1.0]),
         np.array([0.5, 1.0, 2.0]),
         np.array([math.pi / 4, math.pi / 3 + 1e-9]),
+        np.array([5e-324]),  # pi over the gap overflows
+        np.array([1e-300, 2e-300]),
     ],
 )
 def test_other_grids_take_the_direct_sum(grid):
@@ -316,6 +322,62 @@ def test_fold_length_is_bounded_by_cost_and_block():
     half_block = spectral._BLOCK // 2
     assert spectral._fold_grid(np.array([math.pi / half_block]), 10**12)[0] == half_block
     assert spectral._fold_grid(np.array([math.pi / (half_block + 1)]), 10**12) is None
+
+
+def _searched_fold(grid, cost):
+    """The least N with every grid value within _FOLD_TOL of some k pi / N
+    and 2N at most ``cost`` and _BLOCK, by a rational search: each pass
+    reads the denominator of a value that is off the multiples of pi / N
+    from its best rational approximation, and raises N to the lcm."""
+    limit = int(min(cost, spectral._BLOCK)) // 2
+    r = grid / math.pi
+    n = 1
+    while limit >= 1:
+        x = r * n
+        k = np.rint(x)
+        off = np.abs(x - k) > spectral._FOLD_TOL * k
+        if not off.any():
+            return n, k.astype(np.int64)
+        q = Fraction(float(r[off.argmax()])).limit_denominator(limit).denominator
+        lcm = math.lcm(n, q)
+        if lcm == n or lcm > limit:
+            break
+        n = lcm
+    return None
+
+
+@st.composite
+def _multiples_grid(draw):
+    """k pi / N for k drawn from 1..N, with k = 1 or two adjacent k among
+    them (a gap of pi / N), in any order."""
+    n = draw(st.integers(1, 5000))
+    j = draw(st.integers(0, n - 1))
+    ks = draw(st.lists(st.integers(1, n), max_size=20)) + ([1] if j == 0 else [j, j + 1])
+    ks = draw(st.permutations(sorted(set(ks))))
+    return np.minimum(np.array(ks) * math.pi / n, math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multiples_grid())
+def test_fold_rule_finds_the_least_n_of_the_rational_search(grid):
+    window = exact_kernel_window(0.5, 5000)
+    cost = grid.size * len(window)
+    fold = spectral._fold_grid(grid, cost)
+    want = _searched_fold(grid, cost)
+    assert fold is not None and want is not None
+    assert fold[0] == want[0] and np.array_equal(fold[1], want[1])
+    n, k = fold
+    assert np.array_equal(operator_response(window, grid), window.spectrum(2 * n)[k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=20))
+def test_irrational_grids_take_the_direct_sum(values):
+    window = exact_kernel_window(0.5, 5000)
+    grid = np.array(values)
+    assert spectral._fold_grid(grid, grid.size * len(window)) is None
+    assert np.array_equal(operator_response(window, grid),
+                          spectral._direct_response(window, grid))
 
 
 def test_cli_grid_response_builds_no_grid_by_lag_matrix():
