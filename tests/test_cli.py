@@ -473,6 +473,17 @@ def test_parse_series_csv_rejects_nonuniform():
         parse_series_csv(text, "<test>")
 
 
+def test_kernel_command_does_not_import_numpy_polynomial(tmp_path):
+    # exactops freezes its Gauss-Legendre rule; numpy.polynomial costs a CLI
+    # process 3-7 ms of import
+    out = str(tmp_path / "k.csv")
+    code = ("import sys\nfrom fracspec.cli import main\n"
+            f"assert main(['kernel', '--order', '0.5', '--half-width', '64', '-o', {out!r}]) == 0\n"
+            "print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
 def test_pipeline_subprocess():
     sim = subprocess.run(
         [sys.executable, "-m", "fracspec", "simulate", "--d", "0.3", "--n", "1024",
@@ -511,3 +522,10 @@ def test_kernel_even_order_at_large_half_width(capsys):
     rows = parse_rows(out)
     assert rows[0, 0] == -4438 and rows[-1, 0] == 4438
     assert rows[[0, -1], 1] == pytest.approx(-0.6569791148347915699531, rel=1e-11)
+
+
+def test_import_stays_numpy_only():
+    # scipy costs about a second to import, more than a CLI run's own work
+    code = "import sys, fracspec, fracspec.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
