@@ -290,7 +290,8 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     """Estimate the memory order of a series from its lowest periodogram
     frequencies.  Default bandwidth is floor(sqrt(n)), which needs n >= 9.
     The estimate does not depend on scale.  ValueError if the series is
-    constant or a periodogram amplitude overflows."""
+    constant, has no power at one of its lowest ``bandwidth`` frequencies
+    or a periodogram amplitude overflows."""
     n = len(y)
     if bandwidth is None:
         if n < 9:
@@ -305,8 +306,11 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     top = amplitude.max()
     if not np.isfinite(top):
         raise ValueError(_RESULT_NOT_FINITE)
+    if (amplitude == 0.0).any():
+        raise ValueError("series has no power at its lowest frequencies: "
+                         "its memory cannot be estimated")
     # the fit is scale-free, so square relative to the largest: |yhat|^2 underflows near 1e-160
-    power = (amplitude / top) ** 2 if top > 0.0 else amplitude
+    power = (amplitude / top) ** 2
     return estimate_memory_from_periodogram(omega, power, bandwidth)
 
 

@@ -194,6 +194,15 @@ def test_estimate_memory_refuses_a_constant_series(n, c):
         estimate_memory(Series(np.full(n, c)))
 
 
+@pytest.mark.parametrize("n", [16, 64, 4096])
+def test_estimate_memory_refuses_a_series_without_low_frequency_power(n):
+    # alternating signs put all the power at the Nyquist bin: at these
+    # lengths bins 1..sqrt(n) of the padded transform are exactly 0
+    with pytest.raises(ValueError, match="^series has no power at its lowest frequencies: "
+                       "its memory cannot be estimated$"):
+        estimate_memory(Series(np.resize([1.0, -1.0], n)))
+
+
 @pytest.mark.parametrize("k", [-1000, -900, -500, 500, 1000])
 def test_estimate_memory_does_not_depend_on_scale(k):
     # 2^k scales every amplitude exactly; |yhat|^2 itself would underflow or

@@ -1,8 +1,12 @@
+import ast
+import errno
+import importlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -459,6 +463,30 @@ def test_exit_code_consistency_error(monkeypatch, capsys):
     assert code == 3 and "consistency" in err
 
 
+@pytest.mark.parametrize(
+    "where, error",
+    [(("missing", "x.csv"), errno.ENOENT), ((), errno.EISDIR)],
+    ids=["missing directory", "directory"],
+)
+def test_unwritable_output_is_one_line(where, error, tmp_path, capsys):
+    path = tmp_path.joinpath(*where)
+    code, out, err = run_cli(["kernel", "--order", "0.5", "--half-width", "3", "-o", str(path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"fracspec: cannot write output: {path}: {os.strerror(error)}\n"
+
+
+def test_main_returns_its_code_without_ending_the_process(monkeypatch, tmp_path, capsys):
+    def ended(code):
+        raise AssertionError(f"main ended the process with code {code}")
+
+    monkeypatch.setattr(os, "_exit", ended)
+    kernel = ["kernel", "--order", "0.5", "--half-width", "3"]
+    assert main(kernel) == 0
+    assert main(kernel[:3]) == 1
+    assert main([*kernel, "-o", str(tmp_path)]) == 1
+
+
 def test_parse_series_csv_roundtrip():
     text = "# d=0.3, seed=7\nt,value\n0,1.5\n0.5,2.5\n1,3.5\n"
     series, meta = parse_series_csv(text, "<test>")
@@ -529,3 +557,109 @@ def test_import_stays_numpy_only():
     code = "import sys, fracspec, fracspec.cli; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+_KERNEL = ["kernel", "--order", "0.5", "--half-width", "3"]
+_BIG_KERNEL = ["kernel", "--order", "0.5", "--half-width", "100000"]  # 4.95 MB of CSV
+# stdout buffered as users get it, so bytes left unflushed at os._exit would show
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.fixture(scope="module")
+def ended(tmp_path_factory):
+    """(exit code, stdout, stderr) of each exit-path case, each a fresh
+    process ended by ``cli.run``, two at a time to save wall time; "dir"
+    is the directory the cases read and write."""
+    tmp = tmp_path_factory.mktemp("exit_path")
+    bad = tmp / "bad.csv"
+    bad.write_text("t,value\n0,1.0\n1,oops\n")
+    fracspec = [sys.executable, "-m", "fracspec"]
+    cases = {
+        "success": fracspec + _KERNEL,
+        "usage error": fracspec + _KERNEL[:3],
+        "parse error": fracspec + ["difference", "--input", str(bad), "--order", "0.5"],
+        "output error": fracspec + _KERNEL + ["-o", str(tmp / "missing" / "x.csv")],
+        "help": fracspec + ["--help"],
+        "profiled": [sys.executable, "-m", "cProfile", "-m", "fracspec", *_KERNEL],
+        "big to pipe": fracspec + _BIG_KERNEL,
+        "big to file": fracspec + _BIG_KERNEL + ["-o", str(tmp / "k.csv")],
+    }
+
+    def run(argv):
+        proc = subprocess.run(argv, capture_output=True, env=_BUFFERED, timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr.decode()
+
+    with ThreadPoolExecutor(2) as pool:
+        results = dict(zip(cases, pool.map(run, cases.values())))
+    results["big file"] = (tmp / "k.csv").read_bytes()
+    results["dir"] = tmp
+    return results
+
+
+def test_process_success_writes_what_main_writes(ended, capsys):
+    assert main(_KERNEL) == 0
+    assert ended["success"] == (0, capsys.readouterr().out.encode(), "")
+
+
+def test_process_large_output_through_a_pipe_is_complete(ended):
+    code, out, err = ended["big to pipe"]
+    assert (code, err) == (0, "")
+    assert ended["big to file"] == (0, b"", "")
+    # far more than a pipe buffer holds, so the reader drains it while it is written
+    assert len(out) > 4_900_000 and out == ended["big file"]
+
+
+def test_process_errors_are_one_line_with_their_exit_code(ended):
+    assert ended["usage error"] == (
+        1, b"", "fracspec: usage error: the following arguments are required: --half-width\n")
+    assert ended["parse error"] == (
+        2, b"", f"fracspec: parse error: {ended['dir'] / 'bad.csv'}:3:2: not a number: 'oops'\n")
+    assert ended["output error"] == (
+        1, b"", f"fracspec: cannot write output: {ended['dir'] / 'missing' / 'x.csv'}: "
+        f"{os.strerror(errno.ENOENT)}\n")
+
+
+def test_process_help_exits_zero(ended):
+    code, out, err = ended["help"]
+    assert (code, err) == (0, "")
+    assert out.startswith(b"usage: fracspec")
+
+
+def test_process_under_a_profiler_exits_normally(ended, capsys):
+    # cProfile prints its report at exit, which os._exit would skip
+    assert main(_KERNEL) == 0
+    code, out, err = ended["profiled"]
+    assert (code, err) == (0, "")
+    assert out.startswith(capsys.readouterr().out.encode())
+    assert b"function calls" in out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_stdout_on_a_full_device_is_one_line():
+    # the ENOSPC comes from main's flush of the buffered bytes
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "fracspec", *_KERNEL], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_BUFFERED, timeout=300)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"fracspec: cannot write output: <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_script_entry_points_resolve_to_callables():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"fracspec": "fracspec.cli:run"}
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for name in attr.split("."):
+            obj = getattr(obj, name)
+        assert callable(obj), target
+
+
+def test_main_module_only_calls_run():
+    path = os.path.join(os.path.dirname(cli.__file__), "__main__.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert ast.dump(tree) == ast.dump(ast.parse("from .cli import run\nrun()\n"))
