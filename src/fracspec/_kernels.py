@@ -1,6 +1,6 @@
 """Hot inner loops: convolution with a kernel, the causal, zero and periodic
-boundaries, the AR recursion, and the one place the transforms they
-multiply are formed.
+boundaries, the AR recursion, and both operands, kernels and
+:class:`Series`: the one module that forms the transforms they multiply.
 
 A kernel is weights at integer lags, and its type fixes the lags:
 :class:`Taps` are causal, weight k at lag k (a GL operator, an MA filter),
@@ -17,8 +17,8 @@ and otherwise multiplies real FFTs at L = the smallest 5-smooth length from
 max(stop - first lag, n + last lag - start): entry t of the circular
 product also sums the times t - L and t + L, and at that L neither is in
 z's support.  So M + 1 causal weights and 2M + 1 centred ones both
-transform at n + M, and a ``glops.Series`` supplies its memoised
-zero-padded spectrum at L, which a GL difference and a zero-boundary exact
+transform at n + M, and a :class:`Series` supplies its memoised
+``spectrum(L)``, which a GL difference and a zero-boundary exact
 difference of one series share.  Plain weights go in a throwaway kernel.
 The crossover was measured for memoised weights on a grid of shorter side
 128-512 by longer side 512-1e5 (2-vCPU x86 host; README "Kernels").  The
@@ -27,10 +27,10 @@ within 1e-13 * sum|w| * max|y| of the exact sum, and measured against the
 direct sum within ~1.2e-16 times that scale up to n = M = 1e5.
 
 The periodic boundary is one circular product at every n and window
-length: the series' :func:`centred_rfft` at n (memoised as ``Series.rfft()``)
-times the kernel's ``spectrum(n)``, and one ``irfft`` at n.  It costs
-O(n log n), several times more at a length with a large prime factor than
-at a 5-smooth one (README "Kernels").  The causal and zero boundaries stay
+length: the series' centred ``rfft()`` at n times the kernel's
+``spectrum(n)``, and one ``irfft`` at n.  It costs O(n log n), several
+times more at a length with a large prime factor than at a 5-smooth one
+(README "Kernels").  The causal and zero boundaries stay
 on ``convolve``: on the circular route they would also subtract the sums
 that wrap round the series' ends, which on the same host cost as much as
 the shorter transform saves up to n = 8192.  The direct/FFT choice reads
@@ -39,10 +39,11 @@ hit gives the bits of a miss.  The AR recursion is sequential, a
 pure-Python loop over floats, cheaper than indexing numpy scalars.
 
 Exact-kernel windows, GL operators and the spectra of each kernel and each
-``glops.Series`` are kept in :class:`BoundedCache` instances.
+:class:`Series` are kept in :class:`BoundedCache` instances.
 """
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -54,6 +55,7 @@ __all__ = [
     "BoundedCache",
     "Taps",
     "KernelWindow",
+    "Series",
     "convolve",
     "causal_apply",
     "two_sided_apply_zero",
@@ -68,6 +70,9 @@ FFT_MIN_SIZE = 224
 # lengths of one kernel's or one Series' spectra (a series of fixed length
 # needs one or two)
 CACHE_BOUND = 8
+
+# what every operator says of an output that leaves the double-precision range
+_RESULT_NOT_FINITE = "result is not finite: values exceed the double-precision range"
 
 
 def _as_f8(a) -> np.ndarray:
@@ -175,15 +180,71 @@ class KernelWindow(Taps):
         return -(self.weights.size // 2)
 
 
-def centred_rfft(values: np.ndarray, size: int) -> np.ndarray:
-    """``np.fft.rfft`` at length ``size`` of the values less their mean (the
-    sum over n, bit for bit ``values.mean()``), so that the rounding of bins
-    1..size // 2 scales with the fluctuations, not the level; bin 0 is the
-    sum.  Read-only."""
-    total = values.sum()
-    spectrum = np.fft.rfft(values - total / values.size, size)
-    spectrum[0] = total
-    return _read_only(spectrum)
+@dataclass(frozen=True, eq=False)
+class Series:
+    """Uniformly sampled real-valued series.
+
+    ``values[i]`` is the sample at time ``start + i * step``: finite values,
+    copied and read-only, a positive finite step and a finite start.  The
+    series memoises its transforms: ``rfft(size)``, the centred one, which
+    periodic exact differences and the periodogram read, and
+    ``spectrum(size)``, the zero-padded one, which GL differences and
+    zero-boundary exact differences read whenever their FFT lengths agree;
+    the last ``CACHE_BOUND`` of both go with the series.
+    """
+
+    values: np.ndarray
+    step: float = 1.0
+    start: float = 0.0
+    _spectra: BoundedCache = field(init=False, repr=False, default_factory=BoundedCache)
+
+    def __post_init__(self):
+        v = np.array(self.values, dtype=np.float64)
+        if v.ndim != 1 or v.size < 1:
+            raise ValueError("series must contain at least one sample")
+        if not np.isfinite(v).all():
+            raise ValueError("series values must all be finite")
+        if not (0.0 < self.step < math.inf):
+            raise ValueError("series step must be positive and finite")
+        if not math.isfinite(self.start):
+            raise ValueError("series start must be finite")
+        object.__setattr__(self, "values", _read_only(v))
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.start + self.step * np.arange(self.values.size)
+
+    def rfft(self, size: int | None = None) -> np.ndarray:
+        """``np.fft.rfft`` at length ``size``, n by default, of the values
+        less their mean (the sum over n, bit for bit ``values.mean()``), so
+        that the rounding of bins 1..size // 2 scales with the fluctuations,
+        not the level; bin 0 is the sum.  Read-only, kept under the key
+        ("centred", size)."""
+        size = self.values.size if size is None else size
+
+        def build():
+            total = self.values.sum()
+            spectrum = np.fft.rfft(self.values - total / self.values.size, size)
+            spectrum[0] = total
+            return _read_only(spectrum)
+
+        return self._spectra.get_or_build(("centred", size), build)
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """``np.fft.rfft(values, size)``, read-only, kept under the key size."""
+        return self._spectra.get_or_build(
+            size, lambda: _read_only(np.fft.rfft(self.values, size)))
+
+    def with_values(self, values) -> "Series":
+        """An operator's output sampled like this series; ValueError if it overflowed."""
+        try:
+            return Series(values, self.step, self.start)
+        except ValueError:
+            # the output is one-dimensional and nonempty: only finiteness fails
+            raise ValueError(_RESULT_NOT_FINITE) from None
 
 
 @functools.lru_cache(maxsize=64)
@@ -205,27 +266,26 @@ def convolve(y, w, start=0, stop=None) -> np.ndarray:
     samples outside y zero; 0 <= start, and ``stop`` defaults to
     len(y) + the last lag, the end of z's support.
 
-    ``y`` is an array or a ``glops.Series`` and ``w`` a :class:`Taps` or a
+    ``y`` is an array or a :class:`Series` and ``w`` a :class:`Taps` or a
     :class:`KernelWindow`, or an array taken as causal weights.  The FFT
     path, from ``FFT_MIN_SIZE`` on, transforms at the smallest 5-smooth
     length from max(stop - first lag, len(y) + last lag - start), at which
     no wrapped sum lands in the window, and reuses the memoised spectra of
-    the kernel and of a ``glops.Series`` at that length.  The causal and
+    the kernel and of a :class:`Series` at that length.  The causal and
     zero boundaries, the MA filter and the sample autocovariance call it;
     the periodic boundary does not.
     """
-    series_spectrum = getattr(y, "spectrum", None)
     kernel = w if isinstance(w, Taps) else Taps(w)
-    y = _as_f8(y if series_spectrum is None else y.values)
-    n, first = y.shape[0], kernel._first_lag()
+    values = y.values if isinstance(y, Series) else _as_f8(y)
+    n, first = values.shape[0], kernel._first_lag()
     last = first + len(kernel) - 1
     stop = n + last if stop is None else stop
     if min(n, len(kernel)) < FFT_MIN_SIZE:
         # entry i of the linear product is time i + first
-        return np.convolve(y, kernel.weights)[start - first : stop - first]
+        return np.convolve(values, kernel.weights)[start - first : stop - first]
     # circular entry t also sums the times t - size and t + size
     size = _fft_length(max(stop - first, n + last - start))
-    y_hat = np.fft.rfft(y, size) if series_spectrum is None else series_spectrum(size)
+    y_hat = y.spectrum(size) if isinstance(y, Series) else np.fft.rfft(values, size)
     return np.fft.irfft(y_hat * kernel.spectrum(size), size)[start:stop]
 
 
@@ -257,17 +317,16 @@ def two_sided_apply_zero(y, weights) -> np.ndarray:
 def two_sided_apply_periodic(y, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} K(m) * y[(t-m) mod n].
 
-    ``y`` and ``weights`` are as for :func:`two_sided_apply_zero`.  At
-    every n and window length this is the circular product of the module
-    docstring: the series' centred transform at n (the memoised ``rfft()``
-    of a ``glops.Series``) times the kernel's memoised ``spectrum(n)``, and
+    ``weights`` is as for :func:`two_sided_apply_zero`, and ``y`` is a
+    :class:`Series` or an array taken as one.  At every n and window length
+    this is the circular product of the module docstring: the series'
+    memoised ``rfft()`` times the kernel's memoised ``spectrum(n)``, and
     one ``irfft`` at n.
     """
     kernel = _two_sided(weights)
+    y = y if isinstance(y, Series) else Series(y)
     n = len(y)
-    rfft = getattr(y, "rfft", None)
-    y_hat = centred_rfft(_as_f8(y), n) if rfft is None else rfft()
-    return np.fft.irfft(y_hat * kernel.spectrum(n), n)
+    return np.fft.irfft(y.rfft() * kernel.spectrum(n), n)
 
 
 def ar_recurse(x, phi) -> np.ndarray:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .glops import _RESULT_NOT_FINITE, Series, _gl_operator, gl_coefficients
+from ._kernels import _RESULT_NOT_FINITE, Series
+from .glops import _gl_operator, gl_coefficients
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
 __all__ = [

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import arfima, exactops, glops, spectral
+from ._kernels import _RESULT_NOT_FINITE, Series
 from .errors import ConsistencyError, CsvParseError
 
 __all__ = ["main", "run", "GRID_CAP"]
@@ -61,7 +62,7 @@ def _read_meta(line: str, meta: dict) -> None:
             meta[k.strip()] = v.strip()
 
 
-def parse_series_csv(text: str, name: str) -> tuple[glops.Series, dict]:
+def parse_series_csv(text: str, name: str) -> tuple[Series, dict]:
     """Parse a series CSV (header ``t,value``) into a Series plus metadata.
 
     Leading ``#`` lines fill the metadata.  The data rows are converted in
@@ -123,7 +124,7 @@ def _parse_rows(rows: list[str], first_lineno: int, name: str, meta: dict) -> np
     return np.array(table, dtype=np.float64)
 
 
-def _series_from_columns(t: np.ndarray, values: np.ndarray) -> glops.Series:
+def _series_from_columns(t: np.ndarray, values: np.ndarray) -> Series:
     """The Series of a parsed table, once its time column is checked to be
     finite, increasing and uniformly spaced."""
     step = 1.0
@@ -137,12 +138,12 @@ def _series_from_columns(t: np.ndarray, values: np.ndarray) -> glops.Series:
             uniform = step > 0 and np.abs(steps - step).max() <= 1e-9 * max(abs(step), 1.0)
     if not uniform:
         raise ValueError("series time column must be uniformly spaced and increasing")
-    return glops.Series(values, step=step, start=float(t[0]))
+    return Series(values, step=step, start=float(t[0]))
 
 
 def _check_finite(*values) -> None:
     if not all(np.isfinite(v).all() for v in values):
-        raise ValueError(glops._RESULT_NOT_FINITE)
+        raise ValueError(_RESULT_NOT_FINITE)
 
 
 def _csv(header: list[str], *columns: np.ndarray) -> str:
@@ -174,7 +175,7 @@ def _time_column(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _series_csv(series: glops.Series, meta_lines: list[str]) -> str:
+def _series_csv(series: Series, meta_lines: list[str]) -> str:
     header = [f"# {m}" for m in meta_lines] + ["t,value"]
     return _csv(header, _time_column(series.times), series.values)
 

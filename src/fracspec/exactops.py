@@ -22,7 +22,8 @@ lag 0..M and checks the asymptotic expansion against it at every lag from
 CROSS_CHECK_TOL * max(1, |K|), relative because weights grow like pi^alpha.
 A cold window costs O(M): under 1 ms at M = 256, 35-40 ms at M = 1e5
 (2-vCPU VM).  The routes are private; :func:`exact_kernel_window` is the one
-public source of weights.
+public source of weights.  Windows and the series they difference are
+``_kernels`` types, and ``_kernels`` forms every transform of both.
 """
 
 import math
@@ -30,9 +31,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._kernels import KernelWindow
+from ._kernels import KernelWindow, Series
 from .errors import ConsistencyError
-from .glops import Series
 
 __all__ = [
     "KernelWindow",

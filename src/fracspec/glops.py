@@ -4,16 +4,17 @@ The central objects are the coefficient sequence of (1-L)^alpha with the
 alternating sign folded in and its application to a series under the
 zero-pre-sample ("type II") convention: samples before the first one are
 treated as zero, which makes differencing and integration exact formal
-inverses at matching truncation.
+inverses at matching truncation.  ``Series`` is re-exported from
+``_kernels``, beside the kernels it is convolved with.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import Series
 
 __all__ = [
     "Series",
@@ -25,74 +26,7 @@ __all__ = [
 
 TRUNCATION_CAP = 10**6
 
-_RESULT_NOT_FINITE = "result is not finite: values exceed the double-precision range"
-
 _operator_cache = _kernels.BoundedCache()  # (order, truncation) -> Taps
-
-
-@dataclass(frozen=True, eq=False)
-class Series:
-    """Uniformly sampled real-valued series.
-
-    ``values[i]`` is the sample at time ``start + i * step``.  The series
-    memoises its transforms: ``rfft(size)``, the centred one, which periodic
-    exact differences and the periodogram read, and ``spectrum(size)``, the
-    zero-padded one, which GL differences and zero-boundary exact
-    differences read whenever their FFT lengths agree.
-    """
-
-    values: np.ndarray
-    step: float = 1.0
-    start: float = 0.0
-    _spectra: _kernels.BoundedCache = field(
-        init=False, repr=False, default_factory=_kernels.BoundedCache
-    )
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("series must contain at least one sample")
-        if not np.isfinite(v).all():
-            raise ValueError("series values must all be finite")
-        if not (self.step > 0.0):
-            raise ValueError("series step must be positive")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.values.size)
-
-    def rfft(self, size: int | None = None) -> np.ndarray:
-        """``_kernels.centred_rfft`` of the values at length ``size``, n by
-        default; kept with the padded spectra under the key ("centred", size)."""
-        size = self.values.size if size is None else size
-        return self._spectra.get_or_build(
-            ("centred", size), lambda: _kernels.centred_rfft(self.values, size)
-        )
-
-    def spectrum(self, size: int) -> np.ndarray:
-        """``np.fft.rfft(values, size)``, read-only.
-
-        The spectra of the last ``_kernels.CACHE_BOUND`` keys asked for,
-        this and :meth:`rfft` together, are kept on the series, so they go
-        when it does.
-        """
-        return self._spectra.get_or_build(
-            size, lambda: _kernels._read_only(np.fft.rfft(self.values, size))
-        )
-
-    def with_values(self, values) -> "Series":
-        """An operator's output sampled like this series; ValueError if it overflowed."""
-        try:
-            return Series(values, self.step, self.start)
-        except ValueError:
-            # the output is one-dimensional and nonempty: only finiteness fails
-            raise ValueError(_RESULT_NOT_FINITE) from None
 
 
 def gl_coefficients(order: float, truncation: int) -> np.ndarray:

@@ -17,8 +17,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import _RESULT_NOT_FINITE, Series
 from .exactops import cospi, exact_kernel_window, sinpi
-from .glops import _RESULT_NOT_FINITE, Series, gl_coefficients
+from .glops import gl_coefficients
 
 __all__ = [
     "ResponseReport",

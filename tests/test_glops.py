@@ -27,6 +27,12 @@ def test_series_validation():
         Series([1.0, np.nan])
     with pytest.raises(ValueError):
         Series([1.0], step=0.0)
+    # a non-finite step or start would give NaN times
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="series step must be positive and finite"):
+            Series(np.sin(np.arange(64.0)), step=bad)
+        with pytest.raises(ValueError, match="series start must be finite"):
+            Series(np.sin(np.arange(64.0)), start=bad)
     s = Series([1.0, 2.0], step=0.5, start=3.0)
     assert np.allclose(s.times, [3.0, 3.5])
     assert not s.values.flags.writeable

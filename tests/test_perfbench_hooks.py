@@ -6,7 +6,9 @@ Its tracer wraps the functions listed in ``perfbench/tracer.py``'s
 package.  A rename in the package would silently drop a traced layer, turn
 the cold set-up warm or break a workload, so all three are checked here.
 The traced CLI itself is run as a subprocess, because its counters read the
-shapes of what the package returns.
+shapes of what the package returns.  The harness's exact-kernel reference,
+which judges the exact workloads, is itself judged by the library's
+quadrature at the order and half-widths they run.
 """
 
 import ast
@@ -15,8 +17,10 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracspec
@@ -86,6 +90,29 @@ def test_every_package_name_the_benchmark_calls_is_public():
 
 def test_window_cache_can_be_cleared():
     assert callable(exactops._window_cache.clear)
+
+
+def _perfbench_oracles():
+    """``perfbench/oracles.py`` as a module, run from its source so that
+    nothing is written beside it."""
+    path = PERFBENCH / "oracles.py"
+    module = types.ModuleType("perfbench_oracles")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+# the half-widths of lib_batch and cli_exact, at 0.5, the one exact order
+# the workloads run
+@pytest.mark.parametrize("half_width", [256, 1024])
+def test_benchmark_exact_kernel_reference_matches_quadrature(half_width):
+    # from lag 12 the reference takes the asymptotic expansion production
+    # takes, so it is judged by the library's quadrature, which shares
+    # neither that expansion nor the reference's x = pi t^2 rule
+    got = _perfbench_oracles().exact_kernel_weights(0.5, half_width)
+    pos, neg = exactops._kernel_pairs(0.5, exactops._quadrature_integrals(0.5, half_width))
+    want = np.concatenate((neg[:0:-1], pos))
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
 
 def _traced_run(tmp_path, argv):
