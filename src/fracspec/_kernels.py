@@ -19,12 +19,13 @@ product also sums the times t - L and t + L, and at that L neither is in
 z's support.  So M + 1 causal weights and 2M + 1 centred ones both
 transform at n + M, and a :class:`Series` supplies its memoised
 ``spectrum(L)``, which a GL difference and a zero-boundary exact
-difference of one series share.  Plain weights go in a throwaway kernel.
-The crossover was measured for memoised weights on a grid of shorter side
-128-512 by longer side 512-1e5 (2-vCPU x86 host; README "Kernels").  The
-direct path keeps ``np.convolve``'s rounding bit for bit; the FFT path is
-within 1e-13 * sum|w| * max|y| of the exact sum, and measured against the
-direct sum within ~1.2e-16 times that scale up to n = M = 1e5.
+difference of one series share.  Each product takes a :class:`Series` and
+a kernel, which a caller holding arrays builds.  The crossover was measured
+for memoised weights on a grid of shorter side 128-512 by longer side
+512-1e5 (2-vCPU x86 host; README "Kernels").  The direct path keeps
+``np.convolve``'s rounding bit for bit; the FFT path is within 1e-13 *
+sum|w| * max|y| of the exact sum, and measured against the direct sum
+within ~1.2e-16 times that scale up to n = M = 1e5.
 
 The periodic boundary is one circular product at every n and window
 length: the series' centred ``rfft()`` at n times the kernel's
@@ -75,23 +76,21 @@ CACHE_BOUND = 8
 _RESULT_NOT_FINITE = "result is not finite: values exceed the double-precision range"
 
 
-def _as_f8(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+def _whole(value, name: str) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float such
+    as 1e4; ValueError naming ``name`` for anything else."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _without_trailing_zeros(c: np.ndarray) -> np.ndarray:
-    """``c`` up to its last nonzero entry (its first, if all are zero).
-
-    Exact trailing zeros, such as the GL terms of a nonnegative integer
-    order, add nothing; without them such filters stay on the direct sum at
-    any length."""
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
 class BoundedCache(dict):
@@ -261,80 +260,65 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def convolve(y, w, start=0, stop=None) -> np.ndarray:
+def convolve(y: Series, w: Taps, start=0, stop=None) -> np.ndarray:
     """z[t] = sum_k weights[k] * y[t - lags[k]] at t = start..stop - 1, with
     samples outside y zero; 0 <= start, and ``stop`` defaults to
     len(y) + the last lag, the end of z's support.
 
-    ``y`` is an array or a :class:`Series` and ``w`` a :class:`Taps` or a
-    :class:`KernelWindow`, or an array taken as causal weights.  The FFT
-    path, from ``FFT_MIN_SIZE`` on, transforms at the smallest 5-smooth
-    length from max(stop - first lag, len(y) + last lag - start), at which
-    no wrapped sum lands in the window, and reuses the memoised spectra of
-    the kernel and of a :class:`Series` at that length.  The causal and
+    ``w`` is :class:`Taps` or a :class:`KernelWindow`, read at its own lags.
+    The FFT path, from ``FFT_MIN_SIZE`` on, transforms at the smallest
+    5-smooth length from max(stop - first lag, len(y) + last lag - start),
+    at which no wrapped sum lands in the window, and reuses the memoised
+    spectra of the kernel and of the series at that length.  The causal and
     zero boundaries, the MA filter and the sample autocovariance call it;
     the periodic boundary does not.
     """
-    kernel = w if isinstance(w, Taps) else Taps(w)
-    values = y.values if isinstance(y, Series) else _as_f8(y)
-    n, first = values.shape[0], kernel._first_lag()
-    last = first + len(kernel) - 1
+    n, first = len(y), w._first_lag()
+    last = first + len(w) - 1
     stop = n + last if stop is None else stop
-    if min(n, len(kernel)) < FFT_MIN_SIZE:
+    if min(n, len(w)) < FFT_MIN_SIZE:
         # entry i of the linear product is time i + first
-        return np.convolve(values, kernel.weights)[start - first : stop - first]
+        return np.convolve(y.values, w.weights)[start - first : stop - first]
     # circular entry t also sums the times t - size and t + size
     size = _fft_length(max(stop - first, n + last - start))
-    y_hat = y.spectrum(size) if isinstance(y, Series) else np.fft.rfft(values, size)
-    return np.fft.irfft(y_hat * kernel.spectrum(size), size)[start:stop]
+    return np.fft.irfft(y.spectrum(size) * w.spectrum(size), size)[start:stop]
 
 
-def _two_sided(weights) -> Taps:
-    return weights if isinstance(weights, Taps) else KernelWindow(weights)
-
-
-def causal_apply(y, coeffs) -> np.ndarray:
+def causal_apply(y: Series, coeffs: Taps) -> np.ndarray:
     """z[t] = sum_{m=0}^{min(t, M)} coeffs[m] * y[t-m] (zero pre-sample).
 
-    ``y`` and ``coeffs`` are as for :func:`convolve`; an array of
-    coefficients loses its exact trailing zeros.
+    Two plain arrays are taken too, as ``Series(y)`` and ``Taps(coeffs)``:
+    ``perfbench/scaling.py`` times this function on arrays (ROADMAP item 1).
     """
     if not isinstance(coeffs, Taps):
-        coeffs = _without_trailing_zeros(_as_f8(coeffs))
+        y, coeffs = Series(y), Taps(coeffs)
     return convolve(y, coeffs, 0, len(y))
 
 
-def two_sided_apply_zero(y, weights) -> np.ndarray:
-    """z[t] = sum_{m=-M}^{M} K(m) * y[t-m], out-of-range samples zero.
-
-    ``y`` is as for :func:`convolve`; ``weights`` is a kernel, applied at
-    its own lags, or an array taken as a :class:`KernelWindow`.  The FFT
-    path transforms at the 5-smooth length from n + M, not from n + 2M.
+def two_sided_apply_zero(y: Series, weights: Taps) -> np.ndarray:
+    """z[t] = sum_{m=-M}^{M} K(m) * y[t-m], out-of-range samples zero, with
+    the kernel at its own lags.  The FFT path transforms at the 5-smooth
+    length from n + M, not from n + 2M.
     """
-    return convolve(y, _two_sided(weights), 0, len(y))
+    return convolve(y, weights, 0, len(y))
 
 
-def two_sided_apply_periodic(y, weights) -> np.ndarray:
-    """z[t] = sum_{m=-M}^{M} K(m) * y[(t-m) mod n].
-
-    ``weights`` is as for :func:`two_sided_apply_zero`, and ``y`` is a
-    :class:`Series` or an array taken as one.  At every n and window length
-    this is the circular product of the module docstring: the series'
-    memoised ``rfft()`` times the kernel's memoised ``spectrum(n)``, and
-    one ``irfft`` at n.
+def two_sided_apply_periodic(y: Series, weights: Taps) -> np.ndarray:
+    """z[t] = sum_{m=-M}^{M} K(m) * y[(t-m) mod n], with the kernel at its
+    own lags.  At every n and window length this is the circular product of
+    the module docstring: the series' memoised ``rfft()`` times the kernel's
+    memoised ``spectrum(n)``, and one ``irfft`` at n.
     """
-    kernel = _two_sided(weights)
-    y = y if isinstance(y, Series) else Series(y)
     n = len(y)
-    return np.fft.irfft(y.rfft() * kernel.spectrum(n), n)
+    return np.fft.irfft(y.rfft() * weights.spectrum(n), n)
 
 
 def ar_recurse(x, phi) -> np.ndarray:
     """out[t] = x[t] + sum_i phi[i] * out[t-1-i] with zero initial history."""
-    phi = _as_f8(phi).tolist()
+    phi = np.asarray(phi, dtype=np.float64).tolist()
     p = len(phi)
     out = []
-    for t, acc in enumerate(_as_f8(x).tolist()):
+    for t, acc in enumerate(np.asarray(x, dtype=np.float64).tolist()):
         for i in range(min(p, t)):
             acc += phi[i] * out[t - 1 - i]
         out.append(acc)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import _RESULT_NOT_FINITE, Series
-from .glops import _gl_operator, gl_coefficients
+from ._kernels import _RESULT_NOT_FINITE, Series, Taps, _whole
+from .glops import _gl_operator, _without_trailing_zeros, gl_coefficients
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
 __all__ = [
@@ -89,7 +89,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.sigma > 0.0):
             raise ValueError("sigma must be positive")
-        if not (0 <= int(self.seed) < 2**64):
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
@@ -114,6 +115,8 @@ class ArfimaSpec:
     def __post_init__(self):
         if not (abs(self.d) < 1.0):
             raise ValueError("memory order d must satisfy |d| < 1")
+        for name in ("n", "burn_in", "truncation"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("sample count n must be positive")
         if self.burn_in < 0:
@@ -226,6 +229,7 @@ def white_noise(spec: NoiseSpec, n: int) -> Series:
     """n pseudo-random N(0, sigma^2) deviates; identical spec gives
     bit-identical output on every platform.  A sigma so large that a draw
     overflows raises ValueError naming it."""
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     bits = _splitmix64(spec.seed, n)
@@ -250,16 +254,15 @@ def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
     burn_in samples are then discarded.  Raises ValueError if the path
     leaves the double-precision range.
     """
-    total = spec.n + spec.burn_in
-    shocks = white_noise(noise, total)
-    values = shocks.values
+    y = white_noise(noise, spec.n + spec.burn_in)
     if spec.ma:
-        values = _kernels.causal_apply(values, np.concatenate(([1.0], spec.ma)))
+        ma = Taps(_without_trailing_zeros((1.0,) + spec.ma))
+        y = y.with_values(_kernels.causal_apply(y, ma))
     if spec.d != 0.0:
-        values = _kernels.causal_apply(values, _gl_operator(-spec.d, spec.truncation))
+        y = y.with_values(_kernels.causal_apply(y, _gl_operator(-spec.d, spec.truncation)))
     if spec.ar:
-        values = _kernels.ar_recurse(values, np.asarray(spec.ar))
-    return shocks.with_values(values[spec.burn_in :])
+        y = y.with_values(_kernels.ar_recurse(y.values, spec.ar))
+    return y.with_values(y.values[spec.burn_in :])
 
 
 def estimate_memory_from_periodogram(
@@ -275,7 +278,7 @@ def estimate_memory_from_periodogram(
     power = np.asarray(power, dtype=np.float64)
     if omega.size != power.size:
         raise ValueError("omega and power must have equal length")
-    bandwidth = int(bandwidth)
+    bandwidth = _whole(bandwidth, "bandwidth")
     if not (3 <= bandwidth <= omega.size):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= len(omega)")
     omega = omega[:bandwidth]
@@ -299,6 +302,7 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
             raise ValueError(
                 f"series needs at least 9 samples for the default bandwidth, got n={n}")
         bandwidth = math.isqrt(n)
+    bandwidth = _whole(bandwidth, "bandwidth")
     if not (3 <= bandwidth <= n / 2):
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
     if (y.values == y.values[0]).all():
@@ -336,12 +340,12 @@ def theoretical_acf(
         raise ValueError("theoretical ACF requires |d| < 0.5")
     if not (sigma > 0.0):
         raise ValueError("sigma must be positive")
-    max_lag = int(max_lag)
+    max_lag = _whole(max_lag, "max_lag")
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     if max_lag > MAX_LAG_CAP:
         raise ValueError(f"max_lag exceeds cap {MAX_LAG_CAP}")
-    truncation = int(truncation)
+    truncation = _whole(truncation, "truncation")
     if truncation < 10 * max_lag:
         raise ValueError("truncation must be at least 10 * max_lag")
     psi = gl_coefficients(-d, truncation + max_lag)

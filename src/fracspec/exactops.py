@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._kernels import KernelWindow, Series
+from ._kernels import KernelWindow, Series, _whole
 from .errors import ConsistencyError
 
 __all__ = [
@@ -239,7 +239,7 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     difference and ``spectral.operator_response``'s fold read it.
     """
     order = _check_order(order)
-    half_width = int(half_width)
+    half_width = _whole(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be a positive integer")
     if half_width > HALF_WIDTH_CAP:

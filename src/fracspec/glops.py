@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from ._kernels import Series
+from ._kernels import Series, _whole
 
 __all__ = [
     "Series",
@@ -40,7 +40,7 @@ def gl_coefficients(order: float, truncation: int) -> np.ndarray:
     """
     if not math.isfinite(order):
         raise ValueError(f"order must be finite, got {order}")
-    truncation = int(truncation)
+    truncation = _whole(truncation, "truncation")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if truncation > TRUNCATION_CAP:
@@ -58,6 +58,14 @@ def gl_coefficients(order: float, truncation: int) -> np.ndarray:
     return coeffs
 
 
+def _without_trailing_zeros(c):
+    """Causal filter weights up to the last nonzero one (c_0 = 1 never is).
+    Exact trailing zeros, past lag ``order`` of a nonnegative integer order
+    or at the end of an MA list, add nothing; without them the filter is a
+    shorter direct sum of the same bits."""
+    return c[: np.flatnonzero(c)[-1] + 1]
+
+
 def _gl_operator(order: float, truncation: int) -> _kernels.Taps:
     """The coefficients of :func:`gl_coefficients` without their exact
     trailing zeros, as :class:`_kernels.Taps` with memoised spectra.
@@ -66,10 +74,10 @@ def _gl_operator(order: float, truncation: int) -> _kernels.Taps:
     :class:`_kernels.BoundedCache`, which keeps the last
     ``_kernels.CACHE_BOUND`` = 8 built.
     """
-    order, truncation = float(order), int(truncation)
+    order, truncation = float(order), _whole(truncation, "truncation")
     return _operator_cache.get_or_build(
         (order, truncation),
-        lambda: _kernels.Taps(_kernels._without_trailing_zeros(gl_coefficients(order, truncation))),
+        lambda: _kernels.Taps(_without_trailing_zeros(gl_coefficients(order, truncation))),
     )
 
 

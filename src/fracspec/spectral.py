@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import _RESULT_NOT_FINITE, Series
+from ._kernels import _RESULT_NOT_FINITE, Series, Taps, _whole
 from .exactops import cospi, exact_kernel_window, sinpi
 from .glops import gl_coefficients
 
@@ -202,8 +202,8 @@ def power_law_target(order: float, omega_T) -> complex | np.ndarray:
     ``omega_T`` may be a number (complex result) or an array (complex array).
     """
     x = np.asarray(omega_T, dtype=np.float64)
-    if not (x > 0.0).all():
-        raise ValueError("omega_T must be positive")
+    if not ((x > 0.0) & (x < math.inf)).all():
+        raise ValueError("omega_T must be positive and finite")
     return _polar(x**order, cospi(order / 2.0), sinpi(order / 2.0))
 
 
@@ -249,13 +249,13 @@ def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:
     n + max_lag, not 2n - 1.  ValueError if the centring overflows.
     """
     n = len(y)
-    max_lag = int(max_lag)
+    max_lag = _whole(max_lag, "max_lag")
     if not (0 <= max_lag < n):
         raise ValueError("max_lag must satisfy 0 <= max_lag < len(y)")
     centered = y.values - y.values.mean()
     if not np.isfinite(centered).all():
         raise ValueError(_RESULT_NOT_FINITE)
-    return _kernels.convolve(centered, centered[::-1], n - 1, n + max_lag) / n
+    return _kernels.convolve(Series(centered), Taps(centered[::-1]), n - 1, n + max_lag) / n
 
 
 def loglog_slope_fit(xs, ys) -> SlopeFit:
@@ -266,6 +266,8 @@ def loglog_slope_fit(xs, ys) -> SlopeFit:
         raise ValueError("need at least 3 (x, y) pairs")
     if not ((x > 0.0).all() and (s > 0.0).all()):
         raise ValueError("log-log fit requires strictly positive values")
+    if np.isinf(x).any() or np.isinf(s).any():
+        raise ValueError("log-log fit requires finite values")
     lx = np.log(x)
     ly = np.log(s)
     lx_mean = lx.mean()

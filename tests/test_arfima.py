@@ -27,6 +27,8 @@ def test_noise_spec_validation():
         NoiseSpec(seed=-1)
     with pytest.raises(ValueError):
         NoiseSpec(seed=2**64)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        white_noise(NoiseSpec(), 0)
 
 
 def test_white_noise_deterministic():
@@ -89,6 +91,8 @@ def test_arfima_spec_validation():
         ArfimaSpec(d=0.3, n=0)
     with pytest.raises(ValueError):
         ArfimaSpec(d=0.3, n=10, burn_in=-1)
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        ArfimaSpec(d=0.3, n=10, truncation=-1)
     with pytest.raises(ValueError):
         ArfimaSpec(d=0.3, n=10, ar=(1.0,))  # unit root
     with pytest.raises(ValueError):
@@ -184,6 +188,13 @@ def test_estimate_memory_validation():
     flat = y.with_values(np.zeros(64))
     with pytest.raises(ValueError):
         estimate_memory(flat, 8)
+    omega = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="^omega and power must have equal length$"):
+        estimate_memory_from_periodogram(omega, [1.0, 2.0], 3)
+    with pytest.raises(ValueError, match=r"^bandwidth must satisfy 3 <= bandwidth <= len\("):
+        estimate_memory_from_periodogram(omega, [1.0, 2.0, 3.0], 4)
+    with pytest.raises(ValueError, match=r"^periodogram values must be positive \(degenerate"):
+        estimate_memory_from_periodogram(omega, [1.0, 0.0, 3.0], 3)
 
 
 @pytest.mark.parametrize("n", [16, 100, 4096])
@@ -278,3 +289,5 @@ def test_theoretical_acf_validation():
         theoretical_acf(0.3, 1.0, 20, 100)  # below 10 * max_lag
     with pytest.raises(ValueError):
         theoretical_acf(0.3, 1.0, 20, 200)  # tail estimate too large
+    with pytest.raises(ValueError, match="^max_lag must be nonnegative$"):
+        theoretical_acf(0.3, 1.0, -1, 10**5)

@@ -434,6 +434,37 @@ def test_difference_rejects_flags_its_family_does_not_read(argv, flag, tmp_path,
     assert err == f"fracspec: usage error: {flag} does not apply to --family {family}\n"
 
 
+@pytest.mark.parametrize("family,flag", [("gl", "truncation"), ("exact", "half_width")])
+@pytest.mark.parametrize("n", [100, 5000])
+def test_difference_defaults_to_the_series_length_up_to_4096(family, flag, n, tmp_path, capsys):
+    # the default truncation or half-width is min(n, 4096), recorded in the
+    # header, and gives the output of the run that names it
+    series = tmp_path / "series.csv"
+    assert main(["simulate", "--d", "0.3", "--n", str(n), "--seed", "2", "-o", str(series)]) == 0
+    argv = ["difference", "--input", str(series), "--family", family, "--order", "0.4"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert f", {flag}={min(n, 4096)}" in out.splitlines()[0]
+    explicit = run_cli(argv + [f"--{flag.replace('_', '-')}", str(min(n, 4096))], capsys)
+    assert explicit == (0, out, "")
+
+
+def test_acf_refuses_both_input_and_d(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("t,value\n0,1.0\n1,2.0\n2,0.5\n")
+    code, out, err = run_cli(["acf", "--input", str(series), "--d", "0.3", "--max-lag", "1"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == ("fracspec: acf takes either --input (sample ACF) or --d (theoretical), "
+                   "not both\n")
+
+
+def test_simulate_names_a_coefficient_list_it_cannot_read(capsys):
+    code, out, err = run_cli(["simulate", "--d", "0.3", "--n", "10", "--ar", "0.5,x"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "fracspec: usage error: expected comma-separated numbers, got '0.5,x'\n"
+
+
 def test_kernel_high_order_builds(capsys):
     # |K(0)| = pi^20 / 21 = 4.2e8: an absolute cross-check tolerance rejected it
     code, out, err = run_cli(["kernel", "--order", "20", "--half-width", "4"], capsys)

@@ -205,6 +205,8 @@ def test_truncation_validation():
         gl_derivative_approx(math.exp, 0.5, 0.0, 0.1, -1)
     with pytest.raises(ValueError, match="^truncation exceeds cap 1000000$"):
         gl_derivative_approx(math.exp, 0.5, 0.0, 0.1, 10**6 + 1)
+    with pytest.raises(ValueError, match="^step must be positive$"):
+        gl_derivative_approx(math.exp, 0.5, 0.0, 0.0, 4)
 
 
 def test_derivative_approx_affine_and_constant():

@@ -79,7 +79,8 @@ def rng():
 def test_causal_apply_matches_brute_force(rng, n, k):
     y = rng.normal(size=n)
     c = rng.normal(size=k)
-    _assert_within_bound(_kernels.causal_apply(y, c), _brute_causal(y, c), y, c, 1e-13)
+    got = _kernels.causal_apply(Series(y), _kernels.Taps(c))
+    _assert_within_bound(got, _brute_causal(y, c), y, c, 1e-13)
 
 
 @pytest.mark.parametrize("n,half", [(16, 3), (10, 12), (31, 8), (5, 40), (1, 3)] + _FFT_TWO_SIDED)
@@ -87,10 +88,8 @@ def test_causal_apply_matches_brute_force(rng, n, k):
 def test_two_sided_apply_matches_brute_force(rng, n, half, periodic):
     y = rng.normal(size=n)
     w = rng.normal(size=2 * half + 1)
-    if periodic:
-        got = _kernels.two_sided_apply_periodic(y, w)
-    else:
-        got = _kernels.two_sided_apply_zero(y, w)
+    apply = _kernels.two_sided_apply_periodic if periodic else _kernels.two_sided_apply_zero
+    got = apply(Series(y), _kernels.KernelWindow(w))
     _assert_within_bound(got, _brute_two_sided(y, w, periodic), y, w, 1e-12)
 
 
@@ -114,7 +113,8 @@ def test_gl_difference_on_both_sides_of_the_crossover(taps):
 
 
 # both sides of the crossover, and both sides of 384, from which a product of
-# two plain arrays (three transforms) beats the direct sum on the crossover grid
+# a fresh series and fresh taps, as ``acf --input`` makes (three transforms),
+# beats the direct sum on the crossover grid
 @pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383, 384])
 @pytest.mark.parametrize("short_first", [False, True])
 def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
@@ -122,7 +122,7 @@ def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
     y, w = (short_, long_) if short_first else (long_, short_)
     want = np.convolve(y, w)
     direct_calls = _count_direct_calls(monkeypatch)
-    got = _kernels.convolve(y, w)
+    got = _kernels.convolve(Series(y), _kernels.Taps(w))
     assert got.shape == want.shape
     if short < _kernels.FFT_MIN_SIZE:
         assert len(direct_calls) == 1
@@ -134,8 +134,8 @@ def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
 
 # The crossover Taps once had alone is now every product's: on both sides of
 # it, and at 383, where plain weights took the direct sum until they shared
-# it, Taps take the plain weights' route and give their bits, on a spectrum
-# miss and a hit alike.
+# it, kept Taps take a throwaway kernel's route and give its bits, on a
+# spectrum miss and a hit alike.
 @pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383])
 @pytest.mark.parametrize("taps_short", [False, True])
 def test_taps_have_their_own_crossover(rng, monkeypatch, short, taps_short):
@@ -143,7 +143,7 @@ def test_taps_have_their_own_crossover(rng, monkeypatch, short, taps_short):
     y, w = (long_, short_) if taps_short else (short_, long_)
     taps = _kernels.Taps(w)
     direct_calls = _count_direct_calls(monkeypatch)
-    got, miss, hit = (_kernels.convolve(y, op) for op in (w, taps, taps))
+    got, miss, hit = (_kernels.convolve(Series(y), op) for op in (_kernels.Taps(w), taps, taps))
     fft = short >= _kernels.FFT_MIN_SIZE
     assert len(direct_calls) == (0 if fft else 3)
     assert bool(taps._spectra) == fft
@@ -174,10 +174,11 @@ def test_fft_length_is_smallest_5_smooth():
     assert lengths == [next(s for s in range(t, 2 * t + 1) if smooth(s)) for t in range(1, 3000)]
 
 
-def test_causal_apply_strips_exact_trailing_zeros(rng, monkeypatch):
-    y = rng.normal(size=5000)
-    c = np.zeros(5000)
-    c[:3] = [1.0, -2.0, 1.0]
+def test_causal_apply_strips_exact_trailing_zeros(monkeypatch):
+    # the GL operator holds its coefficients without their exact trailing
+    # zeros: order 2 sums three taps at truncation 4999, and order 0 one
+    glops._operator_cache.clear()
+    y = white_noise(NoiseSpec(seed=3), 5000)
     seen = []
     real_convolve = _kernels.convolve
 
@@ -186,10 +187,11 @@ def test_causal_apply_strips_exact_trailing_zeros(rng, monkeypatch):
         return real_convolve(a, b, *window)
 
     monkeypatch.setattr(_kernels, "convolve", recording_convolve)
-    got = _kernels.causal_apply(y, c)
+    got = gl_difference(y, 2.0, 4999).values
     assert seen == [3]
-    assert np.array_equal(got, np.convolve(y, c[:3])[:5000])
-    assert np.array_equal(_kernels.causal_apply(y, np.zeros(5)), np.zeros(5000))
+    assert np.array_equal(got, np.convolve(y.values, [1.0, -2.0, 1.0])[:5000])
+    assert np.array_equal(gl_difference(y, 0.0, 4999).values, y.values)
+    assert seen == [3, 1]
 
 
 @pytest.mark.parametrize("p", [1, 2, 5])
@@ -264,47 +266,50 @@ def test_circular_route_on_both_sides_of_each_choice(n, taps, was_circular):
 # odd and even lengths on both sides of the crossover, and 2n + 2 weights,
 # which reach beyond the series
 @pytest.mark.parametrize("taps", [1, 2, 7, 8, _MIN - 1, _MIN, "2n + 2"])
-@pytest.mark.parametrize("as_series", [False, True])
-@pytest.mark.parametrize("as_taps", [False, True])
-def test_periodic_is_one_length_n_product(monkeypatch, n, taps, as_series, as_taps):
-    # causal Taps are summed at lags 0..taps - 1; an array is a centred
-    # window, which has an odd length of at least 3
+@pytest.mark.parametrize("kept_series", [False, True])
+@pytest.mark.parametrize("kept_taps", [False, True])
+def test_periodic_is_one_length_n_product(monkeypatch, n, taps, kept_series, kept_taps):
+    # kept causal Taps are summed at lags 0..taps - 1; otherwise each call
+    # takes a new centred window, which has an odd length of at least 3, and
+    # a series that is not kept is new on each call too
     taps = 2 * n + 2 if taps == "2n + 2" else taps
     rng = np.random.default_rng(n * 1000 + taps)
     values, weights = rng.normal(size=n), rng.normal(size=taps)
-    y = Series(values) if as_series else values
-    w = _kernels.Taps(weights) if as_taps else weights
-    if not as_taps and (taps < 3 or taps % 2 == 0):
+    kept = (Series(values), _kernels.Taps(weights))
+
+    def operands():
+        return (kept[0] if kept_series else Series(values),
+                kept[1] if kept_taps else _Window(weights))
+
+    if not kept_taps and (taps < 3 or taps % 2 == 0):
         with pytest.raises(ValueError, match="odd length >= 3"):
-            _periodic(y, w)
+            operands()
         return
     rffts, irffts = _record_transforms(monkeypatch)
-    got = _periodic(y, w)
+    got = _periodic(*operands())
     first = (list(rffts), list(irffts))
-    again = _periodic(y, w)
+    again = _periodic(*operands())
     monkeypatch.undo()
     # the series' centred rfft and the weights' folded rfft, then one irfft,
     # all at n; a second call transforms only the operands without a memo
     assert first == ([n, n], [n])
-    assert rffts[2:] == [n] * ((not as_series) + (not as_taps))
+    assert rffts[2:] == [n] * ((not kept_series) + (not kept_taps))
     assert irffts == [n, n]
     assert np.array_equal(again, got)
     assert got.shape == (n,)
-    want = _brute_two_sided(values, weights, True, 0 if as_taps else None)
+    want = _brute_two_sided(values, weights, True, 0 if kept_taps else None)
     _assert_within_bound(got, want, values, weights, 1e-12)
 
 
 @pytest.mark.parametrize("n,taps", [(50, 8), (1000, 300)])
 def test_zero_boundary_takes_kernels_at_their_own_lags(n, taps):
     # causal Taps are summed at lags 0..taps - 1 on the direct and the FFT
-    # path alike; an array of even length is no window
+    # path alike
     rng = np.random.default_rng(n)
     y, w = rng.normal(size=n), rng.normal(size=taps)
-    got = _kernels.two_sided_apply_zero(y, _kernels.Taps(w))
+    got = _kernels.two_sided_apply_zero(Series(y), _kernels.Taps(w))
     _assert_within_bound(got, _brute_two_sided(y, w, False, 0), y, w, 1e-12)
-    assert np.array_equal(got, _kernels.causal_apply(y, _kernels.Taps(w)))
-    with pytest.raises(ValueError, match="odd length >= 3"):
-        _kernels.two_sided_apply_zero(y, w)
+    assert np.array_equal(got, _kernels.causal_apply(Series(y), _kernels.Taps(w)))
 
 
 def test_call_order_on_one_series_gives_the_same_bits():
@@ -384,17 +389,18 @@ def test_threads_sharing_one_series_agree():
 @pytest.mark.parametrize("taps", [_MIN - 1, _MIN])
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
 def test_arrays_and_series_take_one_route(kind, taps, n):
-    # the routes read sizes only: the values as an array or a Series, with
-    # the weights as an array or the kernel the function takes an array as
-    # (causal Taps or a centred window), give the same bits, memo or not
+    # the routes read sizes only: a series and a kernel (causal Taps or a
+    # centred window) give the same bits on a memo miss and a hit, and with
+    # either operand new
     rng = np.random.default_rng(n + taps)
     causal = kind == "causal"
     values, weights = rng.normal(size=n), rng.normal(size=taps if causal else _odd(taps))
     apply = {"causal": _kernels.causal_apply, "zero": _kernels.two_sided_apply_zero,
              "periodic": _periodic}[kind]
-    want = apply(values, weights)
-    y, w = Series(values), (_kernels.Taps if causal else _Window)(weights)
-    outputs = [apply(y, w), apply(y, w), apply(values, w), apply(y, weights)]
+    kernel = _kernels.Taps if causal else _Window
+    y, w = Series(values), kernel(weights)
+    want = apply(y, w)
+    outputs = [apply(y, w), apply(Series(values), w), apply(y, kernel(weights))]
     assert all(np.array_equal(got, want) for got in outputs)
     assert _took_circular(w, n) == (kind == "periodic")
     brute = _brute_causal(values, weights) if kind == "causal" else _brute_two_sided(
@@ -421,31 +427,35 @@ def test_arrays_and_series_take_one_route(kind, taps, n):
     # sample short would transform at 1280 or 1200 and wrap into the window
     + [(1000, 282), (1000, 403)],
 )
-@pytest.mark.parametrize("as_taps", [False, True])
+@pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("kind", ["causal", "zero", "periodic"])
-def test_output_window_matches_brute_force(monkeypatch, n, taps, as_taps, kind):
-    # two-sided kinds take a centred window, as an array or a KernelWindow
+def test_output_window_matches_brute_force(monkeypatch, n, taps, warm, kind):
+    # two-sided kinds take a centred KernelWindow; a warm call finds both
+    # operands' spectra memoised by an earlier one and transforms nothing
     causal = kind == "causal"
     taps = taps if causal else _odd(taps)
     rng = np.random.default_rng(n * taps)
-    y, w = rng.normal(size=n), rng.normal(size=taps)
+    values, w = rng.normal(size=n), rng.normal(size=taps)
+    y, kernel = Series(values), (_kernels.Taps if causal else _Window)(w)
+    apply = {"causal": _kernels.causal_apply, "zero": _kernels.two_sided_apply_zero,
+             "periodic": _periodic}[kind]
+    if warm:
+        apply(y, kernel)
     sizes, _ = _record_transforms(monkeypatch)
-    operand = (_kernels.Taps if causal else _Window)(w) if as_taps else w
-    if causal:
-        got, want = _kernels.causal_apply(y, operand), _brute_causal(y, w)
-    elif kind == "zero":
-        got, want = _kernels.two_sided_apply_zero(y, operand), _brute_two_sided(y, w, False)
-    else:
-        got, want = _periodic(y, operand), _brute_two_sided(y, w, True)
+    got = apply(y, kernel)
     monkeypatch.undo()
+    want = (_brute_causal(values, w) if causal
+            else _brute_two_sided(values, w, kind == "periodic"))
     assert got.shape == (n,)
-    _assert_within_bound(got, want, y, w, 1e-12)
-    if kind == "periodic":
+    _assert_within_bound(got, want, values, w, 1e-12)
+    if warm:
+        assert sizes == []
+    elif kind == "periodic":
         assert sizes == [n, n]
-        return
-    fft = min(n, taps) >= _kernels.FFT_MIN_SIZE
-    size = _kernels._fft_length(n + (taps - 1 if causal else taps // 2))
-    assert sizes == ([size, size] if fft else [])
+    else:
+        fft = min(n, taps) >= _kernels.FFT_MIN_SIZE
+        size = _kernels._fft_length(n + (taps - 1 if causal else taps // 2))
+        assert sizes == ([size, size] if fft else [])
 
 
 # The series' padded-spectrum memo, which GL differences and zero-boundary
@@ -465,12 +475,12 @@ def test_series_spectrum_memo_is_read_only_and_hits_match_misses():
     hit = _kernels.causal_apply(y, w)
     assert y.spectrum(size) is spectrum
     assert np.array_equal(hit, miss)
-    assert np.array_equal(_kernels.causal_apply(values, w), miss)
+    assert np.array_equal(_kernels.causal_apply(Series(values), w), miss)
     # the zero boundary of a 601-weight window keeps a window at the same length
     window = _Window(rng.normal(size=601))
     zero = _kernels.two_sided_apply_zero(y, window)
     assert list(y._spectra) == [size]
-    assert np.array_equal(zero, _kernels.two_sided_apply_zero(values, window))
+    assert np.array_equal(zero, _kernels.two_sided_apply_zero(Series(values), window))
 
 
 def _memo_lengths(n):
@@ -501,7 +511,7 @@ def test_threads_sharing_one_series_spectrum_memo_agree():
     values = rng.normal(size=2000)
     lengths, _ = _memo_lengths(2000)
     operators = [_kernels.Taps(rng.normal(size=m)) for m in lengths]
-    want = [_kernels.causal_apply(values, w) for w in operators]
+    want = [_kernels.causal_apply(Series(values), w) for w in operators]
     y = Series(values)
     workers = 4
     start = threading.Barrier(workers)

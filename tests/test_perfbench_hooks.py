@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import fracspec
-from fracspec import exactops
+from fracspec import _kernels, exactops
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -90,6 +90,16 @@ def test_every_package_name_the_benchmark_calls_is_public():
 
 def test_window_cache_can_be_cleared():
     assert callable(exactops._window_cache.clear)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_scaling_series_arrays_reach_causal_apply(n):
+    # perfbench/scaling.py times _kernels.causal_apply on two plain arrays of
+    # n and n + 1 samples; they give the bits of the Series and Taps
+    rng = np.random.default_rng(n)
+    y, coeffs = rng.standard_normal(n), rng.standard_normal(n + 1)
+    got = _kernels.causal_apply(y, coeffs)
+    assert np.array_equal(got, _kernels.causal_apply(fracspec.Series(y), _kernels.Taps(coeffs)))
 
 
 def _perfbench_oracles():

@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from fracspec import (
     NoiseSpec,
     ResponseReport,
     Series,
+    estimate_memory_from_periodogram,
     exact_kernel_window,
     gl_coefficients,
     gl_response_target,
@@ -118,6 +121,9 @@ def test_operator_response_grid_validation():
         operator_response(np.array([1.0, -1.0]), [0.0])
     with pytest.raises(ValueError):
         operator_response(np.array([1.0, -1.0]), [3.5])
+    for grid in ([[1.0]], []):
+        with pytest.raises(ValueError, match="^grid must be a one-dimensional sequence"):
+            operator_response(np.array([1.0, -1.0]), grid)
 
 
 def test_gl_response_converges_to_target():
@@ -500,6 +506,31 @@ def test_loglog_slope_fit_validation():
         loglog_slope_fit([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         loglog_slope_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+    with pytest.raises(ValueError, match="^x values must not be all equal$"):
+        loglog_slope_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
+_FIT_NOT_FINITE = "log-log fit requires finite values"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: loglog_slope_fit([1, 2, math.inf], [1, 2, 3]), _FIT_NOT_FINITE),
+        (lambda: loglog_slope_fit([1, 2, 3], [1, 2, math.inf]), _FIT_NOT_FINITE),
+        (lambda: estimate_memory_from_periodogram([1, 2, 3], [1, 2, math.inf], 3),
+         _FIT_NOT_FINITE),
+        (lambda: power_law_target(0.5, math.inf), "omega_T must be positive and finite"),
+        (lambda: power_law_target(0.5, [1.0, math.inf]), "omega_T must be positive and finite"),
+    ],
+    ids=["fit-x", "fit-y", "periodogram-power", "target-scalar", "target-array"],
+)
+def test_non_finite_inputs_are_refused(call, message):
+    # they gave SlopeFit(nan, nan, nan), d_hat = -inf and inf + inf j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal comes before any RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_synthesized_power_law_spectrum_slope():

@@ -35,8 +35,7 @@ def _recomputed(y, w, boundary):
     transforming the series and the weights on every call.  A zero-boundary
     difference on the FFT path is the circular product at the smallest
     5-smooth length from n + half, which keeps the times 0..n - 1 free of
-    wrapped sums; every periodic difference is the circular product at n,
-    whether the series is an array or a ``Series``."""
+    wrapped sums; every periodic difference is the circular product at n."""
     n, half = y.size, (w.size - 1) // 2
     if boundary == "periodic":
         return np.fft.irfft(_series_rfft(y) * _window_spectrum(w, n), n)
@@ -107,7 +106,7 @@ def test_memo_is_bounded_over_many_lengths():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for n in lengths:
-            _kernels.two_sided_apply_zero(y[:n], window)
+            _kernels.two_sided_apply_zero(Series(y[:n]), window)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
