@@ -36,7 +36,8 @@ on ``convolve``: on the circular route they would also subtract the sums
 that wrap round the series' ends, which on the same host cost as much as
 the shorter transform saves up to n = 8192.  The direct/FFT choice reads
 the operands' sizes only, never whether a spectrum is memoised yet, so a
-hit gives the bits of a miss.  The AR recursion is sequential, a
+hit gives the bits of a miss.  The AR recursion is sequential: it runs on
+a :class:`Series` and returns the recursed one through ``with_values``, a
 pure-Python loop over floats, cheaper than indexing numpy scalars.
 
 Exact-kernel windows, GL operators and the spectra of each kernel and each
@@ -313,13 +314,15 @@ def two_sided_apply_periodic(y: Series, weights: Taps) -> np.ndarray:
     return np.fft.irfft(y.rfft() * weights.spectrum(n), n)
 
 
-def ar_recurse(x, phi) -> np.ndarray:
-    """out[t] = x[t] + sum_i phi[i] * out[t-1-i] with zero initial history."""
-    phi = np.asarray(phi, dtype=np.float64).tolist()
+def ar_recurse(y: Series, phi) -> Series:
+    """out[t] = y[t] + sum_i phi[i] * out[t-1-i] with zero initial history,
+    sampled like ``y``; ValueError if it overflows.  ``phi`` is the AR
+    coefficients, a sequence of numbers."""
+    phi = [float(v) for v in phi]
     p = len(phi)
     out = []
-    for t, acc in enumerate(np.asarray(x, dtype=np.float64).tolist()):
+    for t, acc in enumerate(y.values.tolist()):
         for i in range(min(p, t)):
             acc += phi[i] * out[t - 1 - i]
         out.append(acc)
-    return np.array(out, dtype=np.float64)
+    return y.with_values(out)

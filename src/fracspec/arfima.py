@@ -1,8 +1,10 @@
 """ARFIMA(p, d, q) simulation and semiparametric memory estimation.
 
 Simulation runs the pipeline white noise -> MA filter -> fractional
-integration (truncated MA-infinity filter) -> AR recursion, so that for
-p = q = 0 applying the fractional difference with the same truncation
+integration -> AR recursion on one :class:`Series`.  The integration is the
+library's GL difference at order -d, ``gl_difference(y, -d, truncation)``
+(an ARFIMA equation is a fractional difference equation of order d), so
+for p = q = 0 ``gl_difference`` at order d with the same truncation
 recovers the driving noise exactly.
 
 The noise generator is pinned for cross-platform reproducibility: a 64-bit
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _RESULT_NOT_FINITE, Series, Taps, _whole
-from .glops import _gl_operator, _without_trailing_zeros, gl_coefficients
+from .glops import _without_trailing_zeros, gl_coefficients, gl_difference
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
 __all__ = [
@@ -102,7 +104,9 @@ class ArfimaSpec:
     simulations outside it are flagged via :attr:`classical_stationary`.
     The AR and MA coefficients must be finite, and the AR polynomial stable
     (all roots of the reversed polynomial strictly inside the unit circle,
-    tolerance 1e-6).  ``n + burn_in`` may not exceed ``SAMPLE_CAP``.
+    tolerance 1e-6).  ``n + burn_in`` may not exceed ``SAMPLE_CAP``.  The
+    GL truncation of the integration defaults to min(n + burn_in, 4096),
+    the value the CLI's ``simulate`` prints.
     """
 
     d: float
@@ -110,13 +114,16 @@ class ArfimaSpec:
     ar: tuple[float, ...] = ()
     ma: tuple[float, ...] = ()
     burn_in: int = 0
-    truncation: int = 4096
+    truncation: int | None = None
 
     def __post_init__(self):
         if not (abs(self.d) < 1.0):
             raise ValueError("memory order d must satisfy |d| < 1")
-        for name in ("n", "burn_in", "truncation"):
+        for name in ("n", "burn_in"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if self.truncation is None:
+            object.__setattr__(self, "truncation", min(self.n + self.burn_in, 4096))
+        object.__setattr__(self, "truncation", _whole(self.truncation, "truncation"))
         if self.n < 1:
             raise ValueError("sample count n must be positive")
         if self.burn_in < 0:
@@ -149,7 +156,8 @@ class MemoryEstimate:
     """Log-periodogram estimate of the memory order.
 
     Classification is long iff d_hat > 2*std_err, short iff
-    d_hat < -2*std_err, and none otherwise.
+    d_hat < -2*std_err, and none otherwise.  ``d_hat`` and ``std_err`` must
+    be finite, and ``bandwidth`` an integer of at least 3 (stored as an int).
     """
 
     d_hat: float
@@ -158,6 +166,10 @@ class MemoryEstimate:
     classification: str = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.d_hat) and math.isfinite(self.std_err)):
+            raise ValueError(
+                f"d_hat and std_err must be finite, got {self.d_hat} and {self.std_err}")
+        object.__setattr__(self, "bandwidth", _whole(self.bandwidth, "bandwidth"))
         if self.bandwidth < 3:
             raise ValueError("bandwidth must be at least 3")
         threshold = 2.0 * self.std_err
@@ -249,19 +261,20 @@ def white_noise(spec: NoiseSpec, n: int) -> Series:
 def simulate_arfima(spec: ArfimaSpec, noise: NoiseSpec) -> Series:
     """Simulate an ARFIMA(p, d, q) path.
 
-    Pipeline: white noise -> MA(q) filter -> fractional integration of
-    order d (truncated at spec.truncation) -> AR(p) recursion; the first
-    burn_in samples are then discarded.  Raises ValueError if the path
-    leaves the double-precision range.
+    Pipeline, each stage a :class:`Series`: white noise -> MA(q) filter ->
+    fractional integration of order d, ``gl_difference(y, -d,
+    spec.truncation)`` -> AR(p) recursion; the first burn_in samples are
+    then discarded.  Raises ValueError if the path leaves the
+    double-precision range.
     """
     y = white_noise(noise, spec.n + spec.burn_in)
     if spec.ma:
         ma = Taps(_without_trailing_zeros((1.0,) + spec.ma))
         y = y.with_values(_kernels.causal_apply(y, ma))
     if spec.d != 0.0:
-        y = y.with_values(_kernels.causal_apply(y, _gl_operator(-spec.d, spec.truncation)))
+        y = gl_difference(y, -spec.d, spec.truncation)
     if spec.ar:
-        y = y.with_values(_kernels.ar_recurse(y.values, spec.ar))
+        y = _kernels.ar_recurse(y, spec.ar)
     return y.with_values(y.values[spec.burn_in :])
 
 

@@ -227,17 +227,14 @@ def _cmd_difference(args) -> str:
 def _cmd_simulate(args) -> str:
     ar = _parse_coeff_list(args.ar)
     ma = _parse_coeff_list(args.ma)
-    truncation = args.truncation
-    if truncation is None:
-        truncation = min(args.n + args.burn_in, 4096)
     spec = arfima.ArfimaSpec(
-        d=args.d, n=args.n, ar=ar, ma=ma, burn_in=args.burn_in, truncation=truncation
+        d=args.d, n=args.n, ar=ar, ma=ma, burn_in=args.burn_in, truncation=args.truncation
     )
     noise = arfima.NoiseSpec(sigma=args.sigma, seed=args.seed)
     series = arfima.simulate_arfima(spec, noise)
     meta = [
         f"d={_fmt(args.d)}, p={len(ar)}, q={len(ma)}, sigma={_fmt(args.sigma)}, "
-        f"seed={args.seed}, truncation={truncation}",
+        f"seed={args.seed}, truncation={spec.truncation}",
         f"burn_in={args.burn_in}, stationary={'true' if spec.classical_stationary else 'false'}",
     ]
     return _series_csv(series, meta)
@@ -367,7 +364,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=int, default=None,
+                   help="GL lag cap of the integration (default min(n + burn_in, 4096))")
     add_output(p)
     p.set_defaults(handler=_cmd_simulate)
 

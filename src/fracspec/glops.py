@@ -122,7 +122,12 @@ def gl_derivative_approx(
 
     Returns step^(-order) * sum_{m=0}^{truncation} c_m f(t - m*step); the
     quotient tends to the fractional derivative as the step vanishes.
+    ValueError if ``t`` or ``step`` is not finite.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if not math.isfinite(step):
+        raise ValueError("step must be positive and finite")
     if not (step > 0.0):
         raise ValueError("step must be positive")
     coeffs = gl_coefficients(order, truncation)

@@ -186,8 +186,11 @@ def gl_response_target(order: float, omega_T) -> complex | np.ndarray:
 
     Evaluated in polar form, (2 sin(wT/2))^order e^{i order (pi - wT)/2};
     tends to the power-law target as wT -> 0.  ``omega_T`` may be a number
-    (complex result) or an array (complex array).
+    (complex result) or an array (complex array).  ValueError if ``order`` is
+    not finite.
     """
+    if not math.isfinite(order):
+        raise ValueError(f"order must be finite, got {order}")
     x = np.asarray(omega_T, dtype=np.float64)
     if not ((x > 0.0) & (x <= math.pi)).all():
         raise ValueError("omega_T must lie in (0, pi]")
@@ -200,7 +203,10 @@ def power_law_target(order: float, omega_T) -> complex | np.ndarray:
     +pi*order/2 under the adopted negative-exponent convention.
 
     ``omega_T`` may be a number (complex result) or an array (complex array).
+    ValueError if ``order`` is not finite.
     """
+    if not math.isfinite(order):
+        raise ValueError(f"order must be finite, got {order}")
     x = np.asarray(omega_T, dtype=np.float64)
     if not ((x > 0.0) & (x < math.inf)).all():
         raise ValueError("omega_T must be positive and finite")

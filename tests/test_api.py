@@ -130,6 +130,47 @@ def test_kernels_build_no_operand():
         ("f", "Series"), ("f", "KernelWindow"), ("f", "isinstance")]
 
 
+def _names(source, name):
+    """Lines of ``source`` that name ``name``: as a name, an attribute or an
+    imported alias."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))]
+
+
+def _array_calls(source):
+    """Class.method or function of each ``np.asarray`` or ``np.array`` call in
+    ``source``."""
+    functions = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            functions += [(f"{top.name}.{f.name}", f) for f in top.body
+                          if isinstance(f, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            functions.append((top.name, top))
+    return [name for name, function in functions for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("asarray", "array")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+
+
+def test_one_gl_integration_path():
+    # simulate_arfima integrates through gl_difference, and _kernels coerces
+    # no operand: only the operand types' own constructors copy arrays
+    package = Path(fracspec.__file__).resolve().parent
+    naming = sorted(path.name for path in package.glob("*.py")
+                    if _names(path.read_text(encoding="utf-8"), "_gl_operator"))
+    assert naming == ["glops.py"]
+    kernels = (package / "_kernels.py").read_text(encoding="utf-8")
+    assert sorted(_array_calls(kernels)) == ["Series.__post_init__", "Taps.__post_init__"]
+    # each form is caught
+    for source in ("_gl_operator(1, 2)", "glops._gl_operator", "from .glops import _gl_operator"):
+        assert _names(source, "_gl_operator") == [1], source
+    assert _array_calls("def f(x):\n    return np.asarray(x)\n"
+                        "class C:\n    def g(self):\n        return np.array(self)") == ["f", "C.g"]
+
+
 _Y = white_noise(NoiseSpec(seed=4), 64)
 _OMEGA = np.arange(1.0, 11.0)
 

@@ -120,6 +120,20 @@ def test_simulate_round_trip_recovers_noise():
     assert np.abs(eps.values - want.values).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n, burn_in, ar, ma", [
+    (512, 0, (), ()), (300, 40, (0.5, -0.3), (0.4,)), (5000, 0, (), ())])
+def test_default_truncation_is_the_cli_rule(n, burn_in, ar, ma):
+    # the library default is what `simulate` prints, min(n + burn_in, 4096),
+    # where it was 4096 at every n
+    rule = min(n + burn_in, 4096)
+    spec = ArfimaSpec(d=0.3, n=n, ar=ar, ma=ma, burn_in=burn_in)
+    assert spec.truncation == rule
+    explicit = ArfimaSpec(d=0.3, n=n, ar=ar, ma=ma, burn_in=burn_in, truncation=rule)
+    noise = NoiseSpec(seed=1)
+    assert np.array_equal(simulate_arfima(spec, noise).values,
+                          simulate_arfima(explicit, noise).values)
+
+
 def test_simulate_deterministic():
     spec = ArfimaSpec(d=0.4, n=64, ar=(0.3,), ma=(-0.2,), burn_in=8, truncation=64)
     noise = NoiseSpec(sigma=0.7, seed=21)
@@ -230,6 +244,17 @@ def test_memory_estimate_classification_rule():
     assert MemoryEstimate(0.15, 0.1, 8).classification == "none"
     with pytest.raises(ValueError):
         MemoryEstimate(0.3, 0.1, 2)
+
+
+def test_memory_estimate_refuses_what_no_estimator_produces():
+    # 3.5 was kept and classified, and a NaN error bar classified none
+    whole = MemoryEstimate(0.1, 0.01, 5.0)
+    assert type(whole.bandwidth) is int and whole.bandwidth == 5
+    with pytest.raises(ValueError, match="^bandwidth must be an integer, got 3.5$"):
+        MemoryEstimate(0.1, 0.01, 3.5)
+    for d_hat, std_err in ((math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, -math.inf)):
+        with pytest.raises(ValueError, match="^d_hat and std_err must be finite, got "):
+            MemoryEstimate(d_hat, std_err, 5)
 
 
 def test_theoretical_acf_white_noise():

@@ -209,6 +209,21 @@ def test_truncation_validation():
         gl_derivative_approx(math.exp, 0.5, 0.0, 0.0, 4)
 
 
+@pytest.mark.parametrize("t, step, message", [
+    (0.0, math.inf, "step must be positive and finite"),
+    (0.0, math.nan, "step must be positive and finite"),
+    (math.inf, 0.1, "t must be finite, got inf"),
+    (math.nan, 0.1, "t must be finite, got nan"),
+])
+def test_derivative_approx_refuses_non_finite_arguments(t, step, message):
+    # the provider is never called: its value was blamed for these
+    def provider(x):
+        raise AssertionError(f"provider called at {x}")
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gl_derivative_approx(provider, 0.5, t, step, 4)
+
+
 def test_derivative_approx_affine_and_constant():
     assert gl_derivative_approx(lambda t: 5.0, 1.0, 0.3, 0.1, 16) == pytest.approx(0.0, abs=1e-12)
     assert gl_derivative_approx(lambda t: t, 1.0, 0.3, 0.1, 16) == pytest.approx(1.0, abs=1e-12)

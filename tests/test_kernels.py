@@ -198,7 +198,7 @@ def test_causal_apply_strips_exact_trailing_zeros(monkeypatch):
 def test_ar_recurse_matches_brute_force(rng, p):
     x = rng.normal(size=40)
     phi = rng.normal(size=p) * 0.3
-    assert np.allclose(_kernels.ar_recurse(x, phi), _brute_ar(x, phi), atol=1e-12)
+    assert np.allclose(_kernels.ar_recurse(Series(x), phi).values, _brute_ar(x, phi), atol=1e-12)
 
 
 # The circular route.  Every periodic sum is one length-n product, at any n

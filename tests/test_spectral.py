@@ -533,6 +533,16 @@ def test_non_finite_inputs_are_refused(call, message):
             call()
 
 
+@pytest.mark.parametrize("target", [power_law_target, gl_response_target])
+@pytest.mark.parametrize("order", [math.inf, -math.inf, math.nan])
+def test_targets_refuse_a_non_finite_order(target, order):
+    # they raised OverflowError or an unrelated NaN message, or returned nan + nan j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^order must be finite, got {order}$"):
+            target(order, 1.0)
+
+
 def test_synthesized_power_law_spectrum_slope():
     # spectral density exactly c * w^(-2 alpha) with alpha = 0.25
     omega = 2.0 * math.pi * np.arange(1, 129) / 1024.0
