@@ -89,6 +89,24 @@ def _whole(value, name: str) -> int:
     return whole
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float: a finite int, float or numpy number; ValueError
+    naming ``name`` for anything else, such as nan, +-inf, a string or None."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        value = repr(value)  # quoted, so that a string is not read as a number
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _finite(*arrays) -> None:
+    """ValueError(_RESULT_NOT_FINITE) unless every value of ``arrays``,
+    arrays or numbers, is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(_RESULT_NOT_FINITE)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -185,10 +203,10 @@ class Series:
     """Uniformly sampled real-valued series.
 
     ``values[i]`` is the sample at time ``start + i * step``: finite values,
-    copied and read-only, a positive finite step and a finite start.  The
-    series memoises its transforms: ``rfft(size)``, the centred one, which
-    periodic exact differences and the periodogram read, and
-    ``spectrum(size)``, the zero-padded one, which GL differences and
+    copied and read-only, and a positive finite step and a finite start,
+    kept as floats.  The series memoises its transforms: ``rfft(size)``, the
+    centred one, which periodic exact differences and the periodogram read,
+    and ``spectrum(size)``, the zero-padded one, which GL differences and
     zero-boundary exact differences read whenever their FFT lengths agree;
     the last ``CACHE_BOUND`` of both go with the series.
     """
@@ -204,10 +222,10 @@ class Series:
             raise ValueError("series must contain at least one sample")
         if not np.isfinite(v).all():
             raise ValueError("series values must all be finite")
-        if not (0.0 < self.step < math.inf):
-            raise ValueError("series step must be positive and finite")
-        if not math.isfinite(self.start):
-            raise ValueError("series start must be finite")
+        object.__setattr__(self, "step", _real(self.step, "series step"))
+        if not self.step > 0.0:
+            raise ValueError("series step must be positive")
+        object.__setattr__(self, "start", _real(self.start, "series start"))
         object.__setattr__(self, "values", _read_only(v))
 
     def __len__(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import _RESULT_NOT_FINITE, Series, Taps, _whole
+from ._kernels import Series, Taps, _finite, _real, _whole
 from .glops import _without_trailing_zeros, gl_coefficients, gl_difference
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
@@ -89,7 +89,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
+        if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if not (0 <= self.seed < 2**64):
@@ -117,7 +118,8 @@ class ArfimaSpec:
     truncation: int | None = None
 
     def __post_init__(self):
-        if not (abs(self.d) < 1.0):
+        object.__setattr__(self, "d", _real(self.d, "d"))
+        if not abs(self.d) < 1.0:
             raise ValueError("memory order d must satisfy |d| < 1")
         for name in ("n", "burn_in"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
@@ -133,10 +135,8 @@ class ArfimaSpec:
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
         for name in ("ar", "ma"):
-            coeffs = tuple(float(v) for v in getattr(self, name))
-            if not all(math.isfinite(v) for v in coeffs):
-                raise ValueError(f"{name.upper()} coefficients must be finite")
-            object.__setattr__(self, name, coeffs)
+            object.__setattr__(self, name, tuple(
+                _real(v, f"{name.upper()} coefficients") for v in getattr(self, name)))
         if self.ar:
             # roots of z^p - phi_1 z^(p-1) - ... - phi_p
             roots = np.roots(np.concatenate(([1.0], -np.asarray(self.ar))))
@@ -157,7 +157,8 @@ class MemoryEstimate:
 
     Classification is long iff d_hat > 2*std_err, short iff
     d_hat < -2*std_err, and none otherwise.  ``d_hat`` and ``std_err`` must
-    be finite, and ``bandwidth`` an integer of at least 3 (stored as an int).
+    be finite (stored as floats), ``std_err`` nonnegative, and ``bandwidth``
+    an integer of at least 3 (stored as an int).
     """
 
     d_hat: float
@@ -166,9 +167,10 @@ class MemoryEstimate:
     classification: str = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.d_hat) and math.isfinite(self.std_err)):
-            raise ValueError(
-                f"d_hat and std_err must be finite, got {self.d_hat} and {self.std_err}")
+        for name in ("d_hat", "std_err"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.std_err < 0.0:
+            raise ValueError(f"std_err must be nonnegative, got {self.std_err}")
         object.__setattr__(self, "bandwidth", _whole(self.bandwidth, "bandwidth"))
         if self.bandwidth < 3:
             raise ValueError("bandwidth must be at least 3")
@@ -322,8 +324,7 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
         raise ValueError("series is constant: its memory cannot be estimated")
     omega, amplitude = _lowest_ordinates(y, bandwidth)
     top = amplitude.max()
-    if not np.isfinite(top):
-        raise ValueError(_RESULT_NOT_FINITE)
+    _finite(top)
     if (amplitude == 0.0).any():
         raise ValueError("series has no power at its lowest frequencies: "
                          "its memory cannot be estimated")
@@ -349,9 +350,10 @@ def theoretical_acf(
     2.5e5 times at d = 0.3), so the guard only rejects very short
     truncations.
     """
-    if not (abs(d) < 0.5):
+    d, sigma = _real(d, "d"), _real(sigma, "sigma")
+    if not abs(d) < 0.5:
         raise ValueError("theoretical ACF requires |d| < 0.5")
-    if not (sigma > 0.0):
+    if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     max_lag = _whole(max_lag, "max_lag")
     if max_lag < 0:
@@ -362,7 +364,7 @@ def theoretical_acf(
     if truncation < 10 * max_lag:
         raise ValueError("truncation must be at least 10 * max_lag")
     psi = gl_coefficients(-d, truncation + max_lag)
-    variance = float(sigma) * float(sigma)  # inf, not OverflowError, when too large
+    variance = sigma * sigma  # inf, not OverflowError, when too large
     # only max_lag + 1 outputs are kept: at a few hundred lags their direct
     # sums (max_lag + 1 dot products of length truncation + 1) cost less than
     # the full FFT convolution that _kernels.convolve would compute

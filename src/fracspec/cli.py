@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import arfima, exactops, glops, spectral
-from ._kernels import _RESULT_NOT_FINITE, Series
+from ._kernels import Series, _finite
 from .errors import ConsistencyError, CsvParseError
 
 __all__ = ["main", "run", "GRID_CAP"]
@@ -141,11 +141,6 @@ def _series_from_columns(t: np.ndarray, values: np.ndarray) -> Series:
     return Series(values, step=step, start=float(t[0]))
 
 
-def _check_finite(*values) -> None:
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValueError(_RESULT_NOT_FINITE)
-
-
 def _csv(header: list[str], *columns: np.ndarray) -> str:
     """Header lines, then one row per index of ``columns``.
 
@@ -154,7 +149,7 @@ def _csv(header: list[str], *columns: np.ndarray) -> str:
     the interleaved cells formats every row.  Raises ValueError if any cell
     is not finite.
     """
-    _check_finite(*columns)
+    _finite(*columns)
     n = columns[0].size
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
     cells = [None] * (n * len(columns))
@@ -280,7 +275,6 @@ def _cmd_estimate(args) -> str:
     text, name = _read_text(args.input)
     series, _ = parse_series_csv(text, name)
     estimate = arfima.estimate_memory(series, args.bandwidth)
-    _check_finite(estimate.d_hat, estimate.std_err)
     lines = [
         "d_hat,std_err,bandwidth,n,classification",
         f"{_fmt(estimate.d_hat)},{_fmt(estimate.std_err)},{estimate.bandwidth},"

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._kernels import KernelWindow, Series, _whole
+from ._kernels import KernelWindow, Series, _real, _whole
 from .errors import ConsistencyError
 
 __all__ = [
@@ -83,17 +83,6 @@ _HEAD_WEIGHTS = (np.outer(2.0 ** np.arange(-4, 0), _GL_WEIGHTS / 2.0).ravel()
 # (i pi/16)^j / j!, the Taylor coefficients of e^{i pi u} at u = 1/16; the
 # last is below 1e-22 of the first.
 _STUB_TAYLOR = np.cumprod(np.r_[1.0, 1j * math.pi / 16.0 / np.arange(1, 16)])
-
-
-def _check_order(order: float) -> float:
-    order = float(order)
-    if not math.isfinite(order):
-        raise ValueError(f"kernel order must be finite, got {order}")
-    if not (order > -1.0):
-        raise ValueError("kernel order must exceed -1")
-    if order > ORDER_MAX:
-        raise ValueError(f"kernel order must not exceed {ORDER_MAX}, got {order:g}")
-    return order
 
 
 def sinpi(x: float) -> float:
@@ -238,7 +227,11 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     spectra go with it: the zero boundary's FFT path, every periodic
     difference and ``spectral.operator_response``'s fold read it.
     """
-    order = _check_order(order)
+    order = _real(order, "kernel order")
+    if not order > -1.0:
+        raise ValueError("kernel order must exceed -1")
+    if order > ORDER_MAX:
+        raise ValueError(f"kernel order must not exceed {ORDER_MAX}, got {order:g}")
     half_width = _whole(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be a positive integer")

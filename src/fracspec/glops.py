@@ -8,13 +8,12 @@ inverses at matching truncation.  ``Series`` is re-exported from
 ``_kernels``, beside the kernels it is convolved with.
 """
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import Series, _whole
+from ._kernels import Series, _finite, _real, _whole
 
 __all__ = [
     "Series",
@@ -38,8 +37,7 @@ def gl_coefficients(order: float, truncation: int) -> np.ndarray:
     ValueError when the truncation is negative or above ``TRUNCATION_CAP``,
     or when an order too large makes a coefficient overflow.
     """
-    if not math.isfinite(order):
-        raise ValueError(f"order must be finite, got {order}")
+    order = _real(order, "order")
     truncation = _whole(truncation, "truncation")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
@@ -74,7 +72,7 @@ def _gl_operator(order: float, truncation: int) -> _kernels.Taps:
     :class:`_kernels.BoundedCache`, which keeps the last
     ``_kernels.CACHE_BOUND`` = 8 built.
     """
-    order, truncation = float(order), _whole(truncation, "truncation")
+    order, truncation = _real(order, "order"), _whole(truncation, "truncation")
     return _operator_cache.get_or_build(
         (order, truncation),
         lambda: _kernels.Taps(_without_trailing_zeros(gl_coefficients(order, truncation))),
@@ -122,16 +120,22 @@ def gl_derivative_approx(
 
     Returns step^(-order) * sum_{m=0}^{truncation} c_m f(t - m*step); the
     quotient tends to the fractional derivative as the step vanishes.
-    ValueError if ``t`` or ``step`` is not finite.
+    ValueError if ``t`` or ``step`` is not finite, or if step^order or the
+    quotient leaves the double-precision range.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if not math.isfinite(step):
-        raise ValueError("step must be positive and finite")
-    if not (step > 0.0):
+    t, step = _real(t, "t"), _real(step, "step")
+    if not step > 0.0:
         raise ValueError("step must be positive")
     coeffs = gl_coefficients(order, truncation)
     samples = np.array([f(t - m * step) for m in range(coeffs.size)], dtype=np.float64)
     if not np.isfinite(samples).all():
         raise ValueError("function provider returned a non-finite value")
-    return float(np.dot(coeffs, samples) / step**order)
+    try:
+        # gl_coefficients has read the order; step^order raises
+        # OverflowError above the double range and is 0.0 below it
+        quotient = float(np.dot(coeffs, samples)) / step ** float(order)
+        _finite(quotient)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise ValueError(f"step^order or the quotient leaves the double-precision range "
+                         f"at step={step:g}, order={order:g}") from None
+    return quotient

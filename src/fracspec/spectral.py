@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import _RESULT_NOT_FINITE, Series, Taps, _whole
+from ._kernels import Series, Taps, _finite, _real, _whole
 from .exactops import cospi, exact_kernel_window, sinpi
 from .glops import gl_coefficients
 
@@ -85,13 +85,16 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     ``Series.rfft(n_fft)``, the transform of the mean-removed values; at
     n_fft = n it is the one periodic exact differences read.
     Normalization is 1/n_fft, which shifts log-log intercepts only, never
-    slopes.
+    slopes.  ValueError if an ordinate overflows.
     """
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")
     n_fft = _fft_size(len(y))
     omega, amplitude = _lowest_ordinates(y, n_fft // 2)
-    return omega, amplitude**2 / n_fft
+    with np.errstate(over="ignore"):
+        power = amplitude**2 / n_fft
+    _finite(omega, power)
+    return omega, power
 
 
 def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +192,7 @@ def gl_response_target(order: float, omega_T) -> complex | np.ndarray:
     (complex result) or an array (complex array).  ValueError if ``order`` is
     not finite.
     """
-    if not math.isfinite(order):
-        raise ValueError(f"order must be finite, got {order}")
+    order = _real(order, "order")
     x = np.asarray(omega_T, dtype=np.float64)
     if not ((x > 0.0) & (x <= math.pi)).all():
         raise ValueError("omega_T must lie in (0, pi]")
@@ -205,8 +207,7 @@ def power_law_target(order: float, omega_T) -> complex | np.ndarray:
     ``omega_T`` may be a number (complex result) or an array (complex array).
     ValueError if ``order`` is not finite.
     """
-    if not math.isfinite(order):
-        raise ValueError(f"order must be finite, got {order}")
+    order = _real(order, "order")
     x = np.asarray(omega_T, dtype=np.float64)
     if not ((x > 0.0) & (x < math.inf)).all():
         raise ValueError("omega_T must be positive and finite")
@@ -252,16 +253,17 @@ def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:
 
     rho(k) = (1/n) sum_t (y_t - ybar)(y_{t+k} - ybar), of which only these
     lags are formed: the FFT path transforms at the 5-smooth length from
-    n + max_lag, not 2n - 1.  ValueError if the centring overflows.
+    n + max_lag, not 2n - 1.  ValueError if the centring or a sum overflows.
     """
     n = len(y)
     max_lag = _whole(max_lag, "max_lag")
     if not (0 <= max_lag < n):
         raise ValueError("max_lag must satisfy 0 <= max_lag < len(y)")
-    centered = y.values - y.values.mean()
-    if not np.isfinite(centered).all():
-        raise ValueError(_RESULT_NOT_FINITE)
-    return _kernels.convolve(Series(centered), Taps(centered[::-1]), n - 1, n + max_lag) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = y.with_values(y.values - y.values.mean())
+        acov = _kernels.convolve(centered, Taps(centered.values[::-1]), n - 1, n + max_lag) / n
+    _finite(acov)
+    return acov
 
 
 def loglog_slope_fit(xs, ys) -> SlopeFit:

@@ -1,7 +1,8 @@
 """The public API is pinned: adding or removing a name is a deliberate edit.
 The transforms have one home: only ``_kernels`` reaches ``numpy.fft``, the
 series it transforms is defined there once, and it builds no operand.  Every
-count is read one way."""
+count is read one way, and so is every real argument; only ``_kernels``
+decides whether a number is finite."""
 
 import ast
 import math
@@ -13,13 +14,17 @@ import pytest
 import fracspec
 from fracspec import (
     ArfimaSpec,
+    MemoryEstimate,
     NoiseSpec,
+    Series,
     estimate_memory,
     estimate_memory_from_periodogram,
     exact_kernel_window,
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
+    gl_response_target,
+    power_law_target,
     response_report,
     sample_autocovariance,
     simulate_arfima,
@@ -92,6 +97,37 @@ def test_numpy_fft_is_reached_only_from_kernels():
     for source in ("np.fft.rfft(y)", "import numpy.fft", "from numpy import fft",
                    "from numpy.fft import irfft"):
         assert _numpy_fft_lines(source) == [1], source
+
+
+def _finiteness_lines(source):
+    """Lines of ``source`` that reach ``math.isfinite``, as an attribute or
+    an import, or name ``_RESULT_NOT_FINITE``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "isfinite" and isinstance(node.value, ast.Name)
+                   and node.value.id == "math")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "math" and any(a.name == "isfinite" for a in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines + _names(source, "_RESULT_NOT_FINITE"))
+
+
+def test_finiteness_is_decided_only_in_kernels():
+    # _kernels._real reads every real argument and _kernels._finite checks
+    # every result; other modules check arrays with np.isfinite only
+    package = Path(fracspec.__file__).resolve().parent
+    deciding = sorted(path.name for path in package.glob("*.py")
+                      if _finiteness_lines(path.read_text(encoding="utf-8")))
+    assert deciding == ["_kernels.py"]
+    # each form is caught, and numpy's array check is not
+    for source in ("math.isfinite(x)", "from math import isfinite", "_RESULT_NOT_FINITE",
+                   "_kernels._RESULT_NOT_FINITE", "from ._kernels import _RESULT_NOT_FINITE"):
+        assert _finiteness_lines(source) == [1], source
+    assert _finiteness_lines("np.isfinite(x).all()") == []
 
 
 def test_series_is_defined_once():
@@ -216,3 +252,49 @@ def test_counts_are_integers_or_refused(site):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             call(bad)
 
+
+# (argument, an integral value it takes, a call of it): every site that
+# reads a real argument
+_REAL_SITES = {
+    "exact_kernel_window": ("kernel order", 1, lambda v: exact_kernel_window(v, 16).weights),
+    "gl_coefficients": ("order", 2, lambda v: gl_coefficients(v, 6)),
+    "gl_difference": ("order", 1, lambda v: gl_difference(_Y, v, 6).values),
+    "gl_derivative_approx.order": ("order", 1, lambda v: gl_derivative_approx(
+        math.exp, v, 1.0, 0.1, 6)),
+    "gl_derivative_approx.t": ("t", 1, lambda v: gl_derivative_approx(math.exp, 0.5, v, 0.1, 6)),
+    "gl_derivative_approx.step": ("step", 1, lambda v: gl_derivative_approx(
+        math.exp, 0.5, 1.0, v, 6)),
+    "gl_response_target": ("order", 1, lambda v: gl_response_target(v, 1.0)),
+    "power_law_target": ("order", 1, lambda v: power_law_target(v, 1.0)),
+    "response_report.gl": ("order", 1, lambda v: response_report(v, "gl", 16, [1.0]).measured),
+    "response_report.exact": ("kernel order", 1,
+                              lambda v: response_report(v, "exact", 16, [1.0]).measured),
+    "Series.step": ("series step", 2, lambda v: Series(_Y.values, step=v).times),
+    "Series.start": ("series start", 3, lambda v: Series(_Y.values, start=v).times),
+    "ArfimaSpec.d": ("d", 0, lambda v: simulate_arfima(
+        ArfimaSpec(d=v, n=16, truncation=64), NoiseSpec()).values),
+    "ArfimaSpec.ar": ("AR coefficients", 0, lambda v: simulate_arfima(
+        ArfimaSpec(d=0.3, n=16, ar=(0.5, v), truncation=64), NoiseSpec()).values),
+    "ArfimaSpec.ma": ("MA coefficients", 1, lambda v: simulate_arfima(
+        ArfimaSpec(d=0.3, n=16, ma=(v,), truncation=64), NoiseSpec()).values),
+    "NoiseSpec.sigma": ("sigma", 2, lambda v: white_noise(NoiseSpec(sigma=v), 8).values),
+    "theoretical_acf.d": ("d", 0, lambda v: theoretical_acf(v, 1.0, 5, 100)),
+    "theoretical_acf.sigma": ("sigma", 2, lambda v: theoretical_acf(0.3, v, 5, 10**5)),
+    "MemoryEstimate.d_hat": ("d_hat", 1, lambda v: MemoryEstimate(v, 0.1, 5).d_hat),
+    "MemoryEstimate.std_err": ("std_err", 1, lambda v: MemoryEstimate(0.1, v, 5).std_err),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_REAL_SITES))
+def test_reals_are_finite_numbers_or_refused(site):
+    # an int, a float and a numpy float give the same result; anything else
+    # is refused by name, where a string was read by float(), raised
+    # TypeError or was compared, and nan or inf reached a range check or
+    # an overflow message
+    name, value, call = _REAL_SITES[site]
+    want = call(value)
+    for same in (float(value), np.float64(value)):
+        assert np.array_equal(call(same), want)
+    for bad in (math.nan, math.inf, -math.inf, str(value)):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            call(bad)

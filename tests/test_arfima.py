@@ -247,13 +247,20 @@ def test_memory_estimate_classification_rule():
 
 
 def test_memory_estimate_refuses_what_no_estimator_produces():
-    # 3.5 was kept and classified, and a NaN error bar classified none
+    # 3.5 was kept and classified, a NaN error bar classified none, and a
+    # negative one made every d_hat above -2|std_err| long
     whole = MemoryEstimate(0.1, 0.01, 5.0)
     assert type(whole.bandwidth) is int and whole.bandwidth == 5
     with pytest.raises(ValueError, match="^bandwidth must be an integer, got 3.5$"):
         MemoryEstimate(0.1, 0.01, 3.5)
-    for d_hat, std_err in ((math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, -math.inf)):
-        with pytest.raises(ValueError, match="^d_hat and std_err must be finite, got "):
+    for d_hat, std_err, message in (
+        (math.nan, 0.1, "d_hat must be finite, got nan"),
+        (0.1, math.nan, "std_err must be finite, got nan"),
+        (math.inf, 0.1, "d_hat must be finite, got inf"),
+        (0.1, -math.inf, "std_err must be finite, got -inf"),
+        (0.1, -0.5, "std_err must be nonnegative, got -0.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             MemoryEstimate(d_hat, std_err, 5)
 
 

@@ -232,6 +232,22 @@ def test_exit_code_non_finite_order(argv, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
+        (["simulate", "--d", "0.3", "--n", "8", "--sigma", "inf"], "sigma must be finite, got inf"),
+        (["acf", "--d", "0.3", "--max-lag", "5", "--sigma", "inf"],
+         "sigma must be finite, got inf"),
+        (["simulate", "--d", "nan", "--n", "8"], "d must be finite, got nan"),
+        (["acf", "--d", "nan", "--max-lag", "5"], "d must be finite, got nan"),
+    ],
+)
+def test_non_finite_sigma_and_d_are_refused_by_name(argv, message, capsys):
+    # they said "overflows" and blamed the range of d
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"fracspec: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
         (["coeffs", "--order", "1e300", "--truncation", "4"],
          "GL coefficients of order 1e+300 are not finite at truncation 4"),
         (["response", "--family", "gl", "--order", "1100", "--truncation", "8", "--grid", "4"],
@@ -301,9 +317,13 @@ def test_finite_input_with_non_finite_result_is_one_line(argv, message, tmp_path
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--ar", "nan"], "AR coefficients must be finite"),
-        (["--ar", "0.5,inf"], "AR coefficients must be finite"),
-        (["--ma", "nan"], "MA coefficients must be finite"),
+        # the ids are those of the messages before they named the value
+        pytest.param(["--ar", "nan"], "AR coefficients must be finite, got nan",
+                     id="argv0-AR coefficients must be finite"),
+        pytest.param(["--ar", "0.5,inf"], "AR coefficients must be finite, got inf",
+                     id="argv1-AR coefficients must be finite"),
+        pytest.param(["--ma", "nan"], "MA coefficients must be finite, got nan",
+                     id="argv2-MA coefficients must be finite"),
         (["--ar", "1e308,1e308"], "unstable AR polynomial: root magnitude 1e+308 reaches the "
                                   "unit circle"),
     ],

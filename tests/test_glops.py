@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ def test_series_validation():
         Series([1.0], step=0.0)
     # a non-finite step or start would give NaN times
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="series step must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^series step must be finite, got {bad}$"):
             Series(np.sin(np.arange(64.0)), step=bad)
         with pytest.raises(ValueError, match="series start must be finite"):
             Series(np.sin(np.arange(64.0)), start=bad)
@@ -210,8 +212,11 @@ def test_truncation_validation():
 
 
 @pytest.mark.parametrize("t, step, message", [
-    (0.0, math.inf, "step must be positive and finite"),
-    (0.0, math.nan, "step must be positive and finite"),
+    # the ids are those of the one message both non-finite steps once had
+    pytest.param(0.0, math.inf, "step must be finite, got inf",
+                 id="0.0-inf-step must be positive and finite"),
+    pytest.param(0.0, math.nan, "step must be finite, got nan",
+                 id="0.0-nan-step must be positive and finite"),
     (math.inf, 0.1, "t must be finite, got inf"),
     (math.nan, 0.1, "t must be finite, got nan"),
 ])
@@ -222,6 +227,28 @@ def test_derivative_approx_refuses_non_finite_arguments(t, step, message):
 
     with pytest.raises(ValueError, match=f"^{message}$"):
         gl_derivative_approx(provider, 0.5, t, step, 4)
+
+
+@pytest.mark.parametrize(
+    "f, order, step",
+    [
+        (math.exp, -2.0, 1e-300),
+        (math.exp, 2.0, 1e300),
+        (lambda t: 1.0, 2.0, 1e-300),
+        (lambda t: 1e300 if t == 0.0 else 0.0, 1.0, 1e-10),
+    ],
+    ids=["small-step-overflows", "large-step-overflows", "step-underflows-over-zero",
+         "quotient-overflows"],
+)
+def test_derivative_approx_refuses_a_quotient_out_of_range(f, order, step):
+    # the first two raised OverflowError; the others returned nan and inf,
+    # each with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "step^order or the quotient leaves the double-precision range "
+                f"at step={step:g}, order={order:g}")):
+            gl_derivative_approx(f, order, 0.0, step, 4)
 
 
 def test_derivative_approx_affine_and_constant():

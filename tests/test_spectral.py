@@ -533,6 +533,23 @@ def test_non_finite_inputs_are_refused(call, message):
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: periodogram(Series(np.tile([1e306, -1e306], 64))),
+        lambda: sample_autocovariance(Series(np.tile([1e200, -1e200], 32)), 2),
+    ],
+    ids=["periodogram", "sample_autocovariance"],
+)
+def test_results_beyond_the_double_range_are_refused(call):
+    # they returned S = inf with an overflow warning, and [inf, -inf, inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^result is not finite: values exceed the "
+                                             "double-precision range$"):
+            call()
+
+
 @pytest.mark.parametrize("target", [power_law_target, gl_response_target])
 @pytest.mark.parametrize("order", [math.inf, -math.inf, math.nan])
 def test_targets_refuse_a_non_finite_order(target, order):
