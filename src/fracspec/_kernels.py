@@ -1,6 +1,7 @@
 """Hot inner loops: convolution with a kernel, the causal, zero and periodic
-boundaries, the AR recursion, and both operands, kernels and
-:class:`Series`: the one module that forms the transforms they multiply.
+boundaries, the sample autocovariance, the AR recursion, and both operands,
+kernels and :class:`Series`: the one module that forms the transforms they
+multiply.
 
 A kernel is weights at integer lags, and its type fixes the lags:
 :class:`Taps` are causal, weight k at lag k (a GL operator, an MA filter),
@@ -10,13 +11,13 @@ and a :class:`KernelWindow` is centred, its 2M + 1 weights at lags -M..M
 causal, zero and periodic boundaries multiply by it, and so does the
 response fold of ``spectral.operator_response``.
 
-The causal sum and the zero boundary are both ``convolve(y, kernel, 0, n)``,
-z[t] = sum_k w_k y[t - lag_k] at the times [start, stop).  It sums directly
-with ``np.convolve`` while the shorter operand is below ``FFT_MIN_SIZE``,
-and otherwise multiplies real FFTs at L = the smallest 5-smooth length from
-max(stop - first lag, n + last lag - start): entry t of the circular
-product also sums the times t - L and t + L, and at that L neither is in
-z's support.  So M + 1 causal weights and 2M + 1 centred ones both
+The causal sum and the zero boundary are both ``convolve(y, kernel)``,
+z[t] = sum_k w_k y[t - lag_k] at the series' own times t = 0..n - 1.  It
+sums directly with ``np.convolve`` while the shorter operand is below
+``FFT_MIN_SIZE``, and otherwise multiplies real FFTs at L = the smallest
+5-smooth length from n plus the largest |lag|: entry t of the circular
+product also sums the times t - L and t + L, and at that L neither lands
+on 0..n - 1.  So M + 1 causal weights and 2M + 1 centred ones both
 transform at n + M, and a :class:`Series` supplies its memoised
 ``spectrum(L)``, which a GL difference and a zero-boundary exact
 difference of one series share.  Each product takes a :class:`Series` and
@@ -26,6 +27,12 @@ for memoised weights on a grid of shorter side 128-512 by longer side
 ``np.convolve``'s rounding bit for bit; the FFT path is within 1e-13 *
 sum|w| * max|y| of the exact sum, and measured against the direct sum
 within ~1.2e-16 times that scale up to n = M = 1e5.
+
+The sample autocovariance, ``autocovariance(y, max_lag)``, is no
+convolution: it is the inverse transform of the power of the series'
+memoised centred ``rfft(L)``, L the 5-smooth length from n + max_lag, so
+it builds no operand and transforms once forward and once back at every
+n; at L = n_fft it shares that transform with the periodogram.
 
 The periodic boundary is one circular product at every n and window
 length: the series' centred ``rfft()`` at n times the kernel's
@@ -59,6 +66,7 @@ __all__ = [
     "KernelWindow",
     "Series",
     "convolve",
+    "autocovariance",
     "causal_apply",
     "two_sided_apply_zero",
     "two_sided_apply_periodic",
@@ -75,6 +83,9 @@ CACHE_BOUND = 8
 
 # what every operator says of an output that leaves the double-precision range
 _RESULT_NOT_FINITE = "result is not finite: values exceed the double-precision range"
+
+# what Series says of values that are not all finite
+_VALUES_NOT_FINITE = "series values must all be finite"
 
 
 def _whole(value, name: str) -> int:
@@ -204,9 +215,11 @@ class Series:
 
     ``values[i]`` is the sample at time ``start + i * step``: finite values,
     copied and read-only, and a positive finite step and a finite start,
-    kept as floats.  The series memoises its transforms: ``rfft(size)``, the
-    centred one, which periodic exact differences and the periodogram read,
-    and ``spectrum(size)``, the zero-padded one, which GL differences and
+    kept as floats, such that the last time, the span 2 n step and the top
+    frequency pi / step are finite too.  The series memoises its
+    transforms: ``rfft(size)``, the centred one, which periodic exact
+    differences, the periodogram and the sample autocovariance read, and
+    ``spectrum(size)``, the zero-padded one, which GL differences and
     zero-boundary exact differences read whenever their FFT lengths agree;
     the last ``CACHE_BOUND`` of both go with the series.
     """
@@ -221,11 +234,18 @@ class Series:
         if v.ndim != 1 or v.size < 1:
             raise ValueError("series must contain at least one sample")
         if not np.isfinite(v).all():
-            raise ValueError("series values must all be finite")
+            raise ValueError(_VALUES_NOT_FINITE)
         object.__setattr__(self, "step", _real(self.step, "series step"))
         if not self.step > 0.0:
             raise ValueError("series step must be positive")
         object.__setattr__(self, "start", _real(self.start, "series start"))
+        # the last time, a span above the periodogram's n_fft * step, and the
+        # top frequency: Python floats overflow to inf without a warning
+        step, n = self.step, v.size
+        extremes = (self.start + step * (n - 1), 2 * n * step, math.pi / step)
+        if not all(map(math.isfinite, extremes)):
+            raise ValueError(f"series step {step!r} takes the times or frequencies of {n} "
+                             "samples beyond the double-precision range")
         object.__setattr__(self, "values", _read_only(v))
 
     def __len__(self) -> int:
@@ -260,9 +280,10 @@ class Series:
         """An operator's output sampled like this series; ValueError if it overflowed."""
         try:
             return Series(values, self.step, self.start)
-        except ValueError:
-            # the output is one-dimensional and nonempty: only finiteness fails
-            raise ValueError(_RESULT_NOT_FINITE) from None
+        except ValueError as error:
+            if error.args != (_VALUES_NOT_FINITE,):
+                raise
+        raise ValueError(_RESULT_NOT_FINITE)
 
 
 @functools.lru_cache(maxsize=64)
@@ -279,28 +300,38 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def convolve(y: Series, w: Taps, start=0, stop=None) -> np.ndarray:
-    """z[t] = sum_k weights[k] * y[t - lags[k]] at t = start..stop - 1, with
-    samples outside y zero; 0 <= start, and ``stop`` defaults to
-    len(y) + the last lag, the end of z's support.
+def convolve(y: Series, w: Taps) -> np.ndarray:
+    """z[t] = sum_k weights[k] * y[t - lags[k]] at t = 0..len(y) - 1, with
+    samples outside y zero.
 
     ``w`` is :class:`Taps` or a :class:`KernelWindow`, read at its own lags.
     The FFT path, from ``FFT_MIN_SIZE`` on, transforms at the smallest
-    5-smooth length from max(stop - first lag, len(y) + last lag - start),
-    at which no wrapped sum lands in the window, and reuses the memoised
-    spectra of the kernel and of the series at that length.  The causal and
-    zero boundaries, the MA filter and the sample autocovariance call it;
-    the periodic boundary does not.
+    5-smooth length from len(y) plus the largest |lag|, at which no wrapped
+    sum lands on the series' times, and reuses the memoised spectra of the
+    kernel and of the series at that length.  The causal and zero
+    boundaries and the MA filter call it; the periodic boundary does not.
     """
     n, first = len(y), w._first_lag()
-    last = first + len(w) - 1
-    stop = n + last if stop is None else stop
     if min(n, len(w)) < FFT_MIN_SIZE:
         # entry i of the linear product is time i + first
-        return np.convolve(y.values, w.weights)[start - first : stop - first]
+        return np.convolve(y.values, w.weights)[-first : n - first]
     # circular entry t also sums the times t - size and t + size
-    size = _fft_length(max(stop - first, n + last - start))
-    return np.fft.irfft(y.spectrum(size) * w.spectrum(size), size)[start:stop]
+    size = _fft_length(n + max(-first, first + len(w) - 1))
+    return np.fft.irfft(y.spectrum(size) * w.spectrum(size), size)[:n]
+
+
+def autocovariance(y: Series, max_lag: int) -> np.ndarray:
+    """(1/n) sum_t c[t] c[t + k] for k = 0..max_lag, c the series less its
+    mean: the inverse transform of |y.rfft(size)|^2 at size = the smallest
+    5-smooth length from n + max_lag, at which the wrapped lag k - size
+    lies below -(n - 1), outside c.  Bin 0 is zeroed, since c sums to zero;
+    the centred spectrum is the one periodic differences and the
+    periodogram read at their own lengths.  One forward and one inverse
+    transform at every n."""
+    size = _fft_length(len(y) + max_lag)
+    power = np.abs(y.rfft(size)) ** 2
+    power[0] = 0.0
+    return np.fft.irfft(power, size)[: max_lag + 1] / len(y)
 
 
 def causal_apply(y: Series, coeffs: Taps) -> np.ndarray:
@@ -311,7 +342,7 @@ def causal_apply(y: Series, coeffs: Taps) -> np.ndarray:
     """
     if not isinstance(coeffs, Taps):
         y, coeffs = Series(y), Taps(coeffs)
-    return convolve(y, coeffs, 0, len(y))
+    return convolve(y, coeffs)
 
 
 def two_sided_apply_zero(y: Series, weights: Taps) -> np.ndarray:
@@ -319,7 +350,7 @@ def two_sided_apply_zero(y: Series, weights: Taps) -> np.ndarray:
     the kernel at its own lags.  The FFT path transforms at the 5-smooth
     length from n + M, not from n + 2M.
     """
-    return convolve(y, weights, 0, len(y))
+    return convolve(y, weights)
 
 
 def two_sided_apply_periodic(y: Series, weights: Taps) -> np.ndarray:

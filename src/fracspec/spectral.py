@@ -1,6 +1,12 @@
 """Discrete Fourier machinery: periodograms, operator frequency responses,
 analytic power-law targets, autocovariance, and log-log slope fits.
 
+The periodogram and the sample autocovariance both read a series' memoised
+centred transform, ``Series.rfft``: the autocovariance is the inverse
+transform of its power (Wiener-Khinchin), so a series whose periodogram
+length n_fft is also the 5-smooth length from n + max_lag is transformed
+once for both.
+
 Transform convention is fixed to negative exponent throughout:
 yhat(w) = sum_t y_t exp(-i w t T).  Under it the measured response of a lag
 window is H(wT) = sum_m K(m) exp(-i wT m), the Grunwald-Letnikov target is
@@ -17,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import Series, Taps, _finite, _real, _whole
+from ._kernels import Series, _finite, _real, _whole
 from .exactops import cospi, exact_kernel_window, sinpi
 from .glops import gl_coefficients
 
@@ -251,17 +257,19 @@ def response_report(
 def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:
     """Biased-normalization sample autocovariance for lags 0..max_lag.
 
-    rho(k) = (1/n) sum_t (y_t - ybar)(y_{t+k} - ybar), of which only these
-    lags are formed: the FFT path transforms at the 5-smooth length from
-    n + max_lag, not 2n - 1.  ValueError if the centring or a sum overflows.
+    rho(k) = (1/n) sum_t (y_t - ybar)(y_{t+k} - ybar), the inverse transform
+    of the power of the series' memoised centred ``Series.rfft`` at the
+    5-smooth length from n + max_lag, not 2n - 1 (``_kernels.autocovariance``):
+    one forward and one inverse transform at every n, within 1e-13 *
+    sum|c| * max|c| / n of the exact sums, c the centred values.  ValueError
+    if the centring or a sum overflows.
     """
     n = len(y)
     max_lag = _whole(max_lag, "max_lag")
     if not (0 <= max_lag < n):
         raise ValueError("max_lag must satisfy 0 <= max_lag < len(y)")
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = y.with_values(y.values - y.values.mean())
-        acov = _kernels.convolve(centered, Taps(centered.values[::-1]), n - 1, n + max_lag) / n
+        acov = _kernels.autocovariance(y, max_lag)
     _finite(acov)
     return acov
 

@@ -166,6 +166,33 @@ def test_kernels_build_no_operand():
         ("f", "Series"), ("f", "KernelWindow"), ("f", "isinstance")]
 
 
+def _taps_callers(source):
+    """Function of each ``Taps(...)`` or ``_kernels.Taps(...)`` call in
+    ``source``."""
+    return [function.name for function in ast.walk(ast.parse(source))
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == "Taps"]
+
+
+def test_convolve_has_one_window():
+    # convolve returns the series' n samples and takes no output window; the
+    # sample autocovariance builds no kernel, so spectral.py builds Taps only
+    # to read an array as causal weights in operator_response
+    package = Path(fracspec.__file__).resolve().parent
+    kernels = ast.parse((package / "_kernels.py").read_text(encoding="utf-8"))
+    convolve = next(node for node in kernels.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "convolve")
+    assert ast.unparse(convolve.args) == "y: Series, w: Taps"
+    spectral = (package / "spectral.py").read_text(encoding="utf-8")
+    assert _taps_callers(spectral) == ["operator_response"]
+    # each form is caught
+    assert _taps_callers("def f(w):\n    return Taps(w)\n"
+                          "def g(w):\n    return _kernels.Taps(w[::-1])") == ["f", "g"]
+
+
 def _names(source, name):
     """Lines of ``source`` that name ``name``: as a name, an attribute or an
     imported alias."""

@@ -278,6 +278,11 @@ _HUGE_SIGNS = (1, -1, 1, -1, 1, -1, -1, 1)
 _NOT_FINITE = "result is not finite: values exceed the double-precision range"
 
 
+def _step_out_of_range(step):
+    return (f"series step {step!r} takes the times or frequencies of 4 samples beyond the "
+            "double-precision range")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -301,13 +306,20 @@ _NOT_FINITE = "result is not finite: values exceed the double-precision range"
         (["simulate", "--d", "0.3", "--n", "100", "--ma", "10", "--sigma", "1e307"], _NOT_FINITE),
         # four samples of 1e308, whose mean overflows
         (["acf", "--input", "LEVEL", "--max-lag", "2"], _NOT_FINITE),
+        # four finite, uniform times whose span 2 n step, or top frequency
+        # pi / step, is not finite
+        (["spectrum", "--input", "WIDE"], _step_out_of_range(4e307)),
+        (["spectrum", "--input", "NARROW"], _step_out_of_range(1e-320)),
     ],
 )
 def test_finite_input_with_non_finite_result_is_one_line(argv, message, tmp_path, capsys):
-    huge, level = tmp_path / "huge.csv", tmp_path / "level.csv"
-    huge.write_text("t,value\n" + "".join(f"{t},{s * 1e308}\n" for t, s in enumerate(_HUGE_SIGNS)))
-    level.write_text("t,value\n" + "".join(f"{t},1e308\n" for t in range(4)))
-    argv = [{"HUGE": str(huge), "LEVEL": str(level)}.get(a, a) for a in argv]
+    files = {name: tmp_path / f"{name}.csv" for name in ("HUGE", "LEVEL", "WIDE", "NARROW")}
+    files["HUGE"].write_text(
+        "t,value\n" + "".join(f"{t},{s * 1e308}\n" for t, s in enumerate(_HUGE_SIGNS)))
+    files["LEVEL"].write_text("t,value\n" + "".join(f"{t},1e308\n" for t in range(4)))
+    for name, step in (("WIDE", 4e307), ("NARROW", 1e-320)):
+        files[name].write_text("t,value\n" + "".join(f"{k * step!r},{k % 2}\n" for k in range(4)))
+    argv = [str(files[a]) if a in files else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
         code, out, err = run_cli(argv, capsys)

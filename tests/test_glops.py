@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from fracspec import (
     NoiseSpec,
     Series,
+    estimate_memory,
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
     loglog_slope_fit,
+    periodogram,
     white_noise,
 )
 
@@ -38,6 +40,37 @@ def test_series_validation():
     s = Series([1.0, 2.0], step=0.5, start=3.0)
     assert np.allclose(s.times, [3.0, 3.5])
     assert not s.values.flags.writeable
+
+
+_SINE = np.sin(np.arange(100.0))
+
+
+def _out_of_range(step, n):
+    return (f"^series step {re.escape(repr(step))} takes the times or frequencies of {n} "
+            "samples beyond the double-precision range$")
+
+
+@pytest.mark.parametrize(
+    "call,step,n",
+    [
+        # n_fft * step overflowed, and every frequency read 0.0
+        pytest.param(lambda: periodogram(Series(_SINE, step=1e307)), 1e307, 100,
+                     id="periodogram-huge-step"),
+        pytest.param(lambda: estimate_memory(Series(_SINE, step=1e307)), 1e307, 100,
+                     id="estimate-huge-step"),
+        # pi / step overflowed
+        pytest.param(lambda: periodogram(Series(_SINE, step=1e-320)), 1e-320, 100,
+                     id="periodogram-subnormal-step"),
+        # the last time overflowed
+        pytest.param(lambda: Series(np.ones(3), step=1e308, start=1e308).times, 1e308, 3,
+                     id="times-huge-start"),
+    ],
+)
+def test_series_refuses_a_step_beyond_the_double_range(call, step, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=_out_of_range(step, n)):
+            call()
 
 
 def test_coefficients_integer_orders_exact():

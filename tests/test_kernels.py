@@ -6,6 +6,7 @@ on its one circular (length-n) route at every n and window length.  A
 kernel's type fixes its lags: ``Taps`` are causal and a ``KernelWindow``
 centred, at every boundary."""
 
+import re
 import sys
 import threading
 
@@ -113,14 +114,14 @@ def test_gl_difference_on_both_sides_of_the_crossover(taps):
 
 
 # both sides of the crossover, and both sides of 384, from which a product of
-# a fresh series and fresh taps, as ``acf --input`` makes (three transforms),
-# beats the direct sum on the crossover grid
+# a fresh series and fresh taps beat the direct sum on the crossover grid:
+# convolve returns the series' n samples, the first n of the linear product
 @pytest.mark.parametrize("short", [_kernels.FFT_MIN_SIZE - 1, _kernels.FFT_MIN_SIZE, 383, 384])
 @pytest.mark.parametrize("short_first", [False, True])
 def test_convolve_crossover_boundary(rng, monkeypatch, short, short_first):
     long_, short_ = rng.normal(size=2000), rng.normal(size=short)
     y, w = (short_, long_) if short_first else (long_, short_)
-    want = np.convolve(y, w)
+    want = np.convolve(y, w)[: y.size]
     direct_calls = _count_direct_calls(monkeypatch)
     got = _kernels.convolve(Series(y), _kernels.Taps(w))
     assert got.shape == want.shape
@@ -192,6 +193,21 @@ def test_causal_apply_strips_exact_trailing_zeros(monkeypatch):
     assert np.array_equal(got, np.convolve(y.values, [1.0, -2.0, 1.0])[:5000])
     assert np.array_equal(gl_difference(y, 0.0, 4999).values, y.values)
     assert seen == [3, 1]
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([], "series must contain at least one sample"),
+        (np.ones((2, 2)), "series must contain at least one sample"),
+        ([1.0, np.inf], _kernels._RESULT_NOT_FINITE),
+    ],
+)
+def test_with_values_reports_only_overflow_as_a_result_error(values, message):
+    # a shape error keeps Series' own message; only non-finite values are an
+    # operator's overflow
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Series(np.ones(3)).with_values(values)
 
 
 @pytest.mark.parametrize("p", [1, 2, 5])

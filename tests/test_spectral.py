@@ -28,6 +28,7 @@ from fracspec import (
     sample_autocovariance,
     white_noise,
 )
+from test_kernels import _record_transforms
 
 
 def test_periodogram_white_noise_level():
@@ -460,20 +461,15 @@ def test_sample_autocovariance_matches_brute_force_sum():
 
 @pytest.mark.parametrize(
     "n,max_lag",
-    # both sides of the crossover, and lags from none to n - 1
+    # both sides of the former direct/FFT crossover, and lags from none to n - 1
     [(n, lag) for n in (5, 223, 224, 300, 3000) for lag in (0, 1, 40) if lag < n]
     + [(224, 223), (3000, 2999)],
 )
 def test_sample_autocovariance_transforms_only_the_kept_lags(monkeypatch, n, max_lag):
+    # one forward transform of the centred series and one inverse, both at
+    # the 5-smooth length from n + max_lag, at every n
     y = white_noise(NoiseSpec(seed=n + max_lag), n)
-    sizes = []
-    real_rfft = np.fft.rfft
-
-    def recording_rfft(a, size=None):
-        sizes.append(size)
-        return real_rfft(a, size)
-
-    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    rffts, irffts = _record_transforms(monkeypatch)
     acov = sample_autocovariance(y, max_lag)
     monkeypatch.undo()
     c = y.values - y.values.mean()
@@ -481,7 +477,18 @@ def test_sample_autocovariance_transforms_only_the_kept_lags(monkeypatch, n, max
     assert acov.shape == (max_lag + 1,)
     assert np.abs(acov - want).max() <= 1e-13 * np.abs(c).sum() * np.abs(c).max() / n
     size = spectral._kernels._fft_length(n + max_lag)
-    assert sizes == ([size, size] if n >= spectral._kernels.FFT_MIN_SIZE else [])
+    assert (rffts, irffts) == ([size], [size])
+
+
+def test_periodogram_and_acf_share_one_transform(monkeypatch):
+    # n = 4000 with 96 lags transforms at 4096, the periodogram's n_fft: the
+    # centred series is transformed once for both
+    y = white_noise(NoiseSpec(seed=31), 4000)
+    assert spectral._kernels._fft_length(4000 + 96) == spectral._fft_size(4000) == 4096
+    rffts, irffts = _record_transforms(monkeypatch)
+    periodogram(y)
+    sample_autocovariance(y, 96)
+    assert (rffts, irffts) == ([4096], [4096])
 
 
 def test_sample_autocovariance_lag_validation():
