@@ -231,7 +231,9 @@ class Series:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
+        if v.ndim != 1:
+            raise ValueError("series must be one-dimensional")
+        if v.size < 1:
             raise ValueError("series must contain at least one sample")
         if not np.isfinite(v).all():
             raise ValueError(_VALUES_NOT_FINITE)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import Series, Taps, _finite, _real, _whole
+from ._kernels import Series, Taps, _real, _whole
 from .glops import _without_trailing_zeros, gl_coefficients, gl_difference
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
@@ -324,7 +324,6 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
         raise ValueError("series is constant: its memory cannot be estimated")
     omega, amplitude = _lowest_ordinates(y, bandwidth)
     top = amplitude.max()
-    _finite(top)
     if (amplitude == 0.0).any():
         raise ValueError("series has no power at its lowest frequencies: "
                          "its memory cannot be estimated")
@@ -334,21 +333,25 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
 
 
 def theoretical_acf(
-    d: float, sigma: float, max_lag: int, truncation: int
+    d: float, sigma: float, max_lag: int, truncation: int | None = None
 ) -> np.ndarray:
-    """Noise-free autocovariance gamma(k) = sigma^2 sum_j psi_j psi_{j+k}
-    of an ARFIMA(0, d, 0) process, lags 0..max_lag.
+    """Noise-free autocovariance gamma(k) of an ARFIMA(0, d, 0) process,
+    lags 0..max_lag; ``max_lag`` may not exceed ``MAX_LAG_CAP``.
 
-    psi are the MA-infinity weights of (1-L)^(-d), summed up to
-    ``truncation`` J (which must be at least 10*max_lag); ``max_lag`` may
-    not exceed ``MAX_LAG_CAP``.  The sum falls short of the exact
-    autocovariance by its omitted tail, about
-    sigma^2 J^(2d-1) / ((1-2d) Gamma(d)^2) at lags well below J: at J = 1e5
-    that is 0.21% of gamma(0) at d = 0.3 and 22% at d = 0.45 (4.1% and 46%
-    of gamma(200)).  The truncation is rejected when the leading omitted
-    term psi_J^2 exceeds 1e-6 of gamma(0); that understates the tail (about
-    2.5e5 times at d = 0.3), so the guard only rejects very short
-    truncations.
+    By default it is Hosking's closed form (Fractional differencing,
+    Biometrika 1981), gamma(0) = sigma^2 Gamma(1-2d) / Gamma(1-d)^2 and
+    gamma(k) = gamma(k-1) (k-1+d) / (k-d), in O(max_lag): within
+    2e-15 * (k+1) relative of 40-digit values at every lag up to the cap.
+
+    With a ``truncation`` J (at least 10*max_lag) it is instead
+    sigma^2 sum_{j<=J} psi_j psi_{j+k}, psi the MA-infinity weights of
+    (1-L)^(-d).  That sum falls short of the closed form by its omitted
+    tail, about sigma^2 J^(2d-1) / ((1-2d) Gamma(d)^2) at lags well below
+    J: at J = 1e5 that is 0.21% of gamma(0) at d = 0.3 and 22% at d = 0.45
+    (4.1% and 46% of gamma(200)).  The truncation is rejected when the
+    leading omitted term psi_J^2 exceeds 1e-6 of gamma(0); that understates
+    the tail (about 2.5e5 times at d = 0.3), so the guard only rejects very
+    short truncations.
     """
     d, sigma = _real(d, "d"), _real(sigma, "sigma")
     if not abs(d) < 0.5:
@@ -360,19 +363,26 @@ def theoretical_acf(
         raise ValueError("max_lag must be nonnegative")
     if max_lag > MAX_LAG_CAP:
         raise ValueError(f"max_lag exceeds cap {MAX_LAG_CAP}")
-    truncation = _whole(truncation, "truncation")
-    if truncation < 10 * max_lag:
-        raise ValueError("truncation must be at least 10 * max_lag")
-    psi = gl_coefficients(-d, truncation + max_lag)
     variance = sigma * sigma  # inf, not OverflowError, when too large
-    # only max_lag + 1 outputs are kept: at a few hundred lags their direct
-    # sums (max_lag + 1 dot products of length truncation + 1) cost less than
-    # the full FFT convolution that _kernels.convolve would compute
     with np.errstate(over="ignore", invalid="ignore"):
-        gammas = variance * np.correlate(psi, psi[: truncation + 1], "valid")
+        if truncation is None:
+            # Hosking's gamma(0), then gamma(k) = gamma(k-1) (k-1+d) / (k-d): no tail
+            gammas = np.cumprod(np.r_[variance * math.gamma(1 - 2 * d) / math.gamma(1 - d) ** 2,
+                                      (np.arange(max_lag) + d) / (np.arange(max_lag) + 1 - d)])
+            tail_estimate = 0.0
+        else:
+            truncation = _whole(truncation, "truncation")
+            if truncation < 10 * max_lag:
+                raise ValueError("truncation must be at least 10 * max_lag")
+            psi = gl_coefficients(-d, truncation + max_lag)
+            # only max_lag + 1 outputs are kept: at a few hundred lags their
+            # direct sums (max_lag + 1 dot products of length truncation + 1)
+            # cost less than the full FFT convolution that _kernels.convolve
+            # would compute
+            gammas = variance * np.correlate(psi, psi[: truncation + 1], "valid")
+            tail_estimate = variance * psi[truncation] ** 2
     if not np.isfinite(gammas).all():
         raise ValueError(f"theoretical ACF overflows at sigma={sigma:g}")
-    tail_estimate = variance * psi[truncation] ** 2
     if tail_estimate > 1e-6 * gammas[0]:
         raise ValueError(
             f"truncation {truncation} too small for d={d:g}: tail estimate "

@@ -287,17 +287,11 @@ def _cmd_acf(args) -> str:
     if args.input is not None and args.d is not None:
         raise ValueError("acf takes either --input (sample ACF) or --d (theoretical), not both")
     if args.d is not None:
-        truncation = args.truncation
-        if truncation is None:
-            # theoretical_acf sums truncation + max_lag psi weights; from
-            # 1e5 the sum passed its tail guard at every d tried in
-            # [-0.49, 0.499] (see CHANGES.md)
-            truncation = min(
-                max(100 * args.max_lag, 100_000), glops.TRUNCATION_CAP - args.max_lag
-            )
         sigma = 1.0 if args.sigma is None else args.sigma
-        gammas = arfima.theoretical_acf(args.d, sigma, args.max_lag, truncation)
-        meta = f"# theoretical, d={_fmt(args.d)}, sigma={_fmt(sigma)}, truncation={truncation}"
+        gammas = arfima.theoretical_acf(args.d, sigma, args.max_lag, args.truncation)
+        meta = f"# theoretical, d={_fmt(args.d)}, sigma={_fmt(sigma)}"
+        if args.truncation is not None:
+            meta += f", truncation={args.truncation}"
     else:
         for flag in ("truncation", "sigma"):
             if getattr(args, flag) is not None:
@@ -389,11 +383,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=None, help="default 1; --d only")
     p.add_argument("--max-lag", type=int, required=True)
     p.add_argument("--truncation", type=int, default=None,
-                   help="psi-weight truncation J (default max(100 * max_lag, 100000), at "
-                   "most the GL truncation cap minus max_lag); the sum falls short of "
-                   "the ACF by about sigma^2 J^(2d-1) / ((1-2d) Gamma(d)^2), 22%% of "
-                   "gamma(0) at d = 0.45 and J = 1e5, and its tail guard rejects only "
-                   "very short truncations; --d only")
+                   help="sum J psi weights instead of Hosking's closed form (the default); "
+                   "--d only")
     add_output(p)
     p.set_defaults(handler=_cmd_acf)
 

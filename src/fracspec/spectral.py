@@ -105,10 +105,14 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
 
 def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
     """omega_j of :func:`periodogram` and the amplitudes |yhat_j| behind its
-    S_j = |yhat_j|^2 / n_fft, for j = 1..count only."""
+    S_j = |yhat_j|^2 / n_fft, for j = 1..count only; ValueError if the
+    centring or an amplitude overflows."""
     n_fft = _fft_size(len(y))
     omega = 2.0 * math.pi * np.arange(1, count + 1) / (n_fft * y.step)
-    return omega, np.abs(y.rfft(n_fft)[1 : count + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = np.abs(y.rfft(n_fft)[1 : count + 1])
+    _finite(amplitude)
+    return omega, amplitude
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -172,15 +176,20 @@ def operator_response(weights, grid: Sequence[float]) -> np.ndarray:
     reads bins k of the kernel's memoised ``spectrum(2N)``, its lags folded
     mod 2N, in O(M + N log N); any other grid, such as [37 pi / 256], is
     summed directly, O(G M).  Targets are computed by :func:`response_report`.
+    ValueError if a response value is not finite.
     """
     kernel = weights if isinstance(weights, _kernels.Taps) else _kernels.Taps(weights)
     grid = _validate_grid(grid)
     fold = _fold_grid(grid, grid.size * len(kernel))
-    if fold is None:
-        return _direct_response(kernel, grid)
-    # e^{-i pi k m / N} depends on the lag m only mod 2N
-    n, k = fold
-    return kernel.spectrum(2 * n)[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fold is None:
+            response = _direct_response(kernel, grid)
+        else:
+            # e^{-i pi k m / N} depends on the lag m only mod 2N
+            n, k = fold
+            response = kernel.spectrum(2 * n)[k]
+    _finite(response)
+    return response
 
 
 def _polar(mag, phase_cos, phase_sin) -> complex | np.ndarray:
@@ -244,13 +253,16 @@ def response_report(
         weights = exact_kernel_window(order, truncation)
     else:
         raise ValueError(f"family must be 'gl' or 'exact', got {family!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the order and the grid are valid, so only a value that is not finite fails
+    try:
         measured = operator_response(weights, grid)
-        columns = _error_columns(measured, power_law_target(order, grid))
-        if family == "gl":
-            columns += _error_columns(measured, gl_response_target(order, grid))
-    if not all(np.isfinite(c).all() for c in (measured,) + columns):
-        raise ValueError(f"response of order {order:g} is not finite on this grid")
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _error_columns(measured, power_law_target(order, grid))
+            if family == "gl":
+                columns += _error_columns(measured, gl_response_target(order, grid))
+        _finite(*columns)
+    except ValueError:
+        raise ValueError(f"response of order {order:g} is not finite on this grid") from None
     return ResponseReport(grid, measured, *columns)
 
 

@@ -257,6 +257,7 @@ _COUNT_SITES = {
     "response_report.exact": ("half_width", 16,
                               lambda v: response_report(0.5, "exact", v, [1.0]).measured),
     "theoretical_acf.max_lag": ("max_lag", 5, lambda v: theoretical_acf(0.3, 1.0, v, 10**5)),
+    "theoretical_acf.closed_form": ("max_lag", 5, lambda v: theoretical_acf(0.3, 1.0, v)),
     "theoretical_acf.truncation": ("truncation", 10**5,
                                    lambda v: theoretical_acf(0.3, 1.0, 5, v)),
     "sample_autocovariance": ("max_lag", 5, lambda v: sample_autocovariance(_Y, v)),
@@ -307,6 +308,8 @@ _REAL_SITES = {
     "NoiseSpec.sigma": ("sigma", 2, lambda v: white_noise(NoiseSpec(sigma=v), 8).values),
     "theoretical_acf.d": ("d", 0, lambda v: theoretical_acf(v, 1.0, 5, 100)),
     "theoretical_acf.sigma": ("sigma", 2, lambda v: theoretical_acf(0.3, v, 5, 10**5)),
+    "theoretical_acf.closed_form.d": ("d", 0, lambda v: theoretical_acf(v, 1.0, 5)),
+    "theoretical_acf.closed_form.sigma": ("sigma", 2, lambda v: theoretical_acf(0.3, v, 5)),
     "MemoryEstimate.d_hat": ("d_hat", 1, lambda v: MemoryEstimate(v, 0.1, 5).d_hat),
     "MemoryEstimate.std_err": ("std_err", 1, lambda v: MemoryEstimate(0.1, v, 5).std_err),
 }

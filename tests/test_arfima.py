@@ -17,7 +17,7 @@ from fracspec import (
     theoretical_acf,
     white_noise,
 )
-from fracspec.arfima import _PPF_SPLIT, _norm_ppf
+from fracspec.arfima import MAX_LAG_CAP, _PPF_SPLIT, _norm_ppf
 
 
 def test_noise_spec_validation():
@@ -268,6 +268,32 @@ def test_theoretical_acf_white_noise():
     gammas = theoretical_acf(0.0, 1.5, 8, 100)
     assert gammas[0] == pytest.approx(1.5**2, rel=1e-14)
     assert np.abs(gammas[1:]).max() == 0.0
+
+
+# gamma(k) of ARFIMA(0, d, 0) at sigma = 1 and lags 0, 1, 10, 1000, 10000:
+# Gamma(1-2d) Gamma(k+d) / (Gamma(d) Gamma(1-d) Gamma(k+1-d)) by mpmath at 40
+# digits, d the double nearest the decimal
+_HOSKING_LAGS = (0, 1, 10, 1000, 10_000)
+_HOSKING_MPMATH = {
+    -0.45: (1.2261226895598940407, -0.38052083469100160531, -0.0038145000069214718386,
+            -6.0330856121773726782e-7, -7.5952032350342749727e-9),
+    0.1: (1.0194947882253109949, 0.11327719869170122865, 0.01814759678103856733,
+          0.0004559016514962091881, 0.000072255543247207835965),
+    0.3: (1.3164560621300046793, 0.56419545519857340417, 0.22737350122527667164,
+          0.036041308167663983903, 0.01434830341654280963),
+    0.45: (3.642429629126853664, 2.9801696965583349497, 2.3757068217078980487,
+           1.4990313878925255119, 1.1907229610035735641),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_HOSKING_MPMATH))
+def test_theoretical_acf_defaults_to_hoskings_closed_form(d):
+    # measured worst case 2.6 eps * (k + 1) at these d, at lag 0 and d = -0.45;
+    # 3.5 eps at d = 0.01, the worst of nine d in (-0.5, 0.5)
+    gammas = theoretical_acf(d, 1.0, MAX_LAG_CAP)
+    assert gammas.shape == (MAX_LAG_CAP + 1,)
+    for lag, want in zip(_HOSKING_LAGS, _HOSKING_MPMATH[d]):
+        assert abs(gammas[lag] - want) <= 2e-15 * (lag + 1) * abs(want), lag
 
 
 def test_theoretical_acf_matches_gamma_closed_form():

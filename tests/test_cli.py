@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fracspec import NoiseSpec, white_noise
-from fracspec import arfima, cli, exactops, glops
+from fracspec import arfima, cli, exactops
 from fracspec.cli import main, parse_series_csv
 from fracspec.errors import ConsistencyError
 
@@ -348,30 +348,38 @@ def test_bad_arma_coefficients_are_one_line_naming_them(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "max_lag,want",
+    "max_lag,truncation",
     [(200, 100_000), (1000, 100_000), (1001, 100_100), (9900, 990_000), (9950, 990_050),
      (10_000, 990_000)],
 )
-def test_acf_default_truncation_stays_within_gl_cap(max_lag, want, monkeypatch, capsys):
+def test_acf_default_truncation_stays_within_gl_cap(max_lag, truncation, monkeypatch, capsys):
+    # the default is no truncation, so it sums no psi weights at all:
+    # theoretical_acf gets None and the header names none; an explicit one
+    # is passed through and named
     seen = []
 
-    def fake_acf(d, sigma, max_lag, truncation):
+    def fake_acf(d, sigma, max_lag, truncation=None):
         seen.append(truncation)
         return np.zeros(max_lag + 1)
 
     monkeypatch.setattr(arfima, "theoretical_acf", fake_acf)
-    code, out, err = run_cli(["acf", "--d", "0.3", "--max-lag", str(max_lag)], capsys)
-    assert (code, err) == (0, "")
-    assert seen == [want] and want + max_lag <= glops.TRUNCATION_CAP
-    assert f"truncation={want}\n" in out
+    argv = ["acf", "--d", "0.3", "--max-lag", str(max_lag)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "") and "truncation" not in out
+    code, out, err = run_cli(argv + ["--truncation", str(truncation)], capsys)
+    assert (code, err) == (0, "") and f"truncation={truncation}\n" in out
+    assert seen == [None, truncation]
 
 
 @pytest.mark.parametrize("d", [-0.49, 0.1, 0.3, 0.45, 0.499])
 @pytest.mark.parametrize("max_lag", [0, 1, 5, 20, 100])
 def test_acf_default_truncation_passes_the_tail_guard(d, max_lag, capsys):
+    # the default is Hosking's closed form, which omits no tail to guard
     code, out, err = run_cli(["acf", "--d", str(d), "--max-lag", str(max_lag)], capsys)
     assert (code, err) == (0, "")
-    assert parse_rows(out).shape == (max_lag + 1, 2)
+    assert out.splitlines()[0] == f"# theoretical, d={d:.12g}, sigma=1"
+    want = [float(format(g, ".12g")) for g in arfima.theoretical_acf(d, 1.0, max_lag)]
+    assert parse_rows(out)[:, 1].tolist() == want
 
 
 @pytest.mark.parametrize("flag,value", [("--truncation", "100"), ("--sigma", "1")])

@@ -199,7 +199,9 @@ def test_causal_apply_strips_exact_trailing_zeros(monkeypatch):
     "values,message",
     [
         ([], "series must contain at least one sample"),
-        (np.ones((2, 2)), "series must contain at least one sample"),
+        # the id is that of the message before it named the shape
+        pytest.param(np.ones((2, 2)), "series must be one-dimensional",
+                     id="values1-series must contain at least one sample"),
         ([1.0, np.inf], _kernels._RESULT_NOT_FINITE),
     ],
 )

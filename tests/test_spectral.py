@@ -16,6 +16,7 @@ from fracspec import (
     NoiseSpec,
     ResponseReport,
     Series,
+    estimate_memory,
     estimate_memory_from_periodogram,
     exact_kernel_window,
     gl_coefficients,
@@ -540,16 +541,27 @@ def test_non_finite_inputs_are_refused(call, message):
             call()
 
 
+# values whose sum overflows, so their centred transform does
+_SUM_OVERFLOWS = np.r_[np.full(32, 1e308), np.full(32, 9e307)]
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: periodogram(Series(np.tile([1e306, -1e306], 64))),
         lambda: sample_autocovariance(Series(np.tile([1e200, -1e200], 32)), 2),
+        lambda: periodogram(Series(_SUM_OVERFLOWS)),
+        lambda: estimate_memory(Series(_SUM_OVERFLOWS)),
+        lambda: operator_response(np.full(4, 1e308), np.arange(1, 9) * np.pi / 8),
+        lambda: operator_response(np.array([1e308, 1e308]), [1e-3]),
     ],
-    ids=["periodogram", "sample_autocovariance"],
+    ids=["periodogram", "sample_autocovariance", "periodogram-centring",
+         "estimate_memory-centring", "operator_response-fold", "operator_response-direct"],
 )
 def test_results_beyond_the_double_range_are_refused(call):
-    # they returned S = inf with an overflow warning, and [inf, -inf, inf]
+    # they returned S = inf with an overflow warning, and [inf, -inf, inf];
+    # the centring's sum and both response routes warned before the refusal
+    # or returned inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^result is not finite: values exceed the "
