@@ -319,7 +319,9 @@ def convolve(y: Series, w: Taps) -> np.ndarray:
         return np.convolve(y.values, w.weights)[-first : n - first]
     # circular entry t also sums the times t - size and t + size
     size = _fft_length(n + max(-first, first + len(w) - 1))
-    return np.fft.irfft(y.spectrum(size) * w.spectrum(size), size)[:n]
+    # an overflow is refused by the caller's with_values, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.irfft(y.spectrum(size) * w.spectrum(size), size)[:n]
 
 
 def autocovariance(y: Series, max_lag: int) -> np.ndarray:
@@ -362,7 +364,8 @@ def two_sided_apply_periodic(y: Series, weights: Taps) -> np.ndarray:
     memoised ``spectrum(n)``, and one ``irfft`` at n.
     """
     n = len(y)
-    return np.fft.irfft(y.rfft() * weights.spectrum(n), n)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in convolve
+        return np.fft.irfft(y.rfft() * weights.spectrum(n), n)
 
 
 def ar_recurse(y: Series, phi) -> Series:

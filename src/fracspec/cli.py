@@ -199,21 +199,29 @@ def _cmd_difference(args) -> str:
             )
     text, name = _read_text(args.input)
     series, _ = parse_series_csv(text, name)
+    flag, cap_name, cap = (
+        ("truncation", "glops.TRUNCATION_CAP", glops.TRUNCATION_CAP) if args.family == "gl"
+        else ("half_width", "exactops.HALF_WIDTH_CAP", exactops.HALF_WIDTH_CAP)
+    )
+    width = getattr(args, flag)
+    if width is None:
+        # under the zero pre-sample and the zero boundary every width from
+        # n - 1 on gives the same output: the operator untruncated on the samples
+        width = len(series)
+        if width > cap:
+            raise ValueError(
+                f"{width} samples exceed {cap_name} = {cap} of the untruncated operator; "
+                f"--{flag.replace('_', '-')} truncates it"
+            )
     if args.family == "gl":
-        truncation = args.truncation
-        if truncation is None:
-            truncation = min(len(series), 4096)
-        out = glops.gl_difference(series, args.order, truncation)
-        meta = [f"family=gl, order={_fmt(args.order)}, truncation={truncation}"]
+        out = glops.gl_difference(series, args.order, width)
+        meta = [f"family=gl, order={_fmt(args.order)}, truncation={width}"]
     else:
-        half_width = args.half_width
-        if half_width is None:
-            half_width = min(len(series), 4096)
         boundary = args.boundary or "zero"
-        window = exactops.exact_kernel_window(args.order, half_width)
+        window = exactops.exact_kernel_window(args.order, width)
         out = exactops.exact_difference(series, window, boundary=boundary)
         meta = [
-            f"family=exact, order={_fmt(args.order)}, half_width={half_width}, "
+            f"family=exact, order={_fmt(args.order)}, half_width={width}, "
             f"boundary={boundary}"
         ]
     return _series_csv(out, meta)
@@ -336,9 +344,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=float, required=True)
     p.add_argument("--family", choices=("gl", "exact"), default="gl")
     p.add_argument("--truncation", type=int, default=None,
-                   help="GL lag cap (default min(n, 4096)); gl family only")
+                   help="GL lag cap (default n, the untruncated operator); gl family only")
     p.add_argument("--half-width", type=int, default=None,
-                   help="exact-kernel half width (default min(n, 4096)); exact family only")
+                   help="exact-kernel half width (default n, the untruncated operator); "
+                   "exact family only")
     p.add_argument("--boundary", choices=("zero", "periodic"), default=None,
                    help="exact family only (default zero)")
     add_output(p)
@@ -353,7 +362,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--truncation", type=int, default=None,
-                   help="GL lag cap of the integration (default min(n + burn_in, 4096))")
+                   help="GL lag cap of the integration (default min(n + burn_in, "
+                   f"{arfima._DEFAULT_TRUNCATION_CAP}); n + burn_in integrates over every "
+                   "sample")
     add_output(p)
     p.set_defaults(handler=_cmd_simulate)
 

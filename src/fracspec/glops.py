@@ -3,9 +3,11 @@
 The central objects are the coefficient sequence of (1-L)^alpha with the
 alternating sign folded in and its application to a series under the
 zero-pre-sample ("type II") convention: samples before the first one are
-treated as zero, which makes differencing and integration exact formal
-inverses at matching truncation.  ``Series`` is re-exported from
-``_kernels``, beside the kernels it is convolved with.
+treated as zero.  On n samples, differencing and integration are then
+exact inverses when both keep every coefficient up to lag n - 1, a
+truncation of at least n - 1; at a shorter matching truncation the two
+truncated series do not compose to the identity.  ``Series`` is
+re-exported from ``_kernels``, beside the kernels it is convolved with.
 """
 
 from typing import Callable

@@ -120,6 +120,20 @@ def test_simulate_round_trip_recovers_noise():
     assert np.abs(eps.values - want.values).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n", [600, 5000])
+def test_round_trip_is_exact_only_from_truncation_n_minus_1(n):
+    # the integration and the difference are untruncated on n samples from
+    # truncation n - 1 on; at n - 2 their truncated series no longer compose
+    # to the identity (seed 1: 6.3e-4 at n = 600, 1.4e-4 at n = 5000)
+    noise = NoiseSpec(seed=1)
+    want = white_noise(noise, n).values
+    errors = []
+    for truncation in (n - 1, n - 2):
+        y = simulate_arfima(ArfimaSpec(d=0.3, n=n, truncation=truncation), noise)
+        errors.append(np.abs(gl_difference(y, 0.3, truncation).values - want).max())
+    assert errors[0] <= 1e-12 and errors[1] >= 1e-5
+
+
 @pytest.mark.parametrize("n, burn_in, ar, ma", [
     (512, 0, (), ()), (300, 40, (0.5, -0.3), (0.4,)), (5000, 0, (), ())])
 def test_default_truncation_is_the_cli_rule(n, burn_in, ar, ma):

@@ -1,10 +1,12 @@
 import ast
 import errno
 import importlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tomllib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,9 +14,10 @@ import numpy as np
 import pytest
 
 from fracspec import NoiseSpec, white_noise
-from fracspec import arfima, cli, exactops
+from fracspec import arfima, cli, exactops, glops
 from fracspec.cli import main, parse_series_csv
 from fracspec.errors import ConsistencyError
+from test_kernels import _brute_causal, _brute_two_sided
 
 
 def run_cli(args, capsys):
@@ -477,16 +480,80 @@ def test_difference_rejects_flags_its_family_does_not_read(argv, flag, tmp_path,
 @pytest.mark.parametrize("family,flag", [("gl", "truncation"), ("exact", "half_width")])
 @pytest.mark.parametrize("n", [100, 5000])
 def test_difference_defaults_to_the_series_length_up_to_4096(family, flag, n, tmp_path, capsys):
-    # the default truncation or half-width is min(n, 4096), recorded in the
-    # header, and gives the output of the run that names it
+    # the default truncation or half-width is n at every length, recorded in
+    # the header, and gives the output of the run that names it
     series = tmp_path / "series.csv"
     assert main(["simulate", "--d", "0.3", "--n", str(n), "--seed", "2", "-o", str(series)]) == 0
     argv = ["difference", "--input", str(series), "--family", family, "--order", "0.4"]
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
-    assert f", {flag}={min(n, 4096)}" in out.splitlines()[0]
-    explicit = run_cli(argv + [f"--{flag.replace('_', '-')}", str(min(n, 4096))], capsys)
+    assert f", {flag}={n}" in out.splitlines()[0]
+    explicit = run_cli(argv + [f"--{flag.replace('_', '-')}", str(n)], capsys)
     assert explicit == (0, out, "")
+
+
+@pytest.mark.parametrize("family", ["gl", "exact"])
+def test_default_difference_is_the_untruncated_operator(family, tmp_path, capsys):
+    # n = 3000 puts both widths on the FFT path, within its stated
+    # 1e-13 * sum|w| * max|y| of the exact sum: the default width n equals the
+    # O(n^2) sum over every pair of samples and the library at width 2n
+    n, order = 3000, 0.4
+    series = tmp_path / "series.csv"
+    assert main(["simulate", "--d", "0.3", "--n", str(n), "--seed", "8", "-o", str(series)]) == 0
+    code, out, err = run_cli(
+        ["difference", "--input", str(series), "--family", family, "--order", str(order)], capsys)
+    assert (code, err) == (0, "")
+    y, _ = parse_series_csv(series.read_text(), "series.csv")
+    if family == "gl":
+        default, wide = (glops.gl_difference(y, order, w).values for w in (n, 2 * n))
+        weights = glops.gl_coefficients(order, n)
+        brute = _brute_causal(y.values, weights)
+    else:
+        default, wide = (exactops.exact_difference(y, exactops.exact_kernel_window(order, w)).values
+                         for w in (n, 2 * n))
+        weights = exactops.exact_kernel_window(order, n).weights
+        brute = _brute_two_sided(y.values, weights, periodic=False)
+    assert np.array_equal(parse_rows(out)[:, 1], [float(f"{v:.12g}") for v in default])
+    bound = 1e-13 * np.abs(weights).sum() * np.abs(y.values).max()
+    assert np.abs(default - brute).max() <= bound
+    assert np.abs(default - wide).max() <= bound
+
+
+def test_default_difference_recovers_the_noise_of_an_untruncated_simulation(monkeypatch, capsys):
+    # simulate integrates over every sample at --truncation n, and the default
+    # difference undoes it: the residual is the noise up to the CSV rounding
+    # of y (|c_m| sums to at most 2) and of the residual; with the simulation's
+    # default truncation 4096 it was off by 0.011 (seed 1)
+    n = 5000
+    code, sim, err = run_cli(["simulate", "--d", "0.3", "--n", str(n), "--truncation", str(n),
+                              "--seed", "1"], capsys)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sim))
+    code, out, err = run_cli(["difference", "--order", "0.3"], capsys)
+    assert (code, err) == (0, "")
+    y, resid = parse_rows(sim)[:, 1], parse_rows(out)[:, 1]
+    noise = white_noise(NoiseSpec(seed=1), n).values
+    rounding = 5e-12 * (2 * np.abs(y).max() + np.abs(resid).max())
+    assert np.abs(resid - noise).max() <= 2 * rounding
+
+
+@pytest.mark.parametrize("family,flag,module,cap", [
+    ("gl", "truncation", glops, "TRUNCATION_CAP"),
+    ("exact", "half_width", exactops, "HALF_WIDTH_CAP")], ids=["gl", "exact"])
+def test_default_difference_refuses_a_series_above_the_cap(
+        family, flag, module, cap, tmp_path, monkeypatch, capsys):
+    # the cap is lowered so that a short series is over it; the flag that
+    # truncates on purpose still runs
+    series = tmp_path / "series.csv"
+    assert main(["simulate", "--d", "0.3", "--n", "51", "-o", str(series)]) == 0
+    monkeypatch.setattr(module, cap, 50)
+    argv = ["difference", "--input", str(series), "--family", family, "--order", "0.4"]
+    option, name = "--" + flag.replace("_", "-"), module.__name__.rpartition(".")[2] + "." + cap
+    assert run_cli(argv, capsys) == (1, "", (
+        f"fracspec: 51 samples exceed {name} = 50 of the untruncated operator; "
+        f"{option} truncates it\n"))
+    code, out, err = run_cli(argv + [option, "50"], capsys)
+    assert (code, err) == (0, "") and f", {flag}=50" in out
 
 
 def test_acf_refuses_both_input_and_d(tmp_path, capsys):
@@ -716,7 +783,6 @@ def test_process_stdout_on_a_full_device_is_one_line():
 
 
 def test_script_entry_points_resolve_to_callables():
-    tomllib = pytest.importorskip("tomllib")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]

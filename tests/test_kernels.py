@@ -9,6 +9,7 @@ centred, at every boundary."""
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,26 @@ def test_output_window_matches_brute_force(monkeypatch, n, taps, warm, kind):
         fft = min(n, taps) >= _kernels.FFT_MIN_SIZE
         size = _kernels._fft_length(n + (taps - 1 if causal else taps // 2))
         assert sizes == ([size, size] if fft else [])
+
+
+_OVERFLOWS = Series(np.tile([1e306, -1e306], 2048))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gl_difference(_OVERFLOWS, 0.4, 256), _kernels._RESULT_NOT_FINITE),
+    (lambda: exact_difference(_OVERFLOWS, exact_kernel_window(0.5, 256), "zero"),
+     _kernels._RESULT_NOT_FINITE),
+    (lambda: exact_difference(_OVERFLOWS, exact_kernel_window(0.5, 256), "periodic"),
+     _kernels._RESULT_NOT_FINITE),
+    (lambda: white_noise(NoiseSpec(sigma=1e308), 10), "noise overflows at sigma=1e+308"),
+], ids=["gl", "exact-zero", "exact-periodic", "white_noise"])
+def test_overflowing_products_are_refused_without_a_warning(call, message):
+    # each warned "overflow encountered in rfft_n_even" (the transforms) or
+    # "in multiply" (the noise) before its refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # The series' padded-spectrum memo, which GL differences and zero-boundary

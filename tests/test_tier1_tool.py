@@ -2,9 +2,12 @@
 and nothing was skipped, xfailed or errored."""
 
 import importlib.util
+import re
+import tomllib
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "tier1.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "tier1.py"
 _SPEC = importlib.util.spec_from_file_location("tier1", _PATH)
 tier1 = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tier1)
@@ -47,3 +50,13 @@ def test_a_skip_xfail_or_collection_error_fails():
         assert "NOT OK" in line
     # and 7a must fail: a run without it is not the expected one
     assert not tier1.verdict(_report(_PASS))[0]
+
+
+def test_the_declared_python_floor_is_the_one_ci_runs():
+    # on an older interpreter a test of this suite cannot run, and a skip
+    # fails the verdict
+    with open(_ROOT / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    workflow = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    versions = re.findall(r'python-version:\s*"([^"]+)"', workflow)
+    assert versions and {f">={v}" for v in versions} == {floor}
