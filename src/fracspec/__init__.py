@@ -16,6 +16,7 @@ from .exactops import (
     KernelWindow,
     exact_difference,
     exact_kernel_window,
+    exact_operator,
 )
 from .glops import (
     Series,
@@ -51,6 +52,7 @@ __all__ = [
     "estimate_memory_from_periodogram",
     "exact_difference",
     "exact_kernel_window",
+    "exact_operator",
     "gl_coefficients",
     "gl_derivative_approx",
     "gl_difference",

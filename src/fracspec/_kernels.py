@@ -36,9 +36,11 @@ n; at L = n_fft it shares that transform with the periodogram.
 
 The periodic boundary is one circular product at every n and window
 length: the series' centred ``rfft()`` at n times the kernel's
-``spectrum(n)``, and one ``irfft`` at n.  It costs O(n log n), several
-times more at a length with a large prime factor than at a 5-smooth one
-(README "Kernels").  The causal and zero boundaries stay
+``spectrum(n)``, and one ``irfft`` at n.  The same product applies an
+operand that has a ``spectrum(n)`` and no weights, the untruncated
+``exactops.ExactOperator``, whose spectrum is the power law itself.  It
+costs O(n log n), several times more at a length with a large prime
+factor than at a 5-smooth one (README "Kernels").  The causal and zero boundaries stay
 on ``convolve``: on the circular route they would also subtract the sums
 that wrap round the series' ends, which on the same host cost as much as
 the shorter transform saves up to n = 8192.  The direct/FFT choice reads
@@ -357,11 +359,14 @@ def two_sided_apply_zero(y: Series, weights: Taps) -> np.ndarray:
     return convolve(y, weights)
 
 
-def two_sided_apply_periodic(y: Series, weights: Taps) -> np.ndarray:
+def two_sided_apply_periodic(y: Series, weights) -> np.ndarray:
     """z[t] = sum_{m=-M}^{M} K(m) * y[(t-m) mod n], with the kernel at its
     own lags.  At every n and window length this is the circular product of
     the module docstring: the series' memoised ``rfft()`` times the kernel's
-    memoised ``spectrum(n)``, and one ``irfft`` at n.
+    memoised ``spectrum(n)``, and one ``irfft`` at n.  ``weights`` is a
+    kernel or an operand known only by its ``spectrum(n)``, such as the
+    untruncated ``exactops.ExactOperator``, which this product applies
+    exactly.
     """
     n = len(y)
     with np.errstate(over="ignore", invalid="ignore"):  # as in convolve

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import Series, Taps, _real, _whole
-from .glops import _without_trailing_zeros, gl_coefficients, gl_difference
+from .glops import TRUNCATION_CAP, _without_trailing_zeros, gl_coefficients, gl_difference
 from .spectral import _lowest_ordinates, loglog_slope_fit
 
 __all__ = [
@@ -110,7 +110,8 @@ class ArfimaSpec:
     simulations outside it are flagged via :attr:`classical_stationary`.
     The AR and MA coefficients must be finite, and the AR polynomial stable
     (all roots of the reversed polynomial strictly inside the unit circle,
-    tolerance 1e-6).  ``n + burn_in`` may not exceed ``SAMPLE_CAP``.  The
+    tolerance 1e-6).  ``n + burn_in`` may not exceed ``SAMPLE_CAP``, nor
+    the truncation ``glops.TRUNCATION_CAP``, at every d.  The
     GL truncation of the integration defaults to min(n + burn_in, 4096),
     the value the CLI's ``simulate`` prints; perfbench's ARFIMA check pins
     it until ROADMAP item 5.  Above 4096 samples that default truncates the
@@ -143,6 +144,8 @@ class ArfimaSpec:
             raise ValueError(f"n + burn_in exceeds cap {SAMPLE_CAP}")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
+        if self.truncation > TRUNCATION_CAP:  # refused at every d, as gl_coefficients does
+            raise ValueError(f"truncation exceeds cap {TRUNCATION_CAP}")
         for name in ("ar", "ma"):
             object.__setattr__(self, name, tuple(
                 _real(v, f"{name.upper()} coefficients") for v in getattr(self, name)))

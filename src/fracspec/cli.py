@@ -203,8 +203,9 @@ def _cmd_difference(args) -> str:
         ("truncation", "glops.TRUNCATION_CAP", glops.TRUNCATION_CAP) if args.family == "gl"
         else ("half_width", "exactops.HALF_WIDTH_CAP", exactops.HALF_WIDTH_CAP)
     )
+    boundary = args.boundary or "zero"  # the GL family's zero pre-sample too
     width = getattr(args, flag)
-    if width is None:
+    if width is None and boundary == "zero":
         # under the zero pre-sample and the zero boundary every width from
         # n - 1 on gives the same output: the operator untruncated on the samples
         width = len(series)
@@ -217,13 +218,12 @@ def _cmd_difference(args) -> str:
         out = glops.gl_difference(series, args.order, width)
         meta = [f"family=gl, order={_fmt(args.order)}, truncation={width}"]
     else:
-        boundary = args.boundary or "zero"
-        window = exactops.exact_kernel_window(args.order, width)
-        out = exactops.exact_difference(series, window, boundary=boundary)
-        meta = [
-            f"family=exact, order={_fmt(args.order)}, half_width={width}, "
-            f"boundary={boundary}"
-        ]
+        # no width is left only at the periodic boundary: the (i w)^a multiplier
+        operator = (exactops.exact_operator(args.order) if width is None
+                    else exactops.exact_kernel_window(args.order, width))
+        out = exactops.exact_difference(series, operator, boundary=boundary)
+        half_width = "" if width is None else f"half_width={width}, "
+        meta = [f"family=exact, order={_fmt(args.order)}, {half_width}boundary={boundary}"]
     return _series_csv(out, meta)
 
 
@@ -346,10 +346,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--truncation", type=int, default=None,
                    help="GL lag cap (default n, the untruncated operator); gl family only")
     p.add_argument("--half-width", type=int, default=None,
-                   help="exact-kernel half width (default n, the untruncated operator); "
+                   help="exact-kernel half width (default: the untruncated operator, width n "
+                   "at the zero boundary, the (i w)^a multiplier at the periodic one); "
                    "exact family only")
     p.add_argument("--boundary", choices=("zero", "periodic"), default=None,
-                   help="exact family only (default zero)")
+                   help="exact family only (default zero; periodic without --half-width "
+                   "applies (i w)^a to every Fourier frequency)")
     add_output(p)
     p.set_defaults(handler=_cmd_difference)
 

@@ -24,19 +24,31 @@ A cold window costs O(M): under 1 ms at M = 256, 35-40 ms at M = 1e5
 (2-vCPU VM).  The routes are private; :func:`exact_kernel_window` is the one
 public source of weights.  Windows and the series they difference are
 ``_kernels`` types, and ``_kernels`` forms every transform of both.
+
+The untruncated operator has no weights to build: on n periodic samples it
+is the multiplier (i*omega_j)^alpha at the Fourier frequencies
+omega_j = 2 pi j / n, which :func:`exact_operator` returns as an operand
+known only by its ``spectrum(n)``, computed from omega_j^alpha and
+cospi/sinpi without a transform.  ``_kernels.two_sided_apply_periodic``
+multiplies by it exactly as by a window's spectrum.  It is the limit of the
+periodic windows as the half-width grows, and for alpha < 0 the Weyl
+fractional integral of the series less its mean.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import KernelWindow, Series, _real, _whole
+from ._kernels import BoundedCache, KernelWindow, Series, _read_only, _real, _whole
 from .errors import ConsistencyError
 
 __all__ = [
     "KernelWindow",
+    "ExactOperator",
     "exact_kernel_window",
+    "exact_operator",
     "exact_difference",
     "ASYMPTOTIC_MIN_LAG",
     "CROSS_CHECK_TOL",
@@ -195,7 +207,44 @@ def _check(order: float, got, e: np.ndarray) -> None:
             )
 
 
-_window_cache = _kernels.BoundedCache()  # (order, half_width) -> KernelWindow
+# (order, half_width) -> KernelWindow, (order, None) -> ExactOperator
+_window_cache = BoundedCache()
+
+
+@dataclass(frozen=True, eq=False)
+class ExactOperator:
+    """The untruncated exact difference of order ``order`` on periodic
+    samples, known only by its transform; build it with
+    :func:`exact_operator`, which checks the order.
+
+    ``spectrum(size)`` is bins j = 0..size // 2 of (i*omega_j)^order at
+    omega_j = 2 pi j / size: omega_j^order times cospi(order/2) +
+    i sinpi(order/2), read-only, memoised by size on the object as for a
+    kernel's spectrum.  Two conventions fix the bins the power law leaves
+    open:
+
+    - bin 0 is 0 for order != 0 and 1 for order 0, so a negative order
+      integrates the series less its mean (the Weyl fractional integral,
+      defined on mean-zero periodic functions);
+    - at even size the Nyquist bin is the real pi^order cospi(order/2),
+      the part ``irfft`` keeps there, so the symbol read is the one applied.
+    """
+
+    order: float
+    _spectra: BoundedCache = field(init=False, repr=False, default_factory=BoundedCache)
+
+    def spectrum(self, size: int) -> np.ndarray:
+        def build():
+            order = self.order
+            symbol = np.empty(size // 2 + 1, dtype=np.complex128)
+            symbol[0] = 1.0 if order == 0.0 else 0.0
+            omega = np.arange(1, symbol.size) * (2.0 * math.pi / size)
+            symbol[1:] = omega**order * complex(cospi(order / 2.0), sinpi(order / 2.0))
+            if size % 2 == 0:
+                symbol[-1] = math.pi**order * cospi(order / 2.0)
+            return _read_only(symbol)
+
+        return self._spectra.get_or_build(size, build)
 
 
 def _build_window(order: float, half_width: int) -> KernelWindow:
@@ -209,6 +258,16 @@ def _build_window(order: float, half_width: int) -> KernelWindow:
         pos[lo:], neg[lo:] = _kernel_pairs(order, _asymptotic_integrals(order, large))
         _check(order, (pos[lo:], neg[lo:]), quadrature[lo:])
     return KernelWindow(weights)
+
+
+def _order(order) -> float:
+    """A kernel order as a float: finite, above -1 and at most ORDER_MAX."""
+    order = _real(order, "kernel order")
+    if not order > -1.0:
+        raise ValueError("kernel order must exceed -1")
+    if order > ORDER_MAX:
+        raise ValueError(f"kernel order must not exceed {ORDER_MAX}, got {order:g}")
+    return order
 
 
 def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
@@ -227,11 +286,7 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     spectra go with it: the zero boundary's FFT path, every periodic
     difference and ``spectral.operator_response``'s fold read it.
     """
-    order = _real(order, "kernel order")
-    if not order > -1.0:
-        raise ValueError("kernel order must exceed -1")
-    if order > ORDER_MAX:
-        raise ValueError(f"kernel order must not exceed {ORDER_MAX}, got {order:g}")
+    order = _order(order)
     half_width = _whole(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be a positive integer")
@@ -242,7 +297,22 @@ def exact_kernel_window(order: float, half_width: int) -> KernelWindow:
     )
 
 
-def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") -> Series:
+def exact_operator(order: float) -> ExactOperator:
+    """The untruncated exact difference of the given order on periodic
+    samples: the multiplier (i*omega)^order of :class:`ExactOperator`, for
+    ``exact_difference(y, operator, "periodic")``.
+
+    ``order`` is read as by :func:`exact_kernel_window`: above -1 and at
+    most ``ORDER_MAX``.  Operators are cached by order beside the windows,
+    under the key (order, None).  It builds no window, so no half-width cap
+    applies; applying it costs one transform of the series at n.
+    """
+    order = _order(order)
+    return _window_cache.get_or_build((order, None), lambda: ExactOperator(order))
+
+
+def exact_difference(y: Series, window: KernelWindow | ExactOperator,
+                     boundary: str = "zero") -> Series:
     """Apply the exact fractional difference z_t = sum_m K(m) y(t - m*step).
 
     ``boundary`` resolves samples outside the observed range: ``"zero"``
@@ -250,12 +320,21 @@ def exact_difference(y: Series, window: KernelWindow, boundary: str = "zero") ->
     The operator carries no step^order factor; the step enters only through
     the frequency axis of the response target.  A periodic difference is
     the length-n circular product of ``_kernels``, which reads the series'
-    memoised ``rfft()``; a zero-boundary one on the FFT path reads its
-    memoised ``spectrum()`` at the 5-smooth length from n + half-width,
-    which a GL difference of that truncation shares.  ValueError if an
-    output leaves the double-precision range.
+    memoised ``rfft()`` and the operand's ``spectrum(n)``: a window's,
+    whose weights fold mod n, or an :class:`ExactOperator`'s, the
+    untruncated operator.  A zero-boundary one takes a window; on the FFT
+    path it reads the series' memoised ``spectrum()`` at the 5-smooth length
+    from n + half-width, which a GL difference of that truncation shares.
+    An :class:`ExactOperator` at the zero boundary is refused, naming the
+    window of half-width n - 1, which is exact on the samples there.
+    ValueError if an output leaves the double-precision range.
     """
     if boundary == "zero":
+        if isinstance(window, ExactOperator):
+            raise ValueError(
+                "the untruncated operator is periodic; at the zero boundary "
+                f"exact_kernel_window({window.order:g}, {max(len(y) - 1, 1)}) "
+                f"is exact on {len(y)} samples")
         values = _kernels.two_sided_apply_zero(y, window)
     elif boundary == "periodic":
         values = _kernels.two_sided_apply_periodic(y, window)

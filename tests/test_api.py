@@ -19,7 +19,9 @@ from fracspec import (
     Series,
     estimate_memory,
     estimate_memory_from_periodogram,
+    exact_difference,
     exact_kernel_window,
+    exact_operator,
     gl_coefficients,
     gl_derivative_approx,
     gl_difference,
@@ -46,6 +48,7 @@ PUBLIC = {
     "estimate_memory_from_periodogram",
     "exact_difference",
     "exact_kernel_window",
+    "exact_operator",
     "gl_coefficients",
     "gl_derivative_approx",
     "gl_difference",
@@ -285,6 +288,8 @@ def test_counts_are_integers_or_refused(site):
 # reads a real argument
 _REAL_SITES = {
     "exact_kernel_window": ("kernel order", 1, lambda v: exact_kernel_window(v, 16).weights),
+    "exact_operator": ("kernel order", 1, lambda v: exact_difference(
+        _Y, exact_operator(v), "periodic").values),
     "gl_coefficients": ("order", 2, lambda v: gl_coefficients(v, 6)),
     "gl_difference": ("order", 1, lambda v: gl_difference(_Y, v, 6).values),
     "gl_derivative_approx.order": ("order", 1, lambda v: gl_derivative_approx(

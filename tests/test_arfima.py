@@ -18,6 +18,7 @@ from fracspec import (
     white_noise,
 )
 from fracspec.arfima import MAX_LAG_CAP, _PPF_SPLIT, _norm_ppf
+from fracspec.glops import TRUNCATION_CAP
 
 
 def test_noise_spec_validation():
@@ -100,6 +101,15 @@ def test_arfima_spec_validation():
     spec = ArfimaSpec(d=0.6, n=10, ar=(0.5,))
     assert not spec.classical_stationary
     assert ArfimaSpec(d=0.3, n=10).classical_stationary
+
+
+def test_arfima_spec_refuses_a_truncation_above_the_gl_cap():
+    # at construction and at every d, with gl_coefficients' message: before,
+    # d = 0.3 was refused only by simulate_arfima and d = 0 never
+    for d in (0.3, 0.0, -0.2):
+        with pytest.raises(ValueError, match=f"^truncation exceeds cap {TRUNCATION_CAP}$"):
+            ArfimaSpec(d=d, n=5, truncation=TRUNCATION_CAP + 1)
+        assert ArfimaSpec(d=d, n=5, truncation=TRUNCATION_CAP).truncation == TRUNCATION_CAP
 
 
 def test_simulate_identity_when_pure_noise():

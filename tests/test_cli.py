@@ -556,6 +556,26 @@ def test_default_difference_refuses_a_series_above_the_cap(
     assert (code, err) == (0, "") and f", {flag}=50" in out
 
 
+def test_default_periodic_difference_is_the_exact_operator(tmp_path, monkeypatch, capsys):
+    # without --half-width the periodic boundary applies the (i w)^a
+    # multiplier: its header names no half-width, its rows are the library's
+    # at 12 digits, and no half-width cap applies, while the default zero
+    # boundary, which builds a window of half-width n, still refuses
+    series = tmp_path / "series.csv"
+    assert main(["simulate", "--d", "0.3", "--n", "51", "--seed", "3", "-o", str(series)]) == 0
+    monkeypatch.setattr(exactops, "HALF_WIDTH_CAP", 50)
+    argv = ["difference", "--input", str(series), "--family", "exact", "--order", "0.4"]
+    code, out, err = run_cli(argv + ["--boundary", "periodic"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "# family=exact, order=0.4, boundary=periodic"
+    y, _ = parse_series_csv(series.read_text(), "series.csv")
+    want = exactops.exact_difference(y, exactops.exact_operator(0.4), "periodic").values
+    assert np.array_equal(parse_rows(out)[:, 1], [float(f"{v:.12g}") for v in want])
+    assert run_cli(argv, capsys) == (1, "", (
+        "fracspec: 51 samples exceed exactops.HALF_WIDTH_CAP = 50 of the untruncated operator; "
+        "--half-width truncates it\n"))
+
+
 def test_acf_refuses_both_input_and_d(tmp_path, capsys):
     series = tmp_path / "series.csv"
     series.write_text("t,value\n0,1.0\n1,2.0\n2,0.5\n")

@@ -87,15 +87,17 @@ def _series_csv(draw, lengths=_LENGTHS):
 def _difference(draw):
     text, n = draw(_series_csv())
     family = draw(st.sampled_from(["gl", "exact"]))
-    # truncations and half-widths from 1 to beyond the series length
-    width = draw(st.one_of(st.integers(1, n + 20), st.sampled_from([1, n, 2 * n + 1])))
+    # truncations and half-widths from 1 to beyond the series length, or
+    # none: the untruncated default of each family and boundary
+    width = draw(st.one_of(st.none(), st.integers(1, n + 20),
+                           st.sampled_from([1, n, 2 * n + 1])))
     argv = ["difference", f"--order={draw(_float(-2.0, 5.0, *_NON_FINITE, 0.0, 3.0))}",
             f"--family={family}"]
-    if family == "gl":
-        argv.append(f"--truncation={width}")
-    else:
-        argv += [f"--half-width={width}",
-                 f"--boundary={draw(st.sampled_from(['zero', 'periodic']))}"]
+    flag = "--truncation" if family == "gl" else "--half-width"
+    if width is not None:
+        argv.append(f"{flag}={width}")
+    if family == "exact":
+        argv.append(f"--boundary={draw(st.sampled_from(['zero', 'periodic']))}")
     return argv, text
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracspec import arfima, cli
+from fracspec import arfima, cli, glops
 from fracspec.cli import main, parse_series_csv
 from fracspec.errors import CsvParseError
 from fracspec.glops import Series
@@ -255,6 +255,8 @@ def _over(cap):
          f"max_lag exceeds cap {arfima.MAX_LAG_CAP}"),
         (["acf", "--d", "0.3", "--max-lag", str(10**12), "--truncation", str(10**13)],
          f"max_lag exceeds cap {arfima.MAX_LAG_CAP}"),
+        (["simulate", "--d", "0", "--n", "5", "--truncation", _over(glops.TRUNCATION_CAP)],
+         f"truncation exceeds cap {glops.TRUNCATION_CAP}"),
     ],
 )
 def test_size_caps_fail_before_work(argv, message, capsys):

@@ -1,5 +1,6 @@
 """``tools/tier1.py`` passes a run only if its one failure is criterion 7a
-and nothing was skipped, xfailed or errored."""
+and nothing was skipped, xfailed or errored; ``tools/loc.py`` counts code
+lines without docstrings, comments or blank lines."""
 
 import importlib.util
 import re
@@ -11,6 +12,9 @@ _PATH = _ROOT / "tools" / "tier1.py"
 _SPEC = importlib.util.spec_from_file_location("tier1", _PATH)
 tier1 = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tier1)
+_LOC_SPEC = importlib.util.spec_from_file_location("loc", _ROOT / "tools" / "loc.py")
+loc = importlib.util.module_from_spec(_LOC_SPEC)
+_LOC_SPEC.loader.exec_module(loc)
 
 _PASS = '<testcase classname="tests.test_api" name="test_public_names" time="0.1" />'
 _7A = ('<testcase classname="tests.test_acceptance" '
@@ -60,3 +64,31 @@ def test_the_declared_python_floor_is_the_one_ci_runs():
     workflow = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     versions = re.findall(r'python-version:\s*"([^"]+)"', workflow)
     assert versions and {f">={v}" for v in versions} == {floor}
+
+
+_SOURCE = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment counts as its line of code
+
+# a comment line
+
+
+class Grid:
+    """A class docstring."""
+
+    def size(self, n):
+        """A function docstring."""
+        total = (n
+                 + 1)
+        return "a string" + """ that is
+        no docstring"""
+'''
+
+
+def test_loc_counts_code_lines_only():
+    # the import, the class and def lines, the two lines of the split
+    # statement and the two lines of the return; not the docstrings, the
+    # comment line or the blank lines
+    assert loc.code_lines(_SOURCE) == 7
+    assert loc.code_lines("") == 0
