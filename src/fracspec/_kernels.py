@@ -14,10 +14,11 @@ response fold of ``spectral.operator_response``.
 The causal sum and the zero boundary are both ``convolve(y, kernel)``,
 z[t] = sum_k w_k y[t - lag_k] at the series' own times t = 0..n - 1.  It
 sums directly with ``np.convolve`` while the shorter operand is below
-``FFT_MIN_SIZE``, and otherwise multiplies real FFTs at L = the smallest
-5-smooth length from n plus the largest |lag|: entry t of the circular
-product also sums the times t - L and t + L, and at that L neither lands
-on 0..n - 1.  So M + 1 causal weights and 2M + 1 centred ones both
+``FFT_MIN_SIZE``, and otherwise multiplies real FFTs at L = the 5-smooth
+length from n plus the largest |lag| that ``_fft_length`` picks by a cost
+model fitted to measured transform times: entry t of the circular product
+also sums the times t - L and t + L, and at L from that sum on neither
+lands on 0..n - 1.  So M + 1 causal weights and 2M + 1 centred ones both
 transform at n + M, and a :class:`Series` supplies its memoised
 ``spectrum(L)``, which a GL difference and a zero-boundary exact
 difference of one series share.  Each product takes a :class:`Series` and
@@ -292,16 +293,28 @@ class Series:
 
 @functools.lru_cache(maxsize=64)
 def _fft_length(target: int) -> int:
-    """Smallest 2^a 3^b 5^c >= target."""
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    """The length L = 2^a 3^b 5^c >= target of least modelled cost
+    L (3a + 6b + 8c), the smaller L on a tie.
+
+    The model counts L samples through one pass per factor, a factor 3
+    costing two factor 2s and a factor 5 eight thirds of one: the weights
+    fitted to rfft + irfft times of every 5-smooth length from 1024 to
+    65536 (README "Kernels").  So 2 3^7 = 4374, which costs 1.3 times a
+    power of two per L log2 L, gives way to 4608 = 2^9 3^2 at every target
+    from 4321 to 4374.  No length above the next power of two can win:
+    every factor costs at least 3 log2 of itself."""
+    a = (target - 1).bit_length()
+    power = 1 << a
+    best = (power * 3 * a, power)  # (cost, length)
+    p5, c = 1, 0
+    while p5 < power:
+        p35, b = p5, 0
+        while p35 < power:
+            a = (-(-target // p35) - 1).bit_length()
+            best = min(best, ((p35 << a) * (3 * a + 6 * b + 8 * c), p35 << a))
+            p35, b = p35 * 3, b + 1
+        p5, c = p5 * 5, c + 1
+    return best[1]
 
 
 def convolve(y: Series, w: Taps) -> np.ndarray:
@@ -309,10 +322,10 @@ def convolve(y: Series, w: Taps) -> np.ndarray:
     samples outside y zero.
 
     ``w`` is :class:`Taps` or a :class:`KernelWindow`, read at its own lags.
-    The FFT path, from ``FFT_MIN_SIZE`` on, transforms at the smallest
-    5-smooth length from len(y) plus the largest |lag|, at which no wrapped
-    sum lands on the series' times, and reuses the memoised spectra of the
-    kernel and of the series at that length.  The causal and zero
+    The FFT path, from ``FFT_MIN_SIZE`` on, transforms at the
+    ``_fft_length`` of len(y) plus the largest |lag|, from which on no
+    wrapped sum lands on the series' times, and reuses the memoised spectra
+    of the kernel and of the series at that length.  The causal and zero
     boundaries and the MA filter call it; the periodic boundary does not.
     """
     n, first = len(y), w._first_lag()
@@ -328,8 +341,8 @@ def convolve(y: Series, w: Taps) -> np.ndarray:
 
 def autocovariance(y: Series, max_lag: int) -> np.ndarray:
     """(1/n) sum_t c[t] c[t + k] for k = 0..max_lag, c the series less its
-    mean: the inverse transform of |y.rfft(size)|^2 at size = the smallest
-    5-smooth length from n + max_lag, at which the wrapped lag k - size
+    mean: the inverse transform of |y.rfft(size)|^2 at size = the
+    ``_fft_length`` of n + max_lag, from which on the wrapped lag k - size
     lies below -(n - 1), outside c.  Bin 0 is zeroed, since c sums to zero;
     the centred spectrum is the one periodic differences and the
     periodogram read at their own lengths.  One forward and one inverse

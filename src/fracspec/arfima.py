@@ -24,7 +24,8 @@ import numpy as np
 from . import _kernels
 from ._kernels import Series, Taps, _real, _whole
 from .glops import TRUNCATION_CAP, _without_trailing_zeros, gl_coefficients, gl_difference
-from .spectral import _lowest_ordinates, loglog_slope_fit
+from .spectral import (
+    _fft_size, _lowest_amplitudes, _periodogram_regressor, _slope_fit, loglog_slope_fit)
 
 __all__ = [
     "NoiseSpec",
@@ -81,6 +82,9 @@ _PPF_D = (
     3.754408661907416e00,
 )
 _PPF_SPLIT = 0.02425
+
+# what the memory estimators say of a power of 0, given or underflowed
+_NO_POSITIVE_POWER = "periodogram values must be positive (degenerate input)"
 
 
 @dataclass(frozen=True)
@@ -253,8 +257,10 @@ def _norm_ppf(p: np.ndarray) -> np.ndarray:
 
 def white_noise(spec: NoiseSpec, n: int) -> Series:
     """n pseudo-random N(0, sigma^2) deviates; identical spec gives
-    bit-identical output on every platform.  A sigma so large that a draw
-    overflows raises ValueError naming it."""
+    bit-identical output on every platform.  The standard normal draws are
+    scaled by sigma, except at sigma = 1, where the product would be the
+    draws bit for bit.  A sigma so large that a draw overflows raises
+    ValueError naming it."""
     n = _whole(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
@@ -264,9 +270,11 @@ def white_noise(spec: NoiseSpec, n: int) -> Series:
     u = bits.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    draws = _norm_ppf(u)
     try:
-        with np.errstate(over="ignore"):
-            draws = _norm_ppf(u) * spec.sigma
+        if spec.sigma != 1.0:
+            with np.errstate(over="ignore"):
+                draws *= spec.sigma
         return Series(draws, step=1.0, start=0.0)
     except ValueError:
         # the draws are finite, so only their product with sigma can fail
@@ -313,7 +321,7 @@ def estimate_memory_from_periodogram(
     omega = omega[:bandwidth]
     power = power[:bandwidth]
     if (power <= 0.0).any():
-        raise ValueError("periodogram values must be positive (degenerate input)")
+        raise ValueError(_NO_POSITIVE_POWER)
     fit = loglog_slope_fit(omega, power)
     # regressing on -2 log(omega) halves and negates the log-log slope
     return MemoryEstimate(d_hat=-fit.slope / 2.0, std_err=fit.stderr / 2.0, bandwidth=bandwidth)
@@ -323,8 +331,15 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
     """Estimate the memory order of a series from its lowest periodogram
     frequencies.  Default bandwidth is floor(sqrt(n)), which needs n >= 9.
     The estimate does not depend on scale.  ValueError if the series is
-    constant, has no power at one of its lowest ``bandwidth`` frequencies
-    or a periodogram amplitude overflows."""
+    constant, has no power at one of its lowest ``bandwidth`` frequencies,
+    a periodogram amplitude overflows or the powers relative to the
+    largest underflow to 0.
+
+    One pass from the series' memoised centred transform to the fit: the
+    regressor log omega_j is memoised per (n_fft, bandwidth, step), and the
+    fit runs the OLS core of ``spectral.loglog_slope_fit`` without its
+    checks, which these ordinates pass.  The result is bit for bit
+    :func:`estimate_memory_from_periodogram` of the same ordinates."""
     n = len(y)
     if bandwidth is None:
         if n < 9:
@@ -336,14 +351,17 @@ def estimate_memory(y: Series, bandwidth: int | None = None) -> MemoryEstimate:
         raise ValueError("bandwidth must satisfy 3 <= bandwidth <= n/2")
     if (y.values == y.values[0]).all():
         raise ValueError("series is constant: its memory cannot be estimated")
-    omega, amplitude = _lowest_ordinates(y, bandwidth)
-    top = amplitude.max()
+    n_fft = _fft_size(n)
+    amplitude = _lowest_amplitudes(y, n_fft, bandwidth)
     if (amplitude == 0.0).any():
         raise ValueError("series has no power at its lowest frequencies: "
                          "its memory cannot be estimated")
     # the fit is scale-free, so square relative to the largest: |yhat|^2 underflows near 1e-160
-    power = (amplitude / top) ** 2
-    return estimate_memory_from_periodogram(omega, power, bandwidth)
+    power = (amplitude / amplitude.max()) ** 2
+    if (power <= 0.0).any():
+        raise ValueError(_NO_POSITIVE_POWER)
+    fit = _slope_fit(_periodogram_regressor(n_fft, bandwidth, y.step), np.log(power))
+    return MemoryEstimate(d_hat=-fit.slope / 2.0, std_err=fit.stderr / 2.0, bandwidth=bandwidth)
 
 
 def theoretical_acf(

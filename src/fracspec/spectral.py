@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import Series, _finite, _real, _whole
+from ._kernels import Series, _finite, _read_only, _real, _whole
 from .exactops import cospi, exact_kernel_window, sinpi
 from .glops import gl_coefficients
 
@@ -96,23 +96,27 @@ def periodogram(y: Series) -> tuple[np.ndarray, np.ndarray]:
     if len(y) < 4:
         raise ValueError("periodogram requires at least 4 samples")
     n_fft = _fft_size(len(y))
-    omega, amplitude = _lowest_ordinates(y, n_fft // 2)
+    omega = _frequencies(n_fft, n_fft // 2, y.step)
+    amplitude = _lowest_amplitudes(y, n_fft, n_fft // 2)
     with np.errstate(over="ignore"):
         power = amplitude**2 / n_fft
     _finite(omega, power)
     return omega, power
 
 
-def _lowest_ordinates(y: Series, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """omega_j of :func:`periodogram` and the amplitudes |yhat_j| behind its
-    S_j = |yhat_j|^2 / n_fft, for j = 1..count only; ValueError if the
-    centring or an amplitude overflows."""
-    n_fft = _fft_size(len(y))
-    omega = 2.0 * math.pi * np.arange(1, count + 1) / (n_fft * y.step)
+def _frequencies(n_fft: int, count: int, step: float) -> np.ndarray:
+    """omega_j = 2 pi j / (n_fft * step) of :func:`periodogram`, j = 1..count."""
+    return 2.0 * math.pi * np.arange(1, count + 1) / (n_fft * step)
+
+
+def _lowest_amplitudes(y: Series, n_fft: int, count: int) -> np.ndarray:
+    """The amplitudes |yhat_j| behind :func:`periodogram`'s S_j =
+    |yhat_j|^2 / n_fft, for j = 1..count only; ValueError if the centring or
+    an amplitude overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = np.abs(y.rfft(n_fft)[1 : count + 1])
     _finite(amplitude)
-    return omega, amplitude
+    return amplitude
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -286,8 +290,52 @@ def sample_autocovariance(y: Series, max_lag: int) -> np.ndarray:
     return acov
 
 
+class _LogRegressor(NamedTuple):
+    """The regressor of a log-log fit: log x, its mean, its centred copy
+    and the sum of that copy's squares."""
+
+    log: np.ndarray
+    mean: float
+    centred: np.ndarray
+    sxx: float
+
+
+def _log_regressor(lx: np.ndarray) -> _LogRegressor:
+    """The regressor of the log abscissae ``lx``; its arrays read-only."""
+    mean = lx.mean()
+    centred = lx - mean
+    return _LogRegressor(_read_only(lx), mean, _read_only(centred), float(np.dot(centred, centred)))
+
+
+# regressors of log-periodogram fits, keyed by (n_fft, bandwidth, step)
+_regressor_cache = _kernels.BoundedCache()
+
+
+def _periodogram_regressor(n_fft: int, bandwidth: int, step: float) -> _LogRegressor:
+    """The regressor log omega_j of :func:`periodogram`'s j = 1..bandwidth,
+    built once per (n_fft, bandwidth, step)."""
+    return _regressor_cache.get_or_build(
+        (n_fft, bandwidth, step),
+        lambda: _log_regressor(np.log(_frequencies(n_fft, bandwidth, step))))
+
+
+def _slope_fit(x: _LogRegressor, ly: np.ndarray) -> SlopeFit:
+    """Least-squares line through (x.log, ly), the arithmetic of
+    :func:`loglog_slope_fit` with no checks: x.sxx must be positive and ly
+    finite, of x's length and at least 3 long."""
+    slope = float(np.dot(x.centred, ly) / x.sxx)
+    intercept = float(ly.mean() - slope * x.mean)
+    resid = ly - (intercept + slope * x.log)
+    stderr = math.sqrt(float(np.dot(resid, resid)) / (ly.size - 2) / x.sxx)
+    return SlopeFit(slope, intercept, stderr)
+
+
 def loglog_slope_fit(xs, ys) -> SlopeFit:
-    """Least-squares line through (log x, log y); stderr is for the slope."""
+    """Least-squares line through (log x, log y); stderr is for the slope.
+
+    Its checks run first, then the one private OLS core that
+    ``arfima.estimate_memory`` also runs on its memoised regressor, so both
+    give the same bits on the same values."""
     x = np.asarray(xs, dtype=np.float64)
     s = np.asarray(ys, dtype=np.float64)
     if x.size != s.size or x.size < 3:
@@ -296,15 +344,7 @@ def loglog_slope_fit(xs, ys) -> SlopeFit:
         raise ValueError("log-log fit requires strictly positive values")
     if np.isinf(x).any() or np.isinf(s).any():
         raise ValueError("log-log fit requires finite values")
-    lx = np.log(x)
-    ly = np.log(s)
-    lx_mean = lx.mean()
-    xc = lx - lx_mean
-    sxx = float(np.dot(xc, xc))
-    if sxx == 0.0:
+    regressor = _log_regressor(np.log(x))
+    if regressor.sxx == 0.0:
         raise ValueError("x values must not be all equal")
-    slope = float(np.dot(xc, ly) / sxx)
-    intercept = float(ly.mean() - slope * lx_mean)
-    resid = ly - (intercept + slope * lx)
-    stderr = math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
-    return SlopeFit(slope, intercept, stderr)
+    return _slope_fit(regressor, np.log(s))

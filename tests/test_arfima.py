@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fracspec import (
     theoretical_acf,
     white_noise,
 )
+from fracspec import _kernels, spectral
 from fracspec.arfima import MAX_LAG_CAP, _PPF_SPLIT, _norm_ppf
 from fracspec.glops import TRUNCATION_CAP
 
@@ -260,6 +263,75 @@ def test_estimate_memory_does_not_depend_on_scale(k):
     want = estimate_memory(y)
     got = estimate_memory(y.with_values(np.ldexp(y.values, k)))
     assert (got.d_hat, got.std_err) == (want.d_hat, want.std_err)
+
+
+def _layered_estimate(y, bandwidth):
+    """The estimate through the public layers, estimate_memory_from_periodogram
+    and loglog_slope_fit, on the ordinates estimate_memory reads."""
+    n_fft = spectral._fft_size(len(y))
+    omega = 2.0 * math.pi * np.arange(1, bandwidth + 1) / (n_fft * y.step)
+    amplitude = np.abs(y.rfft(n_fft)[1 : bandwidth + 1])
+    return estimate_memory_from_periodogram(omega, (amplitude / amplitude.max()) ** 2, bandwidth)
+
+
+@pytest.mark.parametrize("n", [9, 64, 65, 4096, 5000])
+@pytest.mark.parametrize("width", ["3", "sqrt", "half"])
+def test_estimate_memory_is_the_layered_route_bit_for_bit(n, width):
+    bandwidth = {"3": 3, "sqrt": math.isqrt(n), "half": n // 2}[width]
+    noise = white_noise(NoiseSpec(seed=n), n)
+    arfima = simulate_arfima(ArfimaSpec(d=0.3, n=n), NoiseSpec(seed=n + 1))
+    for y in (noise, arfima, Series(arfima.values, step=0.25, start=3.0)):
+        assert estimate_memory(y, bandwidth) == _layered_estimate(y, bandwidth)
+    assert estimate_memory(noise) == _layered_estimate(noise, math.isqrt(n))
+
+
+def _no_power_in_bins_1_to_3_but_a_tiny_one():
+    # period-4 unit steps have no power at bins 1..3 of 16, and the 1e-170
+    # pair gives them amplitudes near 1e-171 of the largest, whose squares
+    # underflow to 0
+    values = np.resize([1.0, 0.0, -1.0, 0.0], 16)
+    values[1], values[3] = 1e-170, -1e-170
+    return Series(values)
+
+
+@pytest.mark.parametrize("series,bandwidth,message", [
+    (Series(np.full(64, 0.1)), None, "series is constant: its memory cannot be estimated"),
+    (Series(np.resize([1.0, -1.0], 64)), None,
+     "series has no power at its lowest frequencies: its memory cannot be estimated"),
+    (_no_power_in_bins_1_to_3_but_a_tiny_one(), None,
+     "periodogram values must be positive (degenerate input)"),
+    (Series(np.resize([1.7e308, 1.7e308, -1.7e308, 1.7e308], 64)), None,
+     _kernels._RESULT_NOT_FINITE),
+    (white_noise(NoiseSpec(seed=1), 64), 2, "bandwidth must satisfy 3 <= bandwidth <= n/2"),
+    (white_noise(NoiseSpec(seed=1), 64), 33, "bandwidth must satisfy 3 <= bandwidth <= n/2"),
+    (white_noise(NoiseSpec(seed=1), 8), None,
+     "series needs at least 9 samples for the default bandwidth, got n=8"),
+], ids=["constant", "zero-amplitude", "underflow", "not-finite", "bandwidth-2",
+        "bandwidth-33", "too-short"])
+def test_estimate_memory_refusals_keep_their_messages(series, bandwidth, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_memory(series, bandwidth)
+
+
+def test_the_periodogram_regressor_is_memoised_per_length_bandwidth_and_step():
+    spectral._regressor_cache.clear()
+    values = white_noise(NoiseSpec(seed=4), 4096).values
+    fits = [estimate_memory(Series(values, step=step)) for step in (1.0, 0.5, 1.0)]
+    assert list(spectral._regressor_cache) == [(4096, 64, 1.0), (4096, 64, 0.5)]
+    for (n_fft, bandwidth, step), regressor in spectral._regressor_cache.items():
+        omega = 2.0 * math.pi * np.arange(1, bandwidth + 1) / (n_fft * step)
+        fresh = spectral._log_regressor(np.log(omega))
+        for cached, built in zip(regressor, fresh):
+            assert np.array_equal(cached, built)
+        for array in (regressor.log, regressor.centred):
+            assert not array.flags.writeable
+    # a hit and each miss give the layered route's bits
+    assert fits[0] == fits[2] == _layered_estimate(Series(values), 64)
+    assert fits[1] == _layered_estimate(Series(values, step=0.5), 64)
+    # the step scales omega, so it moves the intercept only
+    assert fits[1].d_hat == pytest.approx(fits[0].d_hat, abs=1e-12)
 
 
 def test_memory_estimate_classification_rule():

@@ -1,15 +1,16 @@
-"""The one bounded get-or-build cache behind exact windows, GL operators and
-the spectra of every ``Taps``."""
+"""The one bounded get-or-build cache behind exact windows, GL operators,
+periodogram regressors and the spectra of every ``Taps``."""
 
 import threading
 
-from fracspec import _kernels, exactops, glops
+from fracspec import _kernels, exactops, glops, spectral
 from fracspec._kernels import CACHE_BOUND, BoundedCache
 
 
 def test_the_operator_caches_are_bounded_caches():
     taps = _kernels.Taps([1.0, 2.0])
-    for cache in (exactops._window_cache, glops._operator_cache, taps._spectra):
+    for cache in (exactops._window_cache, glops._operator_cache, spectral._regressor_cache,
+                  taps._spectra):
         assert isinstance(cache, BoundedCache)
 
 

@@ -165,15 +165,28 @@ def _count_direct_calls(monkeypatch):
     return direct_calls
 
 
-def test_fft_length_is_smallest_5_smooth():
-    def smooth(x):
-        for p in (2, 3, 5):
-            while x % p == 0:
-                x //= p
-        return x == 1
+def test_fft_length_is_the_least_modelled_cost():
+    # the rule over every target from 1 to 2999, by brute force: among the
+    # 5-smooth lengths L = 2^a 3^b 5^c from the target to twice it, the one
+    # of least L (3a + 6b + 8c), the smaller on a tie
+    def cost(length):
+        weights = 0
+        for p, w in ((2, 3), (3, 6), (5, 8)):
+            while length % p == 0:
+                length //= p
+                weights += w
+        return weights if length == 1 else None
 
-    lengths = [_kernels._fft_length(t) for t in range(1, 3000)]
-    assert lengths == [next(s for s in range(t, 2 * t + 1) if smooth(s)) for t in range(1, 3000)]
+    def rule(t):
+        return min((s * cost(s), s) for s in range(t, 2 * t + 1) if cost(s) is not None)[1]
+
+    assert [_kernels._fft_length(t) for t in range(1, 3000)] == [rule(t) for t in range(1, 3000)]
+    # the golden files' GL and ACF lengths, the periodogram's and the ACF's
+    # shared 4096, cli_exact's zero boundary at 8192 + 1024, and lib_batch's
+    # GL and zero-boundary differences at 4096 + 256, which left 2 3^7 = 4374
+    for target, length in ((544, 576), (576, 576), (1024, 1024), (4096, 4096), (9216, 9216),
+                           (4352, 4608)):
+        assert _kernels._fft_length(target) == length
 
 
 def test_causal_apply_strips_exact_trailing_zeros(monkeypatch):
@@ -525,7 +538,7 @@ def test_series_spectrum_memo_is_read_only_and_hits_match_misses():
 def _memo_lengths(n):
     """Taps lengths whose causal sums with an n-sample series need more
     distinct FFT lengths than the memo keeps."""
-    lengths = [_kernels.FFT_MIN_SIZE + 97 * i for i in range(3 * _kernels.CACHE_BOUND)]
+    lengths = [_kernels.FFT_MIN_SIZE + 97 * i for i in range(4 * _kernels.CACHE_BOUND)]
     sizes = [_kernels._fft_length(n + m - 1) for m in lengths]
     assert len(set(sizes)) > 2 * _kernels.CACHE_BOUND
     return lengths, sizes
@@ -582,7 +595,7 @@ def test_threads_sharing_one_series_spectrum_memo_agree():
 
 def test_gl_and_zero_difference_share_one_transform_of_the_series(monkeypatch):
     # a GL difference of 257 taps and a zero-boundary exact difference of
-    # half-width 256 keep windows that are alias-free at one length, 4374
+    # half-width 256 keep windows that are alias-free at one length, 4608
     y = white_noise(NoiseSpec(seed=21), 4096)
     window = exact_kernel_window(0.5, 256)
     calls = []
@@ -596,4 +609,4 @@ def test_gl_and_zero_difference_share_one_transform_of_the_series(monkeypatch):
     monkeypatch.setattr(_kernels.np.fft, "rfft", counting_rfft)
     gl_difference(y, 0.4, 256)
     exact_difference(y, window, "zero")
-    assert calls == [(4374,)]
+    assert calls == [(4608,)]
